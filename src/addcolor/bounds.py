@@ -2,8 +2,8 @@
 
 Lower bounds: the degree-distinct-edges characterization of eta = 1, the
 true-twin bound (any set of pairwise true twins needs pairwise distinct
-labels), and the clique bound ceil((d1+1)/(d2-|Q|+2)) evaluated over an
-enumerated clique collection. Upper bounds: Delta^2 - Delta + 1 for any
+labels), and the clique bound ceil((d1+1)/(d2-|Q|+2)) evaluated over the
+greedy cliques (one grown from each vertex) and their prefixes. Upper bounds: Delta^2 - Delta + 1 for any
 graph, and |Q|-|T|+1 for split graphs, where T picks one clique vertex per
 distinct degree value.
 """
@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, true_twin_classes
-
-CLIQUE_ENUM_LIMIT = 16
+from .graph import Graph, iter_bits, true_twin_classes
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,11 @@ def clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
             if not g.masks[u] >> v & 1:
                 raise ValueError(f"vertices {u} and {v} are not adjacent: not a clique")
     degrees = [g.degree(v) for v in verts]
-    d1, d2 = min(degrees), max(degrees)
-    return math.ceil((d1 + 1) / (d2 - len(verts) + 2))
+    return _clique_bound(min(degrees), max(degrees), len(verts))
+
+
+def _clique_bound(d1: int, d2: int, q: int) -> int:
+    return -(-(d1 + 1) // (d2 - q + 2))
 
 
 def relaxed_clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
@@ -70,63 +71,36 @@ def relaxed_clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
     return math.ceil(q / (g.n - q + 1))
 
 
-def _all_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Every non-empty clique, extended by larger-index common neighbors."""
-
-    def rec(prefix: list[int], cand: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        m = cand
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            higher = ~((1 << (u + 1)) - 1)
-            prefix.append(u)
-            yield from rec(prefix, cand & g.masks[u] & higher)
-            prefix.pop()
-
-    for v in range(g.n):
-        higher = ~((1 << (v + 1)) - 1)
-        yield from rec([v], g.masks[v] & higher)
-
-
-def _greedy_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """One greedily grown clique per start vertex, with all its prefixes."""
+def greedy_cliques(g: Graph) -> Iterator[list[int]]:
+    """One clique per start vertex, in growth order: the clique repeatedly
+    takes the common neighbor that keeps the most common neighbors, ties
+    going to the smallest id. Every prefix is a clique too."""
+    masks = g.masks
     for v in range(g.n):
         clique = [v]
-        cand = g.masks[v]
-        yield (v,)
+        cand = masks[v]
         while cand:
-            u = max(
-                _mask_bits(cand),
-                key=lambda u: ((cand & g.masks[u]).bit_count(), -u),
-            )
+            u = max(iter_bits(cand), key=lambda u: ((cand & masks[u]).bit_count(), -u))
             clique.append(u)
-            cand &= g.masks[u]
-            yield tuple(clique)
-
-
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+            cand &= masks[u]
+        yield clique
 
 
 def best_clique_lower_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Maximum clique bound over an enumerated clique collection.
+    """Maximum clique bound over the prefixes of the greedy cliques.
 
-    Exhaustive for n <= 16, greedy beyond; the bound is valid for any clique,
-    so an incomplete collection can only weaken the result.
+    The bound is valid for any clique, so a partial collection can only
+    weaken the result; (0, ()) for the empty graph.
     """
-    if g.n == 0:
-        return 1, ()
-    source = _all_cliques(g) if g.n <= CLIQUE_ENUM_LIMIT else _greedy_cliques(g)
+    deg = g.degrees()
     best_value, best_clique = 0, ()
-    for clique in source:
-        value = clique_lower_bound(g, clique)
-        if value > best_value:
-            best_value, best_clique = value, clique
+    for clique in greedy_cliques(g):
+        d1 = d2 = deg[clique[0]]
+        for q, v in enumerate(clique, 1):
+            d1, d2 = min(d1, deg[v]), max(d2, deg[v])
+            value = _clique_bound(d1, d2, q)
+            if value > best_value:
+                best_value, best_clique = value, tuple(clique[:q])
     return best_value, best_clique
 
 
@@ -224,18 +198,14 @@ def multipartite_eta(part_sizes: Sequence[int]) -> int:
         raise ValueError("part sizes must be >= 1")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("part sizes must be sorted non-increasing")
-    r = len(parts)
-    s = [0] * r
-    s[r - 1] = parts[r - 1]
-    for i in range(r - 2, -1, -1):
-        s[i] = max(1 + s[i + 1], parts[i])
-    value = max(math.ceil(s[i] / parts[i]) for i in range(r))
-    assert value <= r
+    s = multipartite_chain(parts)
+    value = max(math.ceil(s_i / p) for s_i, p in zip(s, parts))
+    assert value <= len(parts)
     return value
 
 
 def multipartite_chain(part_sizes: Sequence[int]) -> list[int]:
-    """The s_i sequence of the recursion (exposed for property checks)."""
+    """The s_i sequence of the backward recursion in `multipartite_eta`."""
     parts = list(part_sizes)
     r = len(parts)
     s = [0] * r
@@ -248,15 +218,17 @@ def multipartite_chain(part_sizes: Sequence[int]) -> list[int]:
 def combined_bounds(g: Graph) -> BoundsReport:
     """Aggregate bounds: eta_lower <= eta(g) <= eta_upper.
 
-    The eta = 1 characterization short-circuits both bounds to 1; otherwise
-    the lower bound is the best of the twin and clique bounds (at least 2,
-    since some edge joins equal-degree vertices), and the upper bound the
-    best of the degree and split bounds.
+    The eta = 1 characterization short-circuits both bounds to 1 (to 0 for
+    the empty graph); otherwise the lower bound is the best of the twin and
+    clique bounds (at least 2, since some edge joins equal-degree vertices),
+    and the upper bound the best of the degree and split bounds.
     """
     witnesses: list[tuple[str, object]] = []
     if is_eta_one(g):
+        # the empty graph needs no label at all: eta(K_0) = 0 = chi(K_0)
+        value = min(g.n, 1)
         witnesses.append(("degree_distinct_edges", None))
-        return BoundsReport(1, 1, tuple(witnesses))
+        return BoundsReport(value, value, tuple(witnesses))
     lower = 2
     witnesses.append(("equal_degree_edge", None))
     twin_class = largest_true_twin_class(g)

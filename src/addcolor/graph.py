@@ -40,7 +40,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        neighbors = tuple(tuple(_bits(m)) for m in masks)
+        neighbors = tuple(tuple(iter_bits(m)) for m in masks)
         m = sum(len(nb) for nb in neighbors) // 2
         return Graph(n, neighbors, tuple(masks), m)
 
@@ -73,7 +73,8 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
-def _bits(mask: int) -> Iterator[int]:
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

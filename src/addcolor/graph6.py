@@ -12,8 +12,6 @@ rejected with a format error.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -119,28 +117,7 @@ def write_graph6(g: Graph) -> str:
     return header + "".join(chr(_MIN_BYTE + v) for v in chunk)
 
 
-@dataclass(frozen=True)
-class Graph6Record:
-    """One corpus line with its decoded graph; the line re-encodes to the
-    canonical form of the graph."""
-
-    line: str
-    graph: Graph
-
-
-def iter_graph6(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
-    """Decode an iterable of graph6 lines, skipping blanks."""
-    for record in iter_graph6_records(lines, strict=strict):
-        yield record.graph
-
-
-def iter_graph6_records(lines: Iterable[str], strict: bool = True) -> Iterator[Graph6Record]:
-    for line in lines:
-        stripped = line.strip()
-        if stripped:
-            yield Graph6Record(stripped, parse_graph6(stripped, strict=strict))
-
-
 def read_graph6_file(path: str, strict: bool = True) -> list[Graph]:
+    """Decode every non-blank line of a graph6 file."""
     with open(path, "r", encoding="ascii") as fh:
-        return list(iter_graph6(fh, strict=strict))
+        return [parse_graph6(line, strict=strict) for line in map(str.strip, fh) if line]

@@ -24,6 +24,7 @@ from .graph import (
     TRUE_TWINS,
     Graph,
     TwinPartition,
+    iter_bits,
 )
 
 INTEGER = "integer"
@@ -99,16 +100,9 @@ def _sum_difference_terms(g: Graph, u: int, v: int) -> list[tuple[int, str]]:
     full = (1 << g.n) - 1
     only_u = g.masks[u] & ~g.masks[v] & full
     only_v = g.masks[v] & ~g.masks[u] & full
-    terms = [(1, f_name(w)) for w in _bits(only_u)]
-    terms += [(-1, f_name(w)) for w in _bits(only_v)]
+    terms = [(1, f_name(w)) for w in iter_bits(only_u)]
+    terms += [(-1, f_name(w)) for w in iter_bits(only_v)]
     return terms
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def build_model(

@@ -135,8 +135,11 @@ def eta_exact(
     Defaults: lb from the combined bounds, ub from the degree bound. Status
     is "ub_exceeded" when no k in range works (raise ub and retry: every
     graph has a finite additive chromatic number) and "budget_exceeded" when
-    the node budget ran out.
+    the node budget ran out. The empty graph has eta = 0 whatever the range,
+    matching its chromatic number.
     """
+    if g.n == 0:
+        return SolveResult(OPTIMAL, 0, Labeling(()), SolveStats(0, 0.0))
     if lb is None:
         lb = _bounds.combined_bounds(g).eta_lower
     if ub is None:
@@ -188,27 +191,8 @@ def dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def greedy_clique_lower_bound(g: Graph) -> int:
-    """Size of a greedily grown clique; valid lower bound on chi."""
-    best = 1 if g.n else 0
-    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for v in by_degree:
-        clique_mask = 1 << v
-        size = 1
-        candidates = g.masks[v]
-        while candidates:
-            u = max(_iter_bits(candidates), key=lambda u: (bin(candidates & g.masks[u]).count("1"), -u))
-            clique_mask |= 1 << u
-            size += 1
-            candidates &= g.masks[u]
-        best = max(best, size)
-    return best
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Size of the largest greedily grown clique; valid lower bound on chi."""
+    return max((len(c) for c in _bounds.greedy_cliques(g)), default=0)
 
 
 def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:

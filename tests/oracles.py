@@ -5,6 +5,7 @@ neighborhood sums recomputed locally."""
 from __future__ import annotations
 
 import itertools
+import math
 
 from addcolor.graph import Graph
 from addcolor.milp import BINARY, MilpModel
@@ -52,6 +53,20 @@ def is_split_naive(g: Graph) -> bool:
             continue
         return True
     return g.n == 0
+
+
+def clique_bound_naive(g: Graph) -> int:
+    """Best clique bound ceil((d1+1)/(d2-|Q|+2)) over every vertex subset Q
+    that is a clique, with d1/d2 the smallest/largest degree inside Q."""
+    degree = [len(g.neighbors[v]) for v in range(g.n)]
+    best = 0
+    for size in range(1, g.n + 1):
+        for q in itertools.combinations(range(g.n), size):
+            if all(v in g.neighbors[u] for u, v in itertools.combinations(q, 2)):
+                d1 = min(degree[v] for v in q)
+                d2 = max(degree[v] for v in q)
+                best = max(best, math.ceil((d1 + 1) / (d2 - size + 2)))
+    return best
 
 
 def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:

@@ -9,6 +9,7 @@ from addcolor.bounds import (
     combined_bounds,
     degree_upper_bound,
     is_eta_one,
+    largest_true_twin_class,
     multipartite_chain,
     multipartite_eta,
     relaxed_clique_lower_bound,
@@ -19,7 +20,7 @@ from addcolor.bounds import (
 from addcolor.families import generate, parse_spec, split_labeling
 from addcolor.graph import Graph, verify_additive_coloring
 
-from oracles import eta_naive, is_split_naive
+from oracles import clique_bound_naive, eta_naive, is_split_naive
 
 
 def g_of(text):
@@ -79,6 +80,17 @@ class TestCliqueBound:
 
     def test_best_on_k5(self):
         assert best_clique_lower_bound(g_of("complete:5"))[0] == 5
+
+    def test_greedy_prefixes_match_all_cliques(self, conn_small):
+        # the clique bound over greedy prefixes may be weaker than over all
+        # cliques, but the combined lower bound stays the same on n <= 7
+        for g in conn_small:
+            if is_eta_one(g):
+                continue
+            naive = clique_bound_naive(g)
+            assert best_clique_lower_bound(g)[0] <= naive
+            expected = max(2, len(largest_true_twin_class(g)), naive)
+            assert combined_bounds(g).eta_lower == expected
 
     def test_dominates_relaxation(self, conn_small):
         for g in conn_small:

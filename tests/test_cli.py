@@ -148,6 +148,15 @@ def test_sweep_single_graph(tmp_path, capsys):
     assert "# holds: 1 violations: 0" in text
 
 
+def test_sweep_empty_graph_holds(tmp_path, capsys):
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("?\n")
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == 0
+    assert "?\t0\t0\t0\t0\tformula\texact\tholds" in out
+    assert "# holds: 1 violations: 0" in out
+
+
 def test_sweep_corrupt_line_isolated(tmp_path, capsys):
     corpus = tmp_path / "mixed.g6"
     corpus.write_text("Bw\n:corrupt\nA_\n")

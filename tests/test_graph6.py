@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addcolor.graph import Graph
-from addcolor.graph6 import Graph6FormatError, parse_graph6, write_graph6
+from addcolor.graph6 import Graph6FormatError, parse_graph6, read_graph6_file, write_graph6
 
 
 def complete(n):
@@ -133,13 +133,12 @@ def test_matches_networkx_encoding(g):
     assert write_graph6(g) == nx.to_graph6_bytes(nxg, header=False).decode().strip()
 
 
-def test_record_iterator():
-    from addcolor.graph6 import iter_graph6_records
-
-    records = list(iter_graph6_records(["Bw", "", "A_\n"]))
-    assert [r.graph.n for r in records] == [3, 2]
-    for r in records:
-        assert write_graph6(r.graph) == r.line
+def test_record_iterator(tmp_path):
+    path = tmp_path / "corpus.g6"
+    path.write_text("Bw\n\nA_\n")
+    graphs = read_graph6_file(str(path))
+    assert [g.n for g in graphs] == [3, 2]
+    assert [write_graph6(g) for g in graphs] == ["Bw", "A_"]
 
 
 def test_corpus_roundtrip_and_counts(conn_corpus_path):

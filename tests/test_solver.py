@@ -42,6 +42,12 @@ class TestEtaExact:
         # pinned after the first verified run (naive enumeration agrees)
         assert eta_exact(petersen).value == 2
 
+    def test_empty_graph_is_zero(self):
+        g = Graph.from_edges(0, [])
+        result = eta_exact(g)
+        assert (result.status, result.value, result.certificate.labels) == (OPTIMAL, 0, ())
+        assert eta_exact(g, lb=1, ub=3).value == 0
+
     def test_certificate_verifies(self):
         g = g_of("wheel:7")
         result = eta_exact(g)
