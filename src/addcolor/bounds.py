@@ -31,13 +31,6 @@ def is_eta_one(g: Graph) -> bool:
     return all(deg[u] != deg[v] for u, v in g.edges())
 
 
-def twin_lower_bound(g: Graph) -> int:
-    """Size of the largest true-twin class (>= 1 for nonempty graphs)."""
-    if g.n == 0:
-        return 1
-    return max(len(cls) for cls in true_twin_classes(g))
-
-
 def largest_true_twin_class(g: Graph) -> tuple[int, ...]:
     classes = true_twin_classes(g)
     return tuple(max(classes, key=len)) if classes else ()

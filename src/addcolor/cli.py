@@ -156,9 +156,12 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_record(item: tuple[int, str], budget: int, chi_limit: int) -> dict:
+def _solve_record(
+    item: tuple[int, str], budget: int, chi_limit: int, max_n: int | None
+) -> dict | None:
     """Solve one corpus line; pure function of the line, so worker count
-    cannot change any record."""
+    cannot change any record. None marks a graph skipped for having more
+    than `max_n` vertices."""
     index, line = item
     record: dict = {"index": index, "g6": line}
     try:
@@ -167,6 +170,8 @@ def _solve_record(item: tuple[int, str], budget: int, chi_limit: int) -> dict:
         record["status"] = "parse-error"
         record["error"] = str(exc)
         return record
+    if max_n is not None and g.n > max_n:
+        return None
     record["n"] = g.n
     record["m"] = g.edge_count
     report = _bounds.combined_bounds(g)
@@ -230,21 +235,12 @@ def _record_line(record: dict) -> str:
     return "\t".join(fields)
 
 
-def _iter_corpus(fh, max_n: int | None, skipped: list[int]):
-    """Yield (index, line) work items, filtering oversize graphs; corrupt
-    lines pass through so the workers can report them in place."""
+def _iter_corpus(fh):
+    """Yield (index, line) work items for the non-blank lines."""
     for idx, raw in enumerate(fh):
         line = raw.strip()
-        if not line:
-            continue
-        if max_n is not None:
-            try:
-                if parse_graph6(line).n > max_n:
-                    skipped[0] += 1
-                    continue
-            except Graph6FormatError:
-                pass
-        yield (idx, line)
+        if line:
+            yield (idx, line)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -257,9 +253,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     worker = functools.partial(
-        _solve_record, budget=args.budget, chi_limit=args.chi_limit
+        _solve_record, budget=args.budget, chi_limit=args.chi_limit, max_n=args.max_n
     )
-    skipped = [0]
+    skipped = 0
     counts = {"holds": 0, "VIOLATION": 0, "budget-exceeded": 0, "parse-error": 0}
     by_n: dict[int, int] = {}
     max_gap = None
@@ -267,9 +263,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     pool = Pool(args.workers) if args.workers > 1 else None
     try:
-        items = _iter_corpus(fh, args.max_n, skipped)
+        items = _iter_corpus(fh)
         results = pool.imap(worker, items, chunksize=16) if pool else map(worker, items)
         for record in results:
+            if record is None:
+                skipped += 1
+                continue
             out.write(_record_line(record) + "\n")
             total += 1
             counts[record["status"]] += 1
@@ -280,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 max_gap = gap if max_gap is None else max(max_gap, gap)
         elapsed = time.perf_counter() - started
         out.write("# summary\n")
-        out.write(f"# graphs: {total} skipped_over_max_n: {skipped[0]}\n")
+        out.write(f"# graphs: {total} skipped_over_max_n: {skipped}\n")
         out.write(
             "# by_n: "
             + " ".join(f"{n}:{c}" for n, c in sorted(by_n.items()))

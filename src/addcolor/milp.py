@@ -89,17 +89,15 @@ def big_m(g: Graph, u: int, v: int, ub: int) -> int:
         raise ValueError(f"({u},{v}) is not an edge")
     if ub < 1:
         raise ValueError(f"UB must be >= 1, got {ub}")
-    full = (1 << g.n) - 1
-    only_u = (g.masks[u] & ~g.masks[v] & full).bit_count()
-    only_v = (g.masks[v] & ~g.masks[u] & full).bit_count()
+    only_u = (g.masks[u] & ~g.masks[v]).bit_count()
+    only_v = (g.masks[v] & ~g.masks[u]).bit_count()
     return 1 + only_u * ub - only_v
 
 
 def _sum_difference_terms(g: Graph, u: int, v: int) -> list[tuple[int, str]]:
     # f(N(u)) - f(N(v)) with the common neighbors cancelled
-    full = (1 << g.n) - 1
-    only_u = g.masks[u] & ~g.masks[v] & full
-    only_v = g.masks[v] & ~g.masks[u] & full
+    only_u = g.masks[u] & ~g.masks[v]
+    only_v = g.masks[v] & ~g.masks[u]
     terms = [(1, f_name(w)) for w in iter_bits(only_u)]
     terms += [(-1, f_name(w)) for w in iter_bits(only_v)]
     return terms
@@ -158,13 +156,12 @@ def add_valid_inequalities(model: MilpModel, g: Graph) -> int:
     symmetry-breaking chains. Triples touching eliminated variables are
     skipped. Returns the number of inequalities added.
     """
-    full = (1 << g.n) - 1
     added = 0
     for u in range(g.n):
         for v in range(g.n):
             if u == v or g.masks[u] >> v & 1:
                 continue
-            if g.masks[u] & ~g.masks[v] & full:
+            if g.masks[u] & ~g.masks[v]:
                 continue
             if g.masks[u] == g.masks[v]:
                 continue

@@ -2,13 +2,14 @@
 
 `eta_exact` computes the additive chromatic number by iterative deepening on
 the number of labels k: for each k it runs a depth-first assignment of labels
-1..k over the vertices (descending degree, then id). An edge is checked as
-soon as both endpoints' neighborhood sums are fully determined; with labels
-bounded in [1, k] the partial-sum intervals of an edge can only force an
-equality once both neighborhoods are complete, so completeness is the check
-trigger. Twin symmetry breaking (non-decreasing labels inside a false-twin
-class, strictly increasing inside a true-twin class) mirrors the chain
-inequalities of the integer-programming model and is optional.
+1..k over the vertices (descending degree, then id), as an explicit index
+that moves forward and back. Common neighbors of u and v add the same label
+to both neighborhood sums, so only N(u) ^ N(v) decides edge (u, v): the edge
+is checked as soon as the last vertex of that symmetric difference is
+labeled, while the common neighbors may still be unlabeled. Twin symmetry
+breaking (non-decreasing labels inside a false-twin class, strictly
+increasing inside a true-twin class) mirrors the chain inequalities of the
+integer-programming model and is optional.
 
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound, and backtracking k-colorability in between.
@@ -24,6 +25,7 @@ from .graph import (
     TRUE_TWINS,
     Graph,
     Labeling,
+    induced_subgraph,
     twin_refined_partition,
     verify_additive_coloring,
 )
@@ -57,71 +59,6 @@ class SolveResult:
         return self.status == OPTIMAL
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _EtaSearch:
-    """Fixed-graph search state reused across the deepening iterations."""
-
-    def __init__(self, g: Graph, twin_breaking: bool, node_budget: int):
-        self.g = g
-        self.budget = node_budget
-        self.nodes = 0
-        n = g.n
-        self.order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-        pos = [0] * n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        # edge (u, v) becomes checkable once every vertex of N(u) | N(v)
-        # carries a label; bucket it at the position of the last one
-        self.check_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v in g.edges():
-            members = set(g.neighbors[u]) | set(g.neighbors[v])
-            self.check_at[max(pos[w] for w in members)].append((u, v))
-        # symmetry breaking: chain each twin class in id order; twins share a
-        # degree, so the predecessor is always assigned first
-        self.pred: list[int | None] = [None] * n
-        self.delta = [0] * n
-        if twin_breaking:
-            for cls in twin_refined_partition(g).multi_classes():
-                step = 1 if cls.kind == TRUE_TWINS else 0
-                for a, b in zip(cls.vertices, cls.vertices[1:]):
-                    self.pred[b] = a
-                    self.delta[b] = step
-
-    def search(self, k: int) -> list[int] | None:
-        g = self.g
-        n = g.n
-        labels = [0] * n
-        sums = [0] * n
-        order, check_at, pred, delta = self.order, self.check_at, self.pred, self.delta
-        neighbors = g.neighbors
-
-        def dfs(i: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            p = pred[v]
-            lo = 1 if p is None else labels[p] + delta[v]
-            checks = check_at[i]
-            for lab in range(lo, k + 1):
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise _BudgetExceeded
-                labels[v] = lab
-                for w in neighbors[v]:
-                    sums[w] += lab
-                if all(sums[a] != sums[b] for a, b in checks) and dfs(i + 1):
-                    return True
-                for w in neighbors[v]:
-                    sums[w] -= lab
-            labels[v] = 0
-            return False
-
-        return labels if dfs(0) else None
-
-
 def eta_exact(
     g: Graph,
     lb: int | None = None,
@@ -147,21 +84,65 @@ def eta_exact(
     if not 1 <= lb <= ub:
         raise ValueError(f"need 1 <= lb <= ub, got lb={lb}, ub={ub}")
     start = time.perf_counter()
-    state = _EtaSearch(g, twin_breaking, node_budget)
-    try:
-        for k in range(lb, ub + 1):
-            found = state.search(k)
-            if found is not None:
-                cert = Labeling(tuple(found))
-                assert verify_additive_coloring(g, cert) and cert.k <= k
-                stats = SolveStats(state.nodes, time.perf_counter() - start)
-                return SolveResult(OPTIMAL, k, cert, stats)
-    except _BudgetExceeded:
-        return SolveResult(
-            BUDGET_EXCEEDED, None, None,
-            SolveStats(state.nodes, time.perf_counter() - start),
-        )
-    stats = SolveStats(state.nodes, time.perf_counter() - start)
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    h = induced_subgraph(g, order)
+    # common neighbors add the same label to both sums, so edge (u, v) is
+    # decided once N(u) ^ N(v) is labeled: check it at that set's last position
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in h.edges():
+        checks[(h.masks[u] ^ h.masks[v]).bit_length() - 1].append((u, v))
+    # symmetry breaking: chain each twin class in id order; twins share a
+    # degree, so the predecessor is always labeled first
+    pred: list[int | None] = [None] * n
+    step = [0] * n
+    if twin_breaking:
+        for cls in twin_refined_partition(h).multi_classes():
+            for a, b in zip(cls.vertices, cls.vertices[1:]):
+                pred[b] = a
+                step[b] = 1 if cls.kind == TRUE_TWINS else 0
+    neighbors = h.neighbors
+    nodes = 0
+    for k in range(lb, ub + 1):
+        labels = [0] * n
+        sums = [0] * n
+        i = 0
+        while 0 <= i < n:
+            # next label of position i: one past its current label, else the
+            # least label its twin chain allows
+            nb, edges, lab = neighbors[i], checks[i], labels[i]
+            if lab:
+                for w in nb:
+                    sums[w] -= lab
+                lab += 1
+            elif pred[i] is not None:
+                lab = labels[pred[i]] + step[i]
+            else:
+                lab = 1
+            while lab <= k:
+                nodes += 1
+                if nodes > node_budget:
+                    stats = SolveStats(nodes, time.perf_counter() - start)
+                    return SolveResult(BUDGET_EXCEEDED, None, None, stats)
+                for w in nb:
+                    sums[w] += lab
+                if all(sums[a] != sums[b] for a, b in edges):
+                    break
+                for w in nb:
+                    sums[w] -= lab
+                lab += 1
+            if lab <= k:
+                labels[i] = lab
+                i += 1
+            else:
+                labels[i] = 0
+                i -= 1
+        if i == n:
+            cert = Labeling(tuple(lab for _, lab in sorted(zip(order, labels))))
+            assert verify_additive_coloring(g, cert) and cert.k <= k
+            stats = SolveStats(nodes, time.perf_counter() - start)
+            return SolveResult(OPTIMAL, k, cert, stats)
+    stats = SolveStats(nodes, time.perf_counter() - start)
     return SolveResult(UB_EXCEEDED, None, None, stats)
 
 

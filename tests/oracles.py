@@ -107,11 +107,11 @@ def point_feasible(model: MilpModel, g: Graph, labels) -> bool:
 def model_optimum(model: MilpModel, g: Graph, ub: int) -> int | None:
     """Exhaustive optimum of the model over f in [ub]^V with induced z; the
     pairing equalities make the induced z the only completion that can be
-    feasible, so this enumeration is exact."""
-    best = None
-    for f in itertools.product(range(1, ub + 1), repeat=g.n):
-        if point_feasible(model, g, f):
-            k = max(f)
-            if best is None or k < best:
-                best = k
-    return best
+    feasible, so this enumeration is exact. The objective is k = max(f), so
+    the slices "f in [k]^V using label k" are scanned for k = 1..ub and the
+    first slice holding a feasible point gives the optimum."""
+    for k in range(1, ub + 1):
+        for f in itertools.product(range(1, k + 1), repeat=g.n):
+            if k in f and point_feasible(model, g, f):
+                return k
+    return None

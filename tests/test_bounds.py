@@ -15,7 +15,6 @@ from addcolor.bounds import (
     relaxed_clique_lower_bound,
     split_recognize,
     split_upper_bound,
-    twin_lower_bound,
 )
 from addcolor.families import generate, parse_spec, split_labeling
 from addcolor.graph import Graph, verify_additive_coloring
@@ -41,13 +40,13 @@ class TestEtaOne:
 
 class TestTwinBound:
     def test_complete(self):
-        assert twin_lower_bound(g_of("complete:5")) == 5
+        assert len(largest_true_twin_class(g_of("complete:5"))) == 5
 
     def test_complete_split(self):
-        assert twin_lower_bound(g_of("complete-split:4,2")) == 4
+        assert len(largest_true_twin_class(g_of("complete-split:4,2"))) == 4
 
     def test_cycle(self):
-        assert twin_lower_bound(g_of("cycle:6")) == 1
+        assert len(largest_true_twin_class(g_of("cycle:6"))) == 1
 
 
 class TestCliqueBound:

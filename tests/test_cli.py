@@ -82,6 +82,15 @@ def test_solve_edge_list_with_header(tmp_path, capsys):
     assert "eta = 2" in out
 
 
+def test_solve_deep_path_edge_list(tmp_path, capsys):
+    # 1500 search positions: the search must not recurse per vertex
+    path = tmp_path / "path1500.edges"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(1499)))
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert "eta = 2" in out
+
+
 def test_solve_parse_failure(capsys):
     code, _, err = run(capsys, "solve", ":bad")
     assert code == 1 and "error" in err
@@ -201,10 +210,12 @@ def test_sweep_chi_limit_reports_dsatur_only(tmp_path, capsys):
 
 def test_sweep_max_n_filter(tmp_path, capsys):
     corpus = tmp_path / "two.g6"
-    corpus.write_text("Bw\nDhc\n")
+    corpus.write_text("Bw\nDhc\n:corrupt\n")
     code, out, _ = run(capsys, "sweep", str(corpus), "--max-n", "3")
     assert code == 0
-    assert "skipped_over_max_n: 1" in out
+    assert "# graphs: 2 skipped_over_max_n: 1" in out
+    assert ":corrupt\tparse-error" in out
+    assert "Dhc" not in out
 
 
 def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
