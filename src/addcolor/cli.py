@@ -20,7 +20,7 @@ from . import families as _families
 from . import milp as _milp
 from . import solver as _solver
 from .graph import Graph, Labeling, connected_components, induced_subgraph, verify_additive_coloring
-from .graph6 import Graph6FormatError, parse_graph6
+from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +59,10 @@ def _read_edge_list(path: str) -> Graph:
             fields = line.split()
             if len(fields) == 1 and declared_n is None and not edges:
                 declared_n = int(fields[0])
+                if declared_n > WRITER_MAX_N:
+                    raise ValueError(
+                        f"{path}:{lineno}: declared n={declared_n} exceeds {WRITER_MAX_N}"
+                    )
                 continue
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
@@ -66,6 +70,8 @@ def _read_edge_list(path: str) -> Graph:
     n = declared_n
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
+        if n > WRITER_MAX_N:
+            raise ValueError(f"{path}: vertex {n - 1} exceeds n <= {WRITER_MAX_N}")
     return Graph.from_edges(n, edges)
 
 
@@ -140,11 +146,15 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
             print(f"{path}: skipped (component has no edges, eta = 1)")
             continue
         ub = args.ub if args.ub is not None else _bounds.combined_bounds(sub).eta_upper
-        model = _milp.build_model(
-            sub, ub, valid_inequalities=args.valid, twin_symmetry=args.symmetry
-        )
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(_milp.write_lp(model))
+        try:
+            model = _milp.build_model(
+                sub, ub, valid_inequalities=args.valid, twin_symmetry=args.symmetry
+            )
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(_milp.write_lp(model))
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         counts = _milp.model_counts(model)
         print(
             f"{path}: UB={ub} "
@@ -249,6 +259,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         fh = open(args.corpus, "r", encoding="ascii")
+        try:
+            out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        except OSError:
+            fh.close()
+            raise
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -260,7 +275,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     by_n: dict[int, int] = {}
     max_gap = None
     total = 0
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     pool = Pool(args.workers) if args.workers > 1 else None
     try:
         items = _iter_corpus(fh)

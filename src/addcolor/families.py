@@ -552,15 +552,7 @@ def _solver_labeling(spec: FamilySpec) -> Labeling:
 def construct_labeling(spec: FamilySpec) -> Labeling:
     """Certificate labeling with exactly eta_formula(spec) labels; verified
     against the generated graph before being returned."""
-    labeling, _ = labeling_with_provenance(spec)
-    g = generate(spec)
-    target = eta_formula(spec)
-    if labeling.k != target or not verify_additive_coloring(g, labeling):
-        raise AssertionError(
-            f"labeling construction failed for {spec.text()}: "
-            f"k={labeling.k}, target={target}"
-        )
-    return labeling
+    return certify(spec).labeling
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ from .graph import Graph
 
 HEADER_PREFIX = ">>graph6<<"
 
+# largest n with a 4-byte size header: the writer's limit, and the largest
+# vertex count the command line accepts from an edge list
+WRITER_MAX_N = 258047
+
 _MIN_BYTE = 63
 _MAX_BYTE = 126
 
@@ -99,12 +103,12 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         header = chr(_MIN_BYTE + n)
-    elif n <= 258047:
+    elif n <= WRITER_MAX_N:
         header = chr(_MAX_BYTE) + "".join(
             chr(_MIN_BYTE + (n >> shift & 0x3F)) for shift in (12, 6, 0)
         )
     else:
-        raise ValueError(f"writer supports n <= 258047, got {n}")
+        raise ValueError(f"writer supports n <= {WRITER_MAX_N}, got {n}")
     nbits = n * (n - 1) // 2
     chunk = [0] * ((nbits + 5) // 6)
     bit = 0

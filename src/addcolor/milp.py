@@ -12,20 +12,20 @@ with M_uv = 1 + |N(u)\\N(v)|*UB - |N(v)\\N(u)| the tightest constant that
 keeps the row inactive at z = 0; the pairing z(u,v) + z(v,u) = 1 then forces
 strictly ordered sums across each edge. The optimum equals the additive
 chromatic number whenever UB is a valid upper bound for it.
+
+The model is built in one pass. With twin symmetry breaking, the z
+variables that the twin chains make redundant are decided first, and
+neither they nor any row mentioning them is ever emitted; the model lists
+them in `eliminated_variables` for reporting only. Row order: the z and
+pairing rows per edge, the k links, the valid inequalities, the chains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import (
-    FALSE_TWINS,
-    TRUE_TWINS,
-    Graph,
-    TwinPartition,
-    iter_bits,
-)
+from .graph import FALSE_TWINS, TRUE_TWINS, Graph, iter_bits, twin_refined_partition
 
 INTEGER = "integer"
 BINARY = "binary"
@@ -54,25 +54,9 @@ class MilpModel:
     variables: list[Variable]
     objective: tuple[tuple[int, str], ...]
     constraints: list[Constraint]
-    eliminated_variables: set[str] = field(default_factory=set)
-
-    def active_variables(self) -> list[Variable]:
-        return [v for v in self.variables if v.name not in self.eliminated_variables]
-
-    def is_active(self, name: str) -> bool:
-        return name not in self.eliminated_variables
-
-    def remove_variables(self, names: Iterable[str]) -> int:
-        """Eliminate variables and drop every constraint mentioning them;
-        returns the number of constraints dropped."""
-        doomed = set(names)
-        self.eliminated_variables |= doomed
-        before = len(self.constraints)
-        self.constraints = [
-            c for c in self.constraints
-            if not any(var in doomed for _, var in c.terms)
-        ]
-        return before - len(self.constraints)
+    # z variables made redundant by the twin chains; none of them appears
+    # in `variables` or in any constraint
+    eliminated_variables: frozenset[str]
 
 
 def f_name(v: int) -> str:
@@ -103,6 +87,42 @@ def _sum_difference_terms(g: Graph, u: int, v: int) -> list[tuple[int, str]]:
     return terms
 
 
+def _twin_chains(g: Graph) -> tuple[list[Constraint], frozenset[str]]:
+    """Chain rows per twin class, and the z variables they make redundant.
+
+    False twins v_1..v_t: f(v_i) <= f(v_{i+1}), and z(u, v_i), z(v_i, u) are
+    dropped for i >= 2 and u in N(v_1). True twins: f(v_i) <= f(v_{i+1}) - 1,
+    and z(v_i, v_j) is dropped for i, j >= 2, i != j. The dropped set is
+    symmetric (z(u, v) goes exactly when z(v, u) does) and the optimum is
+    unchanged.
+    """
+    chains: list[Constraint] = []
+    dropped: set[str] = set()
+    for cls in twin_refined_partition(g).multi_classes():
+        verts = cls.vertices
+        step = -1 if cls.kind == TRUE_TWINS else 0
+        for a, b in zip(verts, verts[1:]):
+            chains.append(
+                Constraint(
+                    f"c_chain_{a}_{b}",
+                    ((1, f_name(a)), (-1, f_name(b))),
+                    "<=",
+                    step,
+                )
+            )
+        if cls.kind == FALSE_TWINS:
+            for vi in verts[1:]:
+                for u in g.neighbors[verts[0]]:
+                    dropped.add(z_name(u, vi))
+                    dropped.add(z_name(vi, u))
+        else:
+            for vi in verts[1:]:
+                for vj in verts[1:]:
+                    if vi != vj:
+                        dropped.add(z_name(vi, vj))
+    return chains, frozenset(dropped)
+
+
 def build_model(
     g: Graph,
     ub: int,
@@ -114,13 +134,16 @@ def build_model(
         raise ValueError(f"UB must be >= 1, got {ub}")
     if g.edge_count == 0:
         raise ValueError("model needs a graph with at least one edge")
+    chains, dropped = _twin_chains(g) if twin_symmetry else ([], frozenset())
+    # the dropped set is symmetric, so an edge keeps both z variables or none
+    live_edges = [(u, v) for u, v in g.edges() if z_name(u, v) not in dropped]
     variables = [Variable("k", INTEGER, 1, None)]
     variables += [Variable(f_name(v), INTEGER, 1, ub) for v in range(g.n)]
-    for u, v in g.edges():
+    for u, v in live_edges:
         variables.append(Variable(z_name(u, v), BINARY, 0, 1))
         variables.append(Variable(z_name(v, u), BINARY, 0, 1))
     constraints: list[Constraint] = []
-    for u, v in g.edges():
+    for u, v in live_edges:
         for a, b in ((u, v), (v, u)):
             m = big_m(g, a, b, ub)
             terms = _sum_difference_terms(g, a, b) + [(m, z_name(a, b))]
@@ -137,113 +160,26 @@ def build_model(
         constraints.append(
             Constraint(f"c_link_v{v}", ((1, f_name(v)), (-1, "k")), "<=", 0)
         )
-    model = MilpModel(variables, ((1, "k"),), constraints)
     if valid_inequalities:
-        add_valid_inequalities(model, g)
-    if twin_symmetry:
-        from .graph import twin_refined_partition
-
-        add_twin_symmetry_breaking(model, g, twin_refined_partition(g))
-    return model
-
-
-def add_valid_inequalities(model: MilpModel, g: Graph) -> int:
-    """z(v,w) + z(w,u) <= 1 for every triple with u,v non-adjacent,
-    w in N(u) and N(u) properly contained in N(v).
-
-    Containment is read as proper: with N(u) = N(v) the vertices are false
-    twins and the pair of opposite inequalities could clash with the
-    symmetry-breaking chains. Triples touching eliminated variables are
-    skipped. Returns the number of inequalities added.
-    """
-    added = 0
-    for u in range(g.n):
-        for v in range(g.n):
-            if u == v or g.masks[u] >> v & 1:
-                continue
-            if g.masks[u] & ~g.masks[v]:
-                continue
-            if g.masks[u] == g.masks[v]:
-                continue
-            for w in g.neighbors[u]:
-                zvw, zwu = z_name(v, w), z_name(w, u)
-                if not (model.is_active(zvw) and model.is_active(zwu)):
+        # z(v,w) + z(w,u) <= 1 for every triple with u,v non-adjacent,
+        # w in N(u) and N(u) properly contained in N(v). Containment is read
+        # as proper: with N(u) = N(v) the vertices are false twins and the
+        # pair of opposite inequalities could clash with the twin chains.
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v or g.masks[u] >> v & 1:
                     continue
-                model.constraints.append(
-                    Constraint(
-                        f"c_vi_{u}_{v}_{w}",
-                        ((1, zvw), (1, zwu)),
-                        "<=",
-                        1,
+                if g.masks[u] & ~g.masks[v] or g.masks[u] == g.masks[v]:
+                    continue
+                for w in g.neighbors[u]:
+                    zvw, zwu = z_name(v, w), z_name(w, u)
+                    if zvw in dropped or zwu in dropped:
+                        continue
+                    constraints.append(
+                        Constraint(f"c_vi_{u}_{v}_{w}", ((1, zvw), (1, zwu)), "<=", 1)
                     )
-                )
-                added += 1
-    return added
-
-
-@dataclass(frozen=True)
-class TwinSymmetrySummary:
-    chains_added: int
-    variables_removed: int
-    constraints_removed: int
-
-
-def add_twin_symmetry_breaking(
-    model: MilpModel, g: Graph, partition: TwinPartition
-) -> TwinSymmetrySummary:
-    """Chain inequalities per twin class plus z-variable elimination.
-
-    False twins v_1..v_t: f(v_i) <= f(v_{i+1}), and z(u, v_i), z(v_i, u)
-    disappear for i >= 2 and u in N(v_1). True twins: f(v_i) <= f(v_{i+1})-1,
-    and z(v_i, v_j) disappears for i, j >= 2, i != j. Every constraint
-    mentioning a removed variable is dropped; the optimum is unchanged.
-    """
-    _check_partition(g, partition)
-    chains = 0
-    doomed: set[str] = set()
-    for cls in partition.multi_classes():
-        verts = cls.vertices
-        step = -1 if cls.kind == TRUE_TWINS else 0
-        for a, b in zip(verts, verts[1:]):
-            model.constraints.append(
-                Constraint(
-                    f"c_chain_{a}_{b}",
-                    ((1, f_name(a)), (-1, f_name(b))),
-                    "<=",
-                    step,
-                )
-            )
-            chains += 1
-        if cls.kind == FALSE_TWINS:
-            for vi in verts[1:]:
-                for u in g.neighbors[verts[0]]:
-                    doomed.add(z_name(u, vi))
-                    doomed.add(z_name(vi, u))
-        else:
-            for vi in verts[1:]:
-                for vj in verts[1:]:
-                    if vi != vj:
-                        doomed.add(z_name(vi, vj))
-    removed_rows = model.remove_variables(doomed)
-    return TwinSymmetrySummary(chains, len(doomed), removed_rows)
-
-
-def _check_partition(g: Graph, partition: TwinPartition) -> None:
-    seen: set[int] = set()
-    for cls in partition.classes:
-        for v in cls.vertices:
-            if v in seen or not 0 <= v < g.n:
-                raise ValueError("partition does not partition the vertex set")
-            seen.add(v)
-        if len(cls.vertices) >= 2:
-            first = cls.vertices[0]
-            for v in cls.vertices[1:]:
-                if cls.kind == TRUE_TWINS and g.closed_mask(v) != g.closed_mask(first):
-                    raise ValueError(f"vertices {first},{v} are not true twins")
-                if cls.kind == FALSE_TWINS and g.masks[v] != g.masks[first]:
-                    raise ValueError(f"vertices {first},{v} are not false twins")
-    if len(seen) != g.n:
-        raise ValueError("partition does not cover the vertex set")
+    constraints += chains
+    return MilpModel(variables, ((1, "k"),), constraints, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +211,6 @@ def write_lp(model: MilpModel) -> str:
     lines.append("Subject To")
     for c in model.constraints:
         parts = _format_terms(c.terms)
-        rel = "<=" if c.relation == "<=" else (">=" if c.relation == ">=" else "=")
         body = f" {c.name}:"
         chunks = [body]
         count = 0
@@ -285,22 +220,22 @@ def write_lp(model: MilpModel) -> str:
             if count % _WRAP_TERMS == 0:
                 lines.append(" ".join(chunks))
                 chunks = ["   "]
-        chunks.append(f"{rel} {c.rhs}")
+        chunks.append(f"{c.relation} {c.rhs}")
         lines.append(" ".join(chunks))
     lines.append("Bounds")
-    for var in model.active_variables():
+    for var in model.variables:
         if var.kind != INTEGER:
             continue
         if var.upper is None:
             lines.append(f" {var.lower} <= {var.name}")
         else:
             lines.append(f" {var.lower} <= {var.name} <= {var.upper}")
-    generals = [v.name for v in model.active_variables() if v.kind == INTEGER]
+    generals = [v.name for v in model.variables if v.kind == INTEGER]
     if generals:
         lines.append("Generals")
         for chunk in _wrap_names(generals):
             lines.append(" " + chunk)
-    binaries = [v.name for v in model.active_variables() if v.kind == BINARY]
+    binaries = [v.name for v in model.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
         for chunk in _wrap_names(binaries):
@@ -316,10 +251,9 @@ def _wrap_names(names: Sequence[str]) -> list[str]:
 
 
 def model_counts(model: MilpModel) -> dict[str, int]:
-    active = model.active_variables()
     return {
-        "integer_variables": sum(1 for v in active if v.kind == INTEGER),
-        "binary_variables": sum(1 for v in active if v.kind == BINARY),
+        "integer_variables": sum(1 for v in model.variables if v.kind == INTEGER),
+        "binary_variables": sum(1 for v in model.variables if v.kind == BINARY),
         "constraints": len(model.constraints),
         "eliminated_variables": len(model.eliminated_variables),
     }

@@ -76,7 +76,7 @@ def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
     values = {"k": max(labels)}
     for v in range(g.n):
         values[f"f_v{v}"] = labels[v]
-    for var in model.active_variables():
+    for var in model.variables:
         if var.kind == BINARY:
             _, u, v = var.name.split("_")
             values[var.name] = 1 if sums[int(u)] < sums[int(v)] else 0
@@ -84,7 +84,7 @@ def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
 
 
 def assignment_feasible(model: MilpModel, values: dict[str, int]) -> bool:
-    for var in model.active_variables():
+    for var in model.variables:
         val = values[var.name]
         if val < var.lower or (var.upper is not None and val > var.upper):
             return False

@@ -91,6 +91,17 @@ def test_solve_deep_path_edge_list(tmp_path, capsys):
     assert "eta = 2" in out
 
 
+@pytest.mark.parametrize("text", ["1000000000000\n0 1\n", "0 1000000000000\n"])
+def test_solve_huge_edge_list_rejected(tmp_path, capsys, text):
+    # rejected from the numbers alone, before any per-vertex allocation
+    path = tmp_path / "huge.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "258047" in err
+    assert out == ""
+
+
 def test_solve_parse_failure(capsys):
     code, _, err = run(capsys, "solve", ":bad")
     assert code == 1 and "error" in err
@@ -143,6 +154,20 @@ def test_export_lp_edgeless_component_skipped(tmp_path, capsys):
     assert "skipped" in out
     assert (tmp_path / "mixed_c1.lp").exists()
     assert not (tmp_path / "mixed_c2.lp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("export-lp", "A_", "--ub", "0", "-o", "{tmp}/k2.lp"),
+    ("export-lp", "A_", "-o", "{tmp}/missing/k2.lp"),
+    ("sweep", "{corpus}", "-o", "{tmp}/missing/report.txt"),
+])
+def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Bw\n")
+    argv = [a.format(tmp=tmp_path, corpus=corpus) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_sweep_single_graph(tmp_path, capsys):

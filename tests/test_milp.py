@@ -3,10 +3,8 @@ import re
 import pytest
 
 from addcolor.families import generate, parse_spec
-from addcolor.graph import Graph, twin_refined_partition
+from addcolor.graph import Graph
 from addcolor.milp import (
-    add_twin_symmetry_breaking,
-    add_valid_inequalities,
     big_m,
     build_model,
     model_counts,
@@ -107,24 +105,21 @@ class TestBuildModel:
                 assert model_optimum(model, g, ub) == eta
 
 
+def valid_rows(g, ub):
+    model = build_model(g, ub, valid_inequalities=True)
+    return [c.name for c in model.constraints if c.name.startswith("c_vi_")]
+
+
 class TestValidInequalities:
     def test_star_none(self):
         # leaf neighborhoods are equal, never properly contained
-        g = g_of("multipartite:3,1")
-        model = build_model(g, 2)
-        assert add_valid_inequalities(model, g) == 0
+        assert valid_rows(g_of("multipartite:3,1"), 2) == []
 
     def test_p4_two(self):
-        g = g_of("path:4")
-        model = build_model(g, 2)
-        assert add_valid_inequalities(model, g) == 2
-        names = {c.name for c in model.constraints}
-        assert "c_vi_0_2_1" in names and "c_vi_3_1_2" in names
+        assert sorted(valid_rows(g_of("path:4"), 2)) == ["c_vi_0_2_1", "c_vi_3_1_2"]
 
     def test_complete_none(self):
-        g = g_of("complete:5")
-        model = build_model(g, 5)
-        assert add_valid_inequalities(model, g) == 0
+        assert valid_rows(g_of("complete:5"), 5) == []
 
     def test_valid_on_feasible_points(self, all_n6):
         # every feasible point of the base model satisfies the inequalities
@@ -141,30 +136,29 @@ class TestValidInequalities:
                     assert point_feasible(extended, g, f)
 
 
+def symmetry_summary(g, ub):
+    """(chains added, variables eliminated, rows dropped) of the twin
+    symmetry breaking, read off the model against the plain one."""
+    plain = build_model(g, ub)
+    model = build_model(g, ub, twin_symmetry=True)
+    chains = sum(c.name.startswith("c_chain_") for c in model.constraints)
+    dropped = len(plain.constraints) - (len(model.constraints) - chains)
+    return chains, len(model.eliminated_variables), dropped
+
+
 class TestTwinSymmetry:
     def test_k3_class(self):
         g = g_of("complete:3")
-        model = build_model(g, 3)
-        summary = add_twin_symmetry_breaking(model, g, twin_refined_partition(g))
-        assert summary.chains_added == 2
-        assert summary.variables_removed == 2
-        assert summary.constraints_removed == 3
-        assert model_optimum(model, g, 3) == 3
+        assert symmetry_summary(g, 3) == (2, 2, 3)
+        assert model_optimum(build_model(g, 3, twin_symmetry=True), g, 3) == 3
 
     def test_star_false_twins(self):
         g = g_of("multipartite:3,1")  # K_{1,3} with the center last
-        model = build_model(g, 2)
-        summary = add_twin_symmetry_breaking(model, g, twin_refined_partition(g))
-        assert summary.chains_added == 2
-        assert summary.variables_removed == 4
-        assert summary.constraints_removed == 6
-        assert model_optimum(model, g, 2) == 1
+        assert symmetry_summary(g, 2) == (2, 4, 6)
+        assert model_optimum(build_model(g, 2, twin_symmetry=True), g, 2) == 1
 
     def test_twin_free_noop(self):
-        g = g_of("path:4")
-        model = build_model(g, 2)
-        summary = add_twin_symmetry_breaking(model, g, twin_refined_partition(g))
-        assert summary == type(summary)(0, 0, 0)
+        assert symmetry_summary(g_of("path:4"), 2) == (0, 0, 0)
 
     def test_k4_eliminates_half(self):
         g = g_of("complete:4")
@@ -172,13 +166,6 @@ class TestTwinSymmetry:
         counts = model_counts(model)
         assert counts["eliminated_variables"] == 6
         assert counts["binary_variables"] == 12 - 6
-
-    def test_inconsistent_partition_rejected(self):
-        g = g_of("complete:3")
-        other = twin_refined_partition(g_of("path:3"))
-        model = build_model(g, 3)
-        with pytest.raises(ValueError):
-            add_twin_symmetry_breaking(model, g, other)
 
     def test_preserves_optimum_small(self, all_n6):
         for g in all_n6:
@@ -188,6 +175,25 @@ class TestTwinSymmetry:
             plain = model_optimum(build_model(g, ub), g, ub)
             broken = model_optimum(build_model(g, ub, twin_symmetry=True), g, ub)
             assert plain == broken == eta_exact(g).value
+
+    def test_rows_are_plain_rows_minus_eliminated_plus_chains(self, all_n6):
+        # one-pass build == the plain model with every row that mentions an
+        # eliminated z removed, followed by the chain rows
+        eliminating = 0
+        for g in all_n6:
+            if g.edge_count == 0:
+                continue
+            for valid in (False, True):
+                plain = build_model(g, 3, valid)
+                model = build_model(g, 3, valid, True)
+                gone = model.eliminated_variables
+                kept = [c for c in plain.constraints
+                        if not any(name in gone for _, name in c.terms)]
+                chains = [c for c in model.constraints if c.name.startswith("c_chain_")]
+                assert model.constraints == kept + chains
+                assert [v for v in plain.variables if v.name not in gone] == model.variables
+                eliminating += bool(gone)
+        assert eliminating > 100
 
 
 class TestWriteLp:
