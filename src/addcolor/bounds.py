@@ -67,15 +67,36 @@ def relaxed_clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
 def greedy_cliques(g: Graph) -> Iterator[list[int]]:
     """One clique per start vertex, in growth order: the clique repeatedly
     takes the common neighbor that keeps the most common neighbors, ties
-    going to the smallest id. Every prefix is a clique too."""
+    going to the smallest id. Every prefix is a clique too.
+
+    Once every candidate keeps all the others, the candidates are a clique
+    themselves: each later step would be a tie, so they are appended in
+    ascending order at once, as the step-by-step rule would add them.
+    """
     masks = g.masks
     for v in range(g.n):
         clique = [v]
         cand = masks[v]
         while cand:
-            u = max(iter_bits(cand), key=lambda u: ((cand & masks[u]).bit_count(), -u))
-            clique.append(u)
-            cand &= masks[u]
+            # one scan finds the best (count, smallest id) and the lowest
+            # count; no count exceeds |cand| - 1
+            full = low = cand.bit_count() - 1
+            best_count = -1
+            rest = cand
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length() - 1
+                count = (cand & masks[u]).bit_count()
+                if count > best_count:
+                    best, best_count = u, count
+                if count < low:
+                    low = count
+            if low == full:
+                clique.extend(iter_bits(cand))
+                break
+            clique.append(best)
+            cand &= masks[best]
         yield clique
 
 

@@ -18,6 +18,10 @@ variables that the twin chains make redundant are decided first, and
 neither they nor any row mentioning them is ever emitted; the model lists
 them in `eliminated_variables` for reporting only. Row order: the z and
 pairing rows per edge, the k links, the valid inequalities, the chains.
+The f terms of the z rows come from two per-model tables, one (+1, f_v{w})
+and one (-1, f_v{w}) per vertex, shared by every row: a row filters the
+sorted neighbor tuples of its edge by a mask bit test and reuses the
+table entries, so no f term or f name is built per row.
 """
 
 from __future__ import annotations
@@ -75,16 +79,12 @@ def big_m(g: Graph, u: int, v: int, ub: int) -> int:
         raise ValueError(f"UB must be >= 1, got {ub}")
     only_u = (g.masks[u] & ~g.masks[v]).bit_count()
     only_v = (g.masks[v] & ~g.masks[u]).bit_count()
+    return _big_m(only_u, only_v, ub)
+
+
+def _big_m(only_u: int, only_v: int, ub: int) -> int:
+    # M_uv from the sizes of N(u)\N(v) and N(v)\N(u); unchecked
     return 1 + only_u * ub - only_v
-
-
-def _sum_difference_terms(g: Graph, u: int, v: int) -> list[tuple[int, str]]:
-    # f(N(u)) - f(N(v)) with the common neighbors cancelled
-    only_u = g.masks[u] & ~g.masks[v]
-    only_v = g.masks[v] & ~g.masks[u]
-    terms = [(1, f_name(w)) for w in iter_bits(only_u)]
-    terms += [(-1, f_name(w)) for w in iter_bits(only_v)]
-    return terms
 
 
 def _twin_chains(g: Graph) -> tuple[list[Constraint], frozenset[str]]:
@@ -142,12 +142,20 @@ def build_model(
     for u, v in live_edges:
         variables.append(Variable(z_name(u, v), BINARY, 0, 1))
         variables.append(Variable(z_name(v, u), BINARY, 0, 1))
+    masks, neighbors = g.masks, g.neighbors
+    # one shared term per vertex and sign, reused by every row
+    plus = [(1, f_name(w)) for w in range(g.n)]
+    minus = [(-1, f_name(w)) for w in range(g.n)]
     constraints: list[Constraint] = []
     for u, v in live_edges:
         for a, b in ((u, v), (v, u)):
-            m = big_m(g, a, b, ub)
-            terms = _sum_difference_terms(g, a, b) + [(m, z_name(a, b))]
-            constraints.append(Constraint(f"c_z_{a}_{b}", tuple(terms), "<=", m - 1))
+            # f(N(a)) - f(N(b)) with the common neighbors cancelled
+            ma, mb = masks[a], masks[b]
+            pos = [plus[w] for w in neighbors[a] if not mb >> w & 1]
+            neg = [minus[w] for w in neighbors[b] if not ma >> w & 1]
+            m = _big_m(len(pos), len(neg), ub)
+            terms = (*pos, *neg, (m, z_name(a, b)))
+            constraints.append(Constraint(f"c_z_{a}_{b}", terms, "<=", m - 1))
         constraints.append(
             Constraint(
                 f"c_pair_{u}_{v}",
@@ -165,13 +173,18 @@ def build_model(
         # w in N(u) and N(u) properly contained in N(v). Containment is read
         # as proper: with N(u) = N(v) the vertices are false twins and the
         # pair of opposite inequalities could clash with the twin chains.
+        # The v with N(u) inside N(v) are the common neighbors of N(u); an
+        # isolated u has no w and gives no row.
         for u in range(g.n):
-            for v in range(g.n):
-                if u == v or g.masks[u] >> v & 1:
+            if not neighbors[u]:
+                continue
+            sup = -1
+            for w in neighbors[u]:
+                sup &= masks[w]
+            for v in iter_bits(sup & ~(masks[u] | 1 << u)):
+                if masks[v] == masks[u]:
                     continue
-                if g.masks[u] & ~g.masks[v] or g.masks[u] == g.masks[v]:
-                    continue
-                for w in g.neighbors[u]:
+                for w in neighbors[u]:
                     zvw, zwu = z_name(v, w), z_name(w, u)
                     if zvw in dropped or zwu in dropped:
                         continue

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from addcolor.graph import Graph
+from addcolor.graph import Graph, iter_bits
 from addcolor.milp import BINARY, MilpModel
 
 
@@ -67,6 +67,20 @@ def clique_bound_naive(g: Graph) -> int:
                 d2 = max(degree[v] for v in q)
                 best = max(best, math.ceil((d1 + 1) / (d2 - size + 2)))
     return best
+
+
+def greedy_cliques_naive(g: Graph):
+    """One clique per start vertex, grown step by step: each step takes the
+    candidate keeping the most candidates, ties going to the smallest id."""
+    masks = g.masks
+    for v in range(g.n):
+        clique = [v]
+        cand = masks[v]
+        while cand:
+            u = max(iter_bits(cand), key=lambda u: ((cand & masks[u]).bit_count(), -u))
+            clique.append(u)
+            cand &= masks[u]
+        yield clique
 
 
 def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:

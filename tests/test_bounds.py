@@ -8,6 +8,7 @@ from addcolor.bounds import (
     clique_lower_bound,
     combined_bounds,
     degree_upper_bound,
+    greedy_cliques,
     is_eta_one,
     largest_true_twin_class,
     multipartite_chain,
@@ -19,7 +20,7 @@ from addcolor.bounds import (
 from addcolor.families import generate, parse_spec, split_labeling
 from addcolor.graph import Graph, verify_additive_coloring
 
-from oracles import clique_bound_naive, eta_naive, is_split_naive
+from oracles import clique_bound_naive, eta_naive, greedy_cliques_naive, is_split_naive
 
 
 def g_of(text):
@@ -90,6 +91,21 @@ class TestCliqueBound:
             assert best_clique_lower_bound(g)[0] <= naive
             expected = max(2, len(largest_true_twin_class(g)), naive)
             assert combined_bounds(g).eta_lower == expected
+
+    def test_greedy_cliques_match_naive_rule(self, all_n6, conn_small):
+        # the early exit at a clique of candidates keeps the step-by-step order
+        for g in all_n6 + conn_small:
+            assert list(greedy_cliques(g)) == list(greedy_cliques_naive(g))
+
+    @pytest.mark.parametrize("spec", [
+        "complete:12", "complete-split:6,9", "join-complete:3:cycle:9", "windmill:4,3",
+    ])
+    def test_greedy_cliques_match_naive_rule_on_families(self, spec):
+        # the candidates become a clique with 11, 6 and 2 or 3 of them left
+        # on complete, complete-split and windmill; never on the C_9 join,
+        # whose candidate sets always hold a non-edge
+        g = g_of(spec)
+        assert list(greedy_cliques(g)) == list(greedy_cliques_naive(g))
 
     def test_dominates_relaxation(self, conn_small):
         for g in conn_small:

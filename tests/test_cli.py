@@ -211,6 +211,29 @@ def test_sweep_budget_exit_code(tmp_path, capsys):
     assert "budget-exceeded" in out
 
 
+def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
+    # a pinch one too high must survive as a record, not a traceback
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport, combined_bounds
+
+    def pinch_too_high(g):
+        report = combined_bounds(g)
+        if report.eta_lower != report.eta_upper:
+            return report
+        return BoundsReport(report.eta_lower + 1, report.eta_upper + 1, report.witnesses)
+
+    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
+    monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_high)
+    corpus = tmp_path / "k3.g6"
+    corpus.write_text("Bw\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4
+    assert "Bw\t3\t3\t4\t3\tformula\texact\taudit-mismatch\teta_solver=3\n" in out
+    assert ("# holds: 0 violations: 0 budget_exceeded: 0 parse_errors: 0 "
+            "audit_mismatches: 1\n") in out
+    assert "Traceback" not in out + err
+
+
 def test_violation_record_carries_both_certificates():
     # serializer contract for the (never yet observed) violation case
     from addcolor.cli import _record_line

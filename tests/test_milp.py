@@ -105,6 +105,37 @@ class TestBuildModel:
                 assert model_optimum(model, g, ub) == eta
 
 
+class TestRowsByDefinition:
+    def test_rows_match_definition(self, all_n6):
+        # c_z rows: +f_w for w in N(a)\\N(b), -f_w for w in N(b)\\N(a), both
+        # ascending, then M z(a,b); c_vi rows: the O(n^2) triple scan
+        for g in all_n6:
+            if g.edge_count == 0:
+                continue
+            nbr = [set(g.neighbors[v]) for v in range(g.n)]
+            for valid in (False, True):
+                for symmetry in (False, True):
+                    model = build_model(g, 3, valid, symmetry)
+                    gone = model.eliminated_variables
+                    for c in model.constraints:
+                        if not c.name.startswith("c_z_"):
+                            continue
+                        a, b = map(int, c.name.split("_")[2:])
+                        expected = [(1, f"f_v{w}") for w in sorted(nbr[a] - nbr[b])]
+                        expected += [(-1, f"f_v{w}") for w in sorted(nbr[b] - nbr[a])]
+                        expected.append((big_m(g, a, b, 3), f"z_{a}_{b}"))
+                        assert list(c.terms) == expected
+                    expected_vi = [
+                        f"c_vi_{u}_{v}_{w}"
+                        for u in range(g.n) for v in range(g.n)
+                        if valid and u != v and v not in nbr[u] and nbr[u] < nbr[v]
+                        for w in sorted(nbr[u])
+                        if f"z_{v}_{w}" not in gone and f"z_{w}_{u}" not in gone
+                    ]
+                    assert [c.name for c in model.constraints
+                            if c.name.startswith("c_vi_")] == expected_vi
+
+
 def valid_rows(g, ub):
     model = build_model(g, ub, valid_inequalities=True)
     return [c.name for c in model.constraints if c.name.startswith("c_vi_")]
