@@ -3,18 +3,20 @@
 Lower bounds: the degree-distinct-edges characterization of eta = 1, the
 true-twin bound (any set of pairwise true twins needs pairwise distinct
 labels), and the clique bound ceil((d1+1)/(d2-|Q|+2)) evaluated over the
-greedy cliques (one grown from each vertex) and their prefixes. Upper bounds: Delta^2 - Delta + 1 for any
-graph, and |Q|-|T|+1 for split graphs, where T picks one clique vertex per
-distinct degree value.
+graph's greedy cliques (`Graph.greedy_cliques`, one grown from each vertex)
+and their prefixes. Upper bounds: Delta^2 - Delta + 1 for any graph, and
+|Q|-|T|+1 for split graphs, where T picks one clique vertex per distinct
+degree value. Degrees, the search order, the twin classes and the cliques
+are read from the graph's cache, which the eta and chi solvers share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graph import Graph, iter_bits, true_twin_classes
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,7 @@ def is_eta_one(g: Graph) -> bool:
 
 
 def largest_true_twin_class(g: Graph) -> tuple[int, ...]:
-    classes = true_twin_classes(g)
-    return tuple(max(classes, key=len)) if classes else ()
+    return max(g.true_twins, key=len, default=())
 
 
 def clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
@@ -58,48 +59,6 @@ def _clique_bound(d1: int, d2: int, q: int) -> int:
     return -(-(d1 + 1) // (d2 - q + 2))
 
 
-def relaxed_clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
-    """ceil(|Q|/(n-|Q|+1)), the weaker bound implied by the clique bound."""
-    q = len(clique)
-    return math.ceil(q / (g.n - q + 1))
-
-
-def greedy_cliques(g: Graph) -> Iterator[list[int]]:
-    """One clique per start vertex, in growth order: the clique repeatedly
-    takes the common neighbor that keeps the most common neighbors, ties
-    going to the smallest id. Every prefix is a clique too.
-
-    Once every candidate keeps all the others, the candidates are a clique
-    themselves: each later step would be a tie, so they are appended in
-    ascending order at once, as the step-by-step rule would add them.
-    """
-    masks = g.masks
-    for v in range(g.n):
-        clique = [v]
-        cand = masks[v]
-        while cand:
-            # one scan finds the best (count, smallest id) and the lowest
-            # count; no count exceeds |cand| - 1
-            full = low = cand.bit_count() - 1
-            best_count = -1
-            rest = cand
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = bit.bit_length() - 1
-                count = (cand & masks[u]).bit_count()
-                if count > best_count:
-                    best, best_count = u, count
-                if count < low:
-                    low = count
-            if low == full:
-                clique.extend(iter_bits(cand))
-                break
-            clique.append(best)
-            cand &= masks[best]
-        yield clique
-
-
 def best_clique_lower_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Maximum clique bound over the prefixes of the greedy cliques.
 
@@ -107,15 +66,19 @@ def best_clique_lower_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
     weaken the result; (0, ()) for the empty graph.
     """
     deg = g.degrees()
-    best_value, best_clique = 0, ()
-    for clique in greedy_cliques(g):
+    best_value, best_clique, best_q = 0, (), 0
+    for clique in g.greedy_cliques:
         d1 = d2 = deg[clique[0]]
         for q, v in enumerate(clique, 1):
-            d1, d2 = min(d1, deg[v]), max(d2, deg[v])
+            d = deg[v]
+            if d < d1:
+                d1 = d
+            elif d > d2:
+                d2 = d
             value = _clique_bound(d1, d2, q)
             if value > best_value:
-                best_value, best_clique = value, tuple(clique[:q])
-    return best_value, best_clique
+                best_value, best_clique, best_q = value, clique, q
+    return best_value, best_clique[:best_q]
 
 
 def degree_upper_bound(g: Graph) -> int:
@@ -145,13 +108,14 @@ def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]
     n = g.n
     if n == 0:
         return (), ()
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    d = [g.degree(v) for v in order]
+    order = g.search_order
+    deg = g.degrees()
+    d = [deg[v] for v in order]
     h = max(i for i in range(1, n + 1) if d[i - 1] >= i - 1)
     if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
         return None
-    clique = order[:h]
-    stable = order[h:]
+    clique = list(order[:h])
+    stable = list(order[h:])
     q_mask = 0
     for v in clique:
         q_mask |= 1 << v

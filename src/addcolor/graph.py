@@ -5,12 +5,22 @@ Vertices are 0-based contiguous integers. Adjacency is kept both as sorted
 neighbor tuples and as bitmask rows; the bitmasks make twin detection and
 small-n set algebra cheap. Graphs at the intended scale are small (a few
 thousand vertices at most), so O(n^2) memory is fine.
+
+A graph also caches the data that bounds, the eta search and the chi solve
+all derive from it: the degree tuple, the search order (descending degree,
+then id), the true-twin classes and the greedy cliques. Each is computed on
+first use and kept in the instance `__dict__` (`functools.cached_property`),
+so every layer reads the same values instead of rebuilding them. This is
+safe because the graph is immutable and every cached value is a tuple of
+ints or of int tuples: no caller can change it, and equality and hashing
+still look only at the four fields.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -48,10 +58,69 @@ class Graph:
         return len(self.neighbors[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nb) for nb in self.neighbors)
+        return self._degrees
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.neighbors))
 
     def max_degree(self) -> int:
-        return max((len(nb) for nb in self.neighbors), default=0)
+        return max(self._degrees, default=0)
+
+    @cached_property
+    def search_order(self) -> tuple[int, ...]:
+        """Vertices by descending degree, then ascending id."""
+        deg = self._degrees
+        return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
+
+    @cached_property
+    def true_twins(self) -> tuple[tuple[int, ...], ...]:
+        """Maximal classes of the equivalence N[u] = N[v], singletons
+        included, each ascending, ordered by smallest member."""
+        groups: dict[int, list[int]] = {}
+        for v, mask in enumerate(self.masks):
+            groups.setdefault(mask | 1 << v, []).append(v)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
+    def greedy_cliques(self) -> tuple[tuple[int, ...], ...]:
+        """One clique per start vertex, in growth order: the clique
+        repeatedly takes the common neighbor that keeps the most common
+        neighbors, ties going to the smallest id. Every prefix is a clique
+        too.
+
+        Once every candidate keeps all the others, the candidates are a
+        clique themselves: each later step would be a tie, so they are
+        appended in ascending order at once, as the step-by-step rule would
+        add them.
+        """
+        masks = self.masks
+        cliques = []
+        for v in range(self.n):
+            clique = [v]
+            cand = masks[v]
+            while cand:
+                # one scan finds the best (count, smallest id) and the lowest
+                # count; no count exceeds |cand| - 1
+                full = low = cand.bit_count() - 1
+                best_count = -1
+                rest = cand
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    u = bit.bit_length() - 1
+                    count = (cand & masks[u]).bit_count()
+                    if count > best_count:
+                        best, best_count = u, count
+                    if count < low:
+                        low = count
+                if low == full:
+                    clique.extend(iter_bits(cand))
+                    break
+                clique.append(best)
+                cand &= masks[best]
+            cliques.append(tuple(clique))
+        return tuple(cliques)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -149,38 +218,23 @@ def _check_cover(g: Graph, f: Labeling) -> None:
 
 
 def true_twin_classes(g: Graph) -> list[list[int]]:
-    """Maximal classes of the equivalence N[u] = N[v]; singletons included."""
-    return _group_by_key(g, closed=True)
-
-
-def false_twin_classes(g: Graph) -> list[list[int]]:
-    """Maximal classes of the equivalence N(u) = N(v); singletons included."""
-    return _group_by_key(g, closed=False)
-
-
-def _group_by_key(g: Graph, closed: bool) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        key = g.closed_mask(v) if closed else g.masks[v]
-        groups.setdefault(key, []).append(v)
-    return sorted(groups.values(), key=lambda c: c[0])
+    """Maximal classes of the equivalence N[u] = N[v]; singletons included,
+    ordered by smallest member. The lists are fresh copies."""
+    return [list(cls) for cls in g.true_twins]
 
 
 def twin_refined_partition(g: Graph) -> TwinPartition:
     """Two-phase twin partition: maximal true-twin classes first, then the
     leftover singletons re-grouped into maximal false-twin classes."""
     classes: list[TwinClass] = []
-    leftovers: list[int] = []
-    for cls in true_twin_classes(g):
-        if len(cls) >= 2:
-            classes.append(TwinClass(TRUE_TWINS, tuple(cls)))
-        else:
-            leftovers.append(cls[0])
-    leftover_set = set(leftovers)
+    # the singletons arrive in ascending order, so each group does too
     groups: dict[int, list[int]] = {}
-    for v in sorted(leftover_set):
-        groups.setdefault(g.masks[v], []).append(v)
-    for cls in sorted(groups.values(), key=lambda c: c[0]):
+    for cls in g.true_twins:
+        if len(cls) >= 2:
+            classes.append(TwinClass(TRUE_TWINS, cls))
+        else:
+            groups.setdefault(g.masks[cls[0]], []).append(cls[0])
+    for cls in groups.values():
         kind = FALSE_TWINS if len(cls) >= 2 else SINGLETON
         classes.append(TwinClass(kind, tuple(cls)))
     classes.sort(key=lambda c: c.vertices[0])

@@ -61,13 +61,23 @@ def parse_graph6(line: str, strict: bool = True) -> Graph:
     if len(values) - pos > nbytes:
         raise Graph6FormatError(f"trailing bytes after bit section for n={n}")
 
-    edges = []
+    # the indices below are in range and distinct by construction, so the
+    # graph is built directly, without the checks of Graph.from_edges; each
+    # neighbor list comes out sorted (the i < j of vertex j are appended at
+    # step j, the j > i of vertex i at later steps)
+    masks = [0] * n
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    m = 0
     bit = 0
     chunk = values[pos:]
     for j in range(1, n):
         for i in range(j):
             if chunk[bit // 6] >> (5 - bit % 6) & 1:
-                edges.append((i, j))
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+                m += 1
             bit += 1
     # padding bits must be zero
     for pad in range(nbits, nbytes * 6):
@@ -76,7 +86,7 @@ def parse_graph6(line: str, strict: bool = True) -> Graph:
                 raise Graph6FormatError("nonzero padding bits")
             warnings.warn("graph6 line has nonzero padding bits", stacklevel=2)
             break
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(map(tuple, neighbors)), tuple(masks), m)
 
 
 def _decode_size(values: list[int]) -> tuple[int, int]:

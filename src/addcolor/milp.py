@@ -21,7 +21,9 @@ pairing rows per edge, the k links, the valid inequalities, the chains.
 The f terms of the z rows come from two per-model tables, one (+1, f_v{w})
 and one (-1, f_v{w}) per vertex, shared by every row: a row filters the
 sorted neighbor tuples of its edge by a mask bit test and reuses the
-table entries, so no f term or f name is built per row.
+table entries, so no f term or f name is built per row. Likewise each live
+z name is formatted once, in a table keyed by its ordered edge that the
+variables, the z and pairing rows and the valid inequalities all read.
 """
 
 from __future__ import annotations
@@ -135,13 +137,20 @@ def build_model(
     if g.edge_count == 0:
         raise ValueError("model needs a graph with at least one edge")
     chains, dropped = _twin_chains(g) if twin_symmetry else ([], frozenset())
-    # the dropped set is symmetric, so an edge keeps both z variables or none
-    live_edges = [(u, v) for u, v in g.edges() if z_name(u, v) not in dropped]
+    # the dropped set is symmetric, so an edge keeps both z variables or none;
+    # z[(a, b)] is the name of each live z, formatted once
+    z: dict[tuple[int, int], str] = {}
+    live_edges = []
+    for u, v in g.edges():
+        zuv = z_name(u, v)
+        if zuv not in dropped:
+            z[u, v], z[v, u] = zuv, z_name(v, u)
+            live_edges.append((u, v))
     variables = [Variable("k", INTEGER, 1, None)]
     variables += [Variable(f_name(v), INTEGER, 1, ub) for v in range(g.n)]
     for u, v in live_edges:
-        variables.append(Variable(z_name(u, v), BINARY, 0, 1))
-        variables.append(Variable(z_name(v, u), BINARY, 0, 1))
+        variables.append(Variable(z[u, v], BINARY, 0, 1))
+        variables.append(Variable(z[v, u], BINARY, 0, 1))
     masks, neighbors = g.masks, g.neighbors
     # one shared term per vertex and sign, reused by every row
     plus = [(1, f_name(w)) for w in range(g.n)]
@@ -154,15 +163,10 @@ def build_model(
             pos = [plus[w] for w in neighbors[a] if not mb >> w & 1]
             neg = [minus[w] for w in neighbors[b] if not ma >> w & 1]
             m = _big_m(len(pos), len(neg), ub)
-            terms = (*pos, *neg, (m, z_name(a, b)))
+            terms = (*pos, *neg, (m, z[a, b]))
             constraints.append(Constraint(f"c_z_{a}_{b}", terms, "<=", m - 1))
         constraints.append(
-            Constraint(
-                f"c_pair_{u}_{v}",
-                ((1, z_name(u, v)), (1, z_name(v, u))),
-                "=",
-                1,
-            )
+            Constraint(f"c_pair_{u}_{v}", ((1, z[u, v]), (1, z[v, u])), "=", 1)
         )
     for v in range(g.n):
         constraints.append(
@@ -185,8 +189,9 @@ def build_model(
                 if masks[v] == masks[u]:
                     continue
                 for w in neighbors[u]:
-                    zvw, zwu = z_name(v, w), z_name(w, u)
-                    if zvw in dropped or zwu in dropped:
+                    # (v, w) and (w, u) are edges; a dropped z has no name
+                    zvw, zwu = z.get((v, w)), z.get((w, u))
+                    if zvw is None or zwu is None:
                         continue
                     constraints.append(
                         Constraint(f"c_vi_{u}_{v}_{w}", ((1, zvw), (1, zwu)), "<=", 1)

@@ -2,8 +2,9 @@
 
 `eta_exact` computes the additive chromatic number by iterative deepening on
 the number of labels k: for each k it runs a depth-first assignment of labels
-1..k over the vertices (descending degree, then id), as an explicit index
-that moves forward and back. Common neighbors of u and v add the same label
+1..k over the vertices in the graph's cached search order (descending
+degree, then id), renumbered to positions 0..n-1, as an explicit index that
+moves forward and back. Common neighbors of u and v add the same label
 to both neighborhood sums, so only N(u) ^ N(v) decides edge (u, v): the edge
 is checked as soon as the last vertex of that symmetric difference is
 labeled, while the common neighbors may still be unlabeled. Twin symmetry
@@ -12,7 +13,12 @@ increasing inside a true-twin class) mirrors the chain inequalities of the
 integer-programming model and is optional.
 
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
-greedy clique lower bound, and backtracking k-colorability in between.
+greedy clique lower bound (the largest of the graph's cached greedy
+cliques), and backtracking k-colorability in between. DSATUR keeps each
+vertex's neighbor colors as a bitmask: the saturation is its popcount and
+the least free color its lowest zero bit. It scans the uncolored vertices
+in ascending id order and keeps the first maximum of (saturation, uncolored
+degree), so ties go to the smallest id.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .graph import (
     TRUE_TWINS,
     Graph,
     Labeling,
-    induced_subgraph,
     twin_refined_partition,
     verify_additive_coloring,
 )
@@ -85,23 +90,34 @@ def eta_exact(
         raise ValueError(f"need 1 <= lb <= ub, got lb={lb}, ub={ub}")
     start = time.perf_counter()
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    h = induced_subgraph(g, order)
+    # work on positions in search order: pos[v] is the position of vertex v
+    order = g.search_order
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    neighbors = [sorted(pos[w] for w in g.neighbors[v]) for v in order]
+    masks = [0] * n
+    for i, nb in enumerate(neighbors):
+        for w in nb:
+            masks[i] |= 1 << w
     # common neighbors add the same label to both sums, so edge (u, v) is
     # decided once N(u) ^ N(v) is labeled: check it at that set's last position
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in h.edges():
-        checks[(h.masks[u] ^ h.masks[v]).bit_length() - 1].append((u, v))
+    for u, nb in enumerate(neighbors):
+        for v in nb:
+            if u < v:
+                checks[(masks[u] ^ masks[v]).bit_length() - 1].append((u, v))
     # symmetry breaking: chain each twin class in id order; twins share a
-    # degree, so the predecessor is always labeled first
+    # degree, so the id order is the position order and the predecessor is
+    # always labeled first
     pred: list[int | None] = [None] * n
     step = [0] * n
     if twin_breaking:
-        for cls in twin_refined_partition(h).multi_classes():
-            for a, b in zip(cls.vertices, cls.vertices[1:]):
+        for cls in twin_refined_partition(g).multi_classes():
+            chain = [pos[v] for v in cls.vertices]
+            for a, b in zip(chain, chain[1:]):
                 pred[b] = a
                 step[b] = 1 if cls.kind == TRUE_TWINS else 0
-    neighbors = h.neighbors
     nodes = 0
     for k in range(lb, ub + 1):
         labels = [0] * n
@@ -126,7 +142,10 @@ def eta_exact(
                     return SolveResult(BUDGET_EXCEEDED, None, None, stats)
                 for w in nb:
                     sums[w] += lab
-                if all(sums[a] != sums[b] for a, b in edges):
+                for a, b in edges:
+                    if sums[a] == sums[b]:
+                        break
+                else:
                     break
                 for w in nb:
                     sums[w] -= lab
@@ -138,7 +157,7 @@ def eta_exact(
                 labels[i] = 0
                 i -= 1
         if i == n:
-            cert = Labeling(tuple(lab for _, lab in sorted(zip(order, labels))))
+            cert = Labeling(tuple(labels[p] for p in pos))
             assert verify_additive_coloring(g, cert) and cert.k <= k
             stats = SolveStats(nodes, time.perf_counter() - start)
             return SolveResult(OPTIMAL, k, cert, stats)
@@ -154,32 +173,40 @@ def dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
     """
     n = g.n
     colors = [0] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored_deg = [g.degree(v) for v in range(n)]
-    for _ in range(n):
-        v = max(
-            (v for v in range(n) if colors[v] == 0),
-            key=lambda v: (len(neighbor_colors[v]), uncolored_deg[v], -v),
-        )
-        c = 1
-        while c in neighbor_colors[v]:
-            c += 1
+    # bit c - 1 of neighbor_colors[v] is set when a neighbor of v has color c
+    neighbor_colors = [0] * n
+    uncolored_deg = list(g.degrees())
+    uncolored = (1 << n) - 1
+    while uncolored:
+        best_sat = best_deg = -1
+        rest = uncolored
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            sat = neighbor_colors[u].bit_count()
+            if sat > best_sat or (sat == best_sat and uncolored_deg[u] > best_deg):
+                v, best_sat, best_deg = u, sat, uncolored_deg[u]
+        uncolored ^= 1 << v
+        seen = neighbor_colors[v]
+        # the lowest zero bit of `seen` is the least free color
+        c = (~seen & (seen + 1)).bit_length()
         colors[v] = c
         for w in g.neighbors[v]:
-            neighbor_colors[w].add(c)
+            neighbor_colors[w] |= 1 << (c - 1)
             uncolored_deg[w] -= 1
     return max(colors, default=0), tuple(colors)
 
 
 def greedy_clique_lower_bound(g: Graph) -> int:
     """Size of the largest greedily grown clique; valid lower bound on chi."""
-    return max((len(c) for c in _bounds.greedy_cliques(g)), default=0)
+    return max(map(len, g.greedy_cliques), default=0)
 
 
 def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
     """Backtracking k-colorability; colors restricted to 1 + max used so far."""
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = g.search_order
     colors = [0] * n
 
     def dfs(i: int, used: int) -> bool:

@@ -83,6 +83,29 @@ def greedy_cliques_naive(g: Graph):
         yield clique
 
 
+def dsatur_naive(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """DSATUR with neighbor-color sets: color the uncolored vertex with the
+    most distinct neighbor colors, then the most uncolored neighbors, then
+    the smallest id, with the least color no neighbor has."""
+    n = g.n
+    colors = [0] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    uncolored_deg = [len(g.neighbors[v]) for v in range(n)]
+    for _ in range(n):
+        v = max(
+            (v for v in range(n) if colors[v] == 0),
+            key=lambda v: (len(neighbor_colors[v]), uncolored_deg[v], -v),
+        )
+        c = 1
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for w in g.neighbors[v]:
+            neighbor_colors[w].add(c)
+            uncolored_deg[w] -= 1
+    return max(colors, default=0), tuple(colors)
+
+
 def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
     """The only candidate completion of a labeling: z(u,v) = 1 iff the sum at
     u is smaller, k = max label."""

@@ -8,12 +8,10 @@ from addcolor.bounds import (
     clique_lower_bound,
     combined_bounds,
     degree_upper_bound,
-    greedy_cliques,
     is_eta_one,
     largest_true_twin_class,
     multipartite_chain,
     multipartite_eta,
-    relaxed_clique_lower_bound,
     split_recognize,
     split_upper_bound,
 )
@@ -95,7 +93,7 @@ class TestCliqueBound:
     def test_greedy_cliques_match_naive_rule(self, all_n6, conn_small):
         # the early exit at a clique of candidates keeps the step-by-step order
         for g in all_n6 + conn_small:
-            assert list(greedy_cliques(g)) == list(greedy_cliques_naive(g))
+            assert g.greedy_cliques == tuple(map(tuple, greedy_cliques_naive(g)))
 
     @pytest.mark.parametrize("spec", [
         "complete:12", "complete-split:6,9", "join-complete:3:cycle:9", "windmill:4,3",
@@ -105,14 +103,16 @@ class TestCliqueBound:
         # on complete, complete-split and windmill; never on the C_9 join,
         # whose candidate sets always hold a non-edge
         g = g_of(spec)
-        assert list(greedy_cliques(g)) == list(greedy_cliques_naive(g))
+        assert g.greedy_cliques == tuple(map(tuple, greedy_cliques_naive(g)))
 
     def test_dominates_relaxation(self, conn_small):
+        # the clique bound implies the weaker ceil(|Q|/(n-|Q|+1))
         for g in conn_small:
             if g.n > 6:
                 break
             value, clique = best_clique_lower_bound(g)
-            assert value >= relaxed_clique_lower_bound(g, clique)
+            q = len(clique)
+            assert value >= math.ceil(q / (g.n - q + 1))
 
 
 class TestDegreeBound:

@@ -276,3 +276,27 @@ def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
         return [ln for ln in path.read_text().splitlines() if not ln.startswith("# elapsed")]
 
     assert stable(r1) == stable(r2)
+
+
+# sha256 of each `acp sweep` report with its `# elapsed_seconds` line dropped,
+# computed at the commit before the derived graph data (degrees, search
+# order, twin classes, greedy cliques) was cached on `Graph`, and before any
+# source change that came with it. The digest pins every record line: eta,
+# chi, eta_source, chi_source and status, plus the summary.
+GOLDEN_SWEEPS = {
+    "graphs_all_n1-6.g6": "9f6e73ad8cf1470b0f2c7372384f5ac7dd8bfcb29de370972e5f25b0dc567b4d",
+    "graphs_conn_n1-7.g6": "bc0d6295dab59d107ef8776b5a5d94d0ad2877e746512cfa1c8c4da3c9bb564c",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(GOLDEN_SWEEPS))
+def test_sweep_report_matches_golden_digest(tmp_path, capsys, corpus):
+    import hashlib
+
+    from conftest import DATA
+
+    report = tmp_path / "report.txt"
+    assert run(capsys, "sweep", str(DATA / corpus), "-o", str(report))[0] == 0
+    lines = report.read_text().splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if not ln.startswith("# elapsed_seconds"))
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_SWEEPS[corpus]

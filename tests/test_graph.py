@@ -10,7 +10,6 @@ from addcolor.graph import (
     Graph,
     Labeling,
     connected_components,
-    false_twin_classes,
     induced_subgraph,
     join,
     neighborhood_sum,
@@ -18,7 +17,9 @@ from addcolor.graph import (
     twin_refined_partition,
     verify_additive_coloring,
 )
-from addcolor.bounds import is_eta_one
+from addcolor.bounds import combined_bounds, is_eta_one
+from addcolor.families import generate, parse_spec
+from addcolor.solver import chromatic_exact, eta_exact
 
 from oracles import is_additive
 
@@ -188,8 +189,15 @@ class TestTwins:
 
     @given(graphs(max_n=7))
     def test_false_classes_partition(self, g):
-        classes = false_twin_classes(g)
-        assert sorted(v for c in classes for v in c) == list(range(g.n))
+        # the vertices outside true-twin classes fall into maximal classes of
+        # N(u) = N(v): distinct classes have distinct open neighborhoods
+        part = twin_refined_partition(g)
+        rest = [cls.vertices for cls in part.classes if cls.kind != TRUE_TWINS]
+        assert sorted(v for c in rest for v in c) == [
+            v for c in true_twin_classes(g) if len(c) == 1 for v in c
+        ]
+        firsts = [g.masks[c[0]] for c in rest]
+        assert len(set(firsts)) == len(firsts)
 
 
 class TestJoin:
@@ -228,3 +236,60 @@ class TestComponents:
 
     def test_connected_cycle(self):
         assert len(connected_components(cycle(6))) == 1
+
+
+class TestCachedData:
+    """The derived data a graph caches (degrees, search order, true-twin
+    classes, greedy cliques) is shared by every layer, so nothing a public
+    function hands out may reach into it."""
+
+    SPECS = ["complete-split:4,3", "thick-spider:4", "windmill:3,3", "wheel:7", "fan:6"]
+
+    @staticmethod
+    def results(g):
+        chi = chromatic_exact(g)
+        eta = eta_exact(g)
+        return (
+            combined_bounds(g),
+            (chi.status, chi.value, chi.certificate),
+            (eta.status, eta.value, eta.certificate, eta.stats.nodes),
+        )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_mutating_returned_values_changes_nothing(self, spec):
+        g = generate(parse_spec(spec))
+        self.results(g)  # fill the cache first
+        classes = true_twin_classes(g)
+        for cls in classes:
+            cls.reverse()
+            cls.append(g.n)
+        classes.append([0])
+        cliques = list(g.greedy_cliques)
+        cliques.reverse()
+        cliques.append((0,))
+        multi = twin_refined_partition(g).multi_classes()
+        multi.reverse()
+        multi.clear()
+        fresh = generate(parse_spec(spec))
+        assert self.results(g) == self.results(fresh)
+        assert true_twin_classes(g) == true_twin_classes(fresh)
+        assert g.greedy_cliques == fresh.greedy_cliques
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_cached_values_are_tuples(self, spec):
+        g = generate(parse_spec(spec))
+        for value in (g.degrees(), g.search_order, g.true_twins, g.greedy_cliques):
+            assert isinstance(value, tuple)
+        for inner in g.true_twins + g.greedy_cliques:
+            assert isinstance(inner, tuple)
+
+    def test_equal_graphs_stay_equal_when_one_cache_is_filled(self):
+        warm = generate(parse_spec("thick-spider:4"))
+        cold = generate(parse_spec("thick-spider:4"))
+        combined_bounds(warm)
+        chromatic_exact(warm)
+        eta_exact(warm)
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert warm != generate(parse_spec("thick-spider:5"))

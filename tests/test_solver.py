@@ -15,7 +15,7 @@ from addcolor.solver import (
     verify_proper_coloring,
 )
 
-from oracles import chi_naive, eta_naive
+from oracles import chi_naive, dsatur_naive, eta_naive
 
 
 def g_of(text):
@@ -134,6 +134,29 @@ class TestDsatur:
         count, colors = dsatur(g)
         assert verify_proper_coloring(g, colors)
         assert count == max(colors)
+
+    def test_matches_set_based_rule(self, all_n6, conn_small):
+        # a VIOLATION record prints the chi certificate, so the bitmask
+        # DSATUR must give the same coloring, not only the same count
+        for g in all_n6 + conn_small:
+            assert dsatur(g) == dsatur_naive(g)
+
+    @pytest.mark.parametrize("spec", [
+        "complete:9", "wheel:12", "complete-sun:7", "thick-spider:6", "windmill:4,3",
+        "multipartite:5,4,3,3,2",
+    ])
+    def test_matches_set_based_rule_on_families(self, spec):
+        g = g_of(spec)
+        assert dsatur(g) == dsatur_naive(g)
+
+    def test_matches_set_based_rule_on_random_g16(self):
+        import random
+
+        rng = random.Random(16)
+        for _ in range(50):
+            edges = [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.5]
+            g = Graph.from_edges(16, edges)
+            assert dsatur(g) == dsatur_naive(g)
 
 
 class TestChromatic:
