@@ -11,23 +11,20 @@ corpus sweep checking eta(G) <= chi(G).
 from .graph import (
     Graph,
     Labeling,
-    TwinPartition,
     connected_components,
     join,
     neighborhood_sum,
-    true_twin_classes,
     twin_refined_partition,
     verify_additive_coloring,
 )
 from .graph6 import Graph6FormatError, parse_graph6, write_graph6
-from .families import FamilySpec, certify, construct_labeling, eta_formula, generate, parse_spec
+from .families import FamilySpec, certify, eta_formula, generate, parse_spec
 from .bounds import BoundsReport, combined_bounds, multipartite_eta
 from .solver import SolveResult, chromatic_exact, dsatur, eta_exact
 
 __all__ = [
     "Graph",
     "Labeling",
-    "TwinPartition",
     "BoundsReport",
     "FamilySpec",
     "Graph6FormatError",
@@ -36,7 +33,6 @@ __all__ = [
     "chromatic_exact",
     "combined_bounds",
     "connected_components",
-    "construct_labeling",
     "dsatur",
     "eta_exact",
     "eta_formula",
@@ -46,7 +42,6 @@ __all__ = [
     "neighborhood_sum",
     "parse_graph6",
     "parse_spec",
-    "true_twin_classes",
     "twin_refined_partition",
     "verify_additive_coloring",
     "write_graph6",

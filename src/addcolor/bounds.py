@@ -148,12 +148,13 @@ def split_upper_bound(g: Graph, clique: Sequence[int], stable: Sequence[int]) ->
     q_set, s_set = set(clique), set(stable)
     if q_set & s_set or len(q_set) + len(s_set) != g.n:
         raise ValueError("clique and stable set must partition the vertices")
-    for i, u in enumerate(sorted(q_set)):
-        for v in sorted(q_set)[i + 1:]:
+    q_sorted, s_sorted = sorted(q_set), sorted(s_set)
+    for i, u in enumerate(q_sorted):
+        for v in q_sorted[i + 1:]:
             if not g.masks[u] >> v & 1:
                 raise ValueError("Q is not a clique")
-    for i, u in enumerate(sorted(s_set)):
-        for v in sorted(s_set)[i + 1:]:
+    for i, u in enumerate(s_sorted):
+        for v in s_sorted[i + 1:]:
             if g.masks[u] >> v & 1:
                 raise ValueError("S is not stable")
     q_mask = 0
@@ -161,7 +162,7 @@ def split_upper_bound(g: Graph, clique: Sequence[int], stable: Sequence[int]) ->
         q_mask |= 1 << v
     if any(g.masks[v] & q_mask == q_mask for v in s_set):
         raise ValueError("Q is not maximal")
-    t = max_degree_distinct_subset(g, sorted(q_set))
+    t = max_degree_distinct_subset(g, q_sorted)
     return len(q_set) - len(t) + 1
 
 

@@ -549,12 +549,6 @@ def _solver_labeling(spec: FamilySpec) -> Labeling:
     return result.certificate
 
 
-def construct_labeling(spec: FamilySpec) -> Labeling:
-    """Certificate labeling with exactly eta_formula(spec) labels; verified
-    against the generated graph before being returned."""
-    return certify(spec).labeling
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -134,9 +134,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def closed_mask(self, v: int) -> int:
-        return self.masks[v] | (1 << v)
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -171,28 +168,6 @@ class Labeling:
         return len(self.labels)
 
 
-SINGLETON = "singleton"
-FALSE_TWINS = "false_twins"
-TRUE_TWINS = "true_twins"
-
-
-@dataclass(frozen=True)
-class TwinClass:
-    kind: str
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TwinPartition:
-    """Partition of V into true-twin classes, false-twin classes and
-    singletons, as produced by `twin_refined_partition`."""
-
-    classes: tuple[TwinClass, ...]
-
-    def multi_classes(self) -> list[TwinClass]:
-        return [c for c in self.classes if len(c.vertices) >= 2]
-
-
 def neighborhood_sum(g: Graph, f: Labeling, v: int) -> int:
     """Sum of labels over the open neighborhood of v (0 if isolated)."""
     g._check_vertex(v)
@@ -217,28 +192,26 @@ def _check_cover(g: Graph, f: Labeling) -> None:
         raise ValueError(f"labeling covers {len(f.labels)} vertices, graph has {g.n}")
 
 
-def true_twin_classes(g: Graph) -> list[list[int]]:
-    """Maximal classes of the equivalence N[u] = N[v]; singletons included,
-    ordered by smallest member. The lists are fresh copies."""
-    return [list(cls) for cls in g.true_twins]
+def twin_refined_partition(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Two-phase twin classes as (gap, members) pairs: the maximal true-twin
+    classes (gap 1), then the leftover vertices grouped into maximal
+    false-twin classes (gap 0). Only classes of two or more vertices are
+    listed, each ascending, ordered by smallest member.
 
-
-def twin_refined_partition(g: Graph) -> TwinPartition:
-    """Two-phase twin partition: maximal true-twin classes first, then the
-    leftover singletons re-grouped into maximal false-twin classes."""
-    classes: list[TwinClass] = []
-    # the singletons arrive in ascending order, so each group does too
+    Symmetry breaking chains each class: a member's label is at least the
+    previous member's label plus `gap`.
+    """
+    classes = []
+    # the leftover vertices arrive in ascending order, so each group does too
     groups: dict[int, list[int]] = {}
     for cls in g.true_twins:
         if len(cls) >= 2:
-            classes.append(TwinClass(TRUE_TWINS, cls))
+            classes.append((1, cls))
         else:
             groups.setdefault(g.masks[cls[0]], []).append(cls[0])
-    for cls in groups.values():
-        kind = FALSE_TWINS if len(cls) >= 2 else SINGLETON
-        classes.append(TwinClass(kind, tuple(cls)))
-    classes.sort(key=lambda c: c.vertices[0])
-    return TwinPartition(tuple(classes))
+    classes += [(0, tuple(cls)) for cls in groups.values() if len(cls) >= 2]
+    classes.sort(key=lambda c: c[1][0])
+    return tuple(classes)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

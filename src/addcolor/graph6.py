@@ -11,8 +11,6 @@ rejected with a format error.
 
 from __future__ import annotations
 
-import warnings
-
 from .graph import Graph
 
 HEADER_PREFIX = ">>graph6<<"
@@ -29,12 +27,9 @@ class Graph6FormatError(ValueError):
     """Raised for lines that are not valid graph6."""
 
 
-def parse_graph6(line: str, strict: bool = True) -> Graph:
+def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (an optional '>>graph6<<' prefix is tolerated).
-
-    In strict mode (default) nonzero padding bits are a format error; with
-    strict=False they only produce a warning.
-    """
+    Nonzero padding bits are a format error."""
     data = line.rstrip("\r\n")
     if data.startswith(HEADER_PREFIX):
         data = data[len(HEADER_PREFIX):]
@@ -82,10 +77,7 @@ def parse_graph6(line: str, strict: bool = True) -> Graph:
     # padding bits must be zero
     for pad in range(nbits, nbytes * 6):
         if chunk[pad // 6] >> (5 - pad % 6) & 1:
-            if strict:
-                raise Graph6FormatError("nonzero padding bits")
-            warnings.warn("graph6 line has nonzero padding bits", stacklevel=2)
-            break
+            raise Graph6FormatError("nonzero padding bits")
     return Graph(n, tuple(map(tuple, neighbors)), tuple(masks), m)
 
 
@@ -131,7 +123,7 @@ def write_graph6(g: Graph) -> str:
     return header + "".join(chr(_MIN_BYTE + v) for v in chunk)
 
 
-def read_graph6_file(path: str, strict: bool = True) -> list[Graph]:
+def read_graph6_file(path: str) -> list[Graph]:
     """Decode every non-blank line of a graph6 file."""
     with open(path, "r", encoding="ascii") as fh:
-        return [parse_graph6(line, strict=strict) for line in map(str.strip, fh) if line]
+        return [parse_graph6(line) for line in map(str.strip, fh) if line]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import FALSE_TWINS, TRUE_TWINS, Graph, iter_bits, twin_refined_partition
+from .graph import Graph, iter_bits, twin_refined_partition
 
 INTEGER = "integer"
 BINARY = "binary"
@@ -92,36 +92,34 @@ def _big_m(only_u: int, only_v: int, ub: int) -> int:
 def _twin_chains(g: Graph) -> tuple[list[Constraint], frozenset[str]]:
     """Chain rows per twin class, and the z variables they make redundant.
 
-    False twins v_1..v_t: f(v_i) <= f(v_{i+1}), and z(u, v_i), z(v_i, u) are
-    dropped for i >= 2 and u in N(v_1). True twins: f(v_i) <= f(v_{i+1}) - 1,
-    and z(v_i, v_j) is dropped for i, j >= 2, i != j. The dropped set is
-    symmetric (z(u, v) goes exactly when z(v, u) does) and the optimum is
-    unchanged.
+    A class (gap, v_1..v_t) gives f(v_i) - f(v_{i+1}) <= -gap. False twins
+    (gap 0): z(u, v_i), z(v_i, u) are dropped for i >= 2 and u in N(v_1).
+    True twins (gap 1): z(v_i, v_j) is dropped for i, j >= 2, i != j. The
+    dropped set is symmetric (z(u, v) goes exactly when z(v, u) does) and
+    the optimum is unchanged.
     """
     chains: list[Constraint] = []
     dropped: set[str] = set()
-    for cls in twin_refined_partition(g).multi_classes():
-        verts = cls.vertices
-        step = -1 if cls.kind == TRUE_TWINS else 0
+    for gap, verts in twin_refined_partition(g):
         for a, b in zip(verts, verts[1:]):
             chains.append(
                 Constraint(
                     f"c_chain_{a}_{b}",
                     ((1, f_name(a)), (-1, f_name(b))),
                     "<=",
-                    step,
+                    -gap,
                 )
             )
-        if cls.kind == FALSE_TWINS:
-            for vi in verts[1:]:
-                for u in g.neighbors[verts[0]]:
-                    dropped.add(z_name(u, vi))
-                    dropped.add(z_name(vi, u))
-        else:
+        if gap:
             for vi in verts[1:]:
                 for vj in verts[1:]:
                     if vi != vj:
                         dropped.add(z_name(vi, vj))
+        else:
+            for vi in verts[1:]:
+                for u in g.neighbors[verts[0]]:
+                    dropped.add(z_name(u, vi))
+                    dropped.add(z_name(vi, u))
     return chains, frozenset(dropped)
 
 

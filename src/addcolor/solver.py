@@ -10,7 +10,8 @@ is checked as soon as the last vertex of that symmetric difference is
 labeled, while the common neighbors may still be unlabeled. Twin symmetry
 breaking (non-decreasing labels inside a false-twin class, strictly
 increasing inside a true-twin class) mirrors the chain inequalities of the
-integer-programming model and is optional.
+integer-programming model; both read the chains from
+`twin_refined_partition`.
 
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound (the largest of the graph's cached greedy
@@ -27,13 +28,7 @@ import time
 from dataclasses import dataclass
 
 from . import bounds as _bounds
-from .graph import (
-    TRUE_TWINS,
-    Graph,
-    Labeling,
-    twin_refined_partition,
-    verify_additive_coloring,
-)
+from .graph import Graph, Labeling, twin_refined_partition, verify_additive_coloring
 
 OPTIMAL = "optimal"
 UB_EXCEEDED = "ub_exceeded"
@@ -69,7 +64,6 @@ def eta_exact(
     lb: int | None = None,
     ub: int | None = None,
     *,
-    twin_breaking: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Least k in [lb, ub] admitting an additive k-coloring, with certificate.
@@ -112,12 +106,10 @@ def eta_exact(
     # always labeled first
     pred: list[int | None] = [None] * n
     step = [0] * n
-    if twin_breaking:
-        for cls in twin_refined_partition(g).multi_classes():
-            chain = [pos[v] for v in cls.vertices]
-            for a, b in zip(chain, chain[1:]):
-                pred[b] = a
-                step[b] = 1 if cls.kind == TRUE_TWINS else 0
+    for gap, cls in twin_refined_partition(g):
+        for a, b in zip(cls, cls[1:]):
+            pred[pos[b]] = pos[a]
+            step[pos[b]] = gap
     nodes = 0
     for k in range(lb, ub + 1):
         labels = [0] * n

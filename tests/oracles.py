@@ -152,3 +152,18 @@ def model_optimum(model: MilpModel, g: Graph, ub: int) -> int | None:
             if k in f and point_feasible(model, g, f):
                 return k
     return None
+
+
+def twin_classes_naive(g: Graph):
+    """Twin classes as (gap, members) pairs from pairwise comparison of
+    neighborhoods: the classes of N[u] = N[v] with two or more vertices
+    (gap 1), then the vertices without a true twin grouped by N(u) = N(v)
+    (gap 0). Classes of one vertex are left out; the rest are ordered by
+    smallest member."""
+    nbr = [set(g.neighbors[v]) for v in range(g.n)]
+    closed = [nbr[v] | {v} for v in range(g.n)]
+    true = [tuple(u for u in range(g.n) if closed[u] == closed[v]) for v in range(g.n)]
+    rest = [v for v in range(g.n) if len(true[v]) == 1]
+    false = [tuple(u for u in rest if nbr[u] == nbr[v]) for v in rest]
+    classes = {(1, c) for c in true if len(c) >= 2} | {(0, c) for c in false if len(c) >= 2}
+    return tuple(sorted(classes, key=lambda c: c[1]))

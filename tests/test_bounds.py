@@ -280,14 +280,12 @@ class TestCombined:
         assert report.eta_lower <= eta <= report.eta_upper
 
     def test_witnesses_reverify(self, conn_small):
-        from addcolor.graph import true_twin_classes
-
         for g in conn_small:
             if g.n > 6:
                 break
             for name, data in combined_bounds(g).witnesses:
                 if name == "true_twins":
-                    assert list(data) in true_twin_classes(g)
+                    assert tuple(data) in g.true_twins
                 elif name == "clique":
                     assert clique_lower_bound(g, data) >= 1  # raises on non-clique
                 elif name == "split":

@@ -9,7 +9,6 @@ from addcolor.families import (
     PROVENANCE_SOLVER,
     FamilySpec,
     certify,
-    construct_labeling,
     eta_formula,
     eta_of_join_with_complete,
     generate,
@@ -22,7 +21,7 @@ from addcolor.solver import chromatic_exact, eta_exact
 def sums(spec_text):
     spec = parse_spec(spec_text)
     g = generate(spec)
-    lab = construct_labeling(spec)
+    lab = certify(spec).labeling
     return [neighborhood_sum(g, lab, v) for v in range(g.n)], lab
 
 
@@ -120,12 +119,12 @@ class TestFormula:
 class TestConstructions:
     def test_odd_cycle_pinned_vector(self):
         spec = parse_spec("cycle:5")
-        assert construct_labeling(spec).labels == (2, 1, 3, 1, 1)
+        assert certify(spec).labeling.labels == (2, 1, 3, 1, 1)
         s, _ = sums("cycle:5")
         assert s == [2, 5, 2, 4, 3]
 
     def test_thick_spider_pinned_vector(self):
-        lab = construct_labeling(parse_spec("thick-spider:3"))
+        lab = certify(parse_spec("thick-spider:3")).labeling
         assert lab.labels == (1, 2, 2, 1, 1, 2)
 
     def test_thin_spider_sums_increase(self):
@@ -136,7 +135,7 @@ class TestConstructions:
         assert len(set(clique_sums)) == 5
 
     def test_wheel_sun5_bespoke(self):
-        lab = construct_labeling(parse_spec("wheel-sun:5"))
+        lab = certify(parse_spec("wheel-sun:5")).labeling
         assert lab.labels == (1, 1, 2, 1, 2, 2, 2, 2, 1, 1, 2)
         s, _ = sums("wheel-sun:5")
         assert s[5] == 2 and s[6] == 3          # first two pendants
@@ -144,7 +143,7 @@ class TestConstructions:
         assert s[0] == s[2] == 8 and s[1] == s[3] == 9
 
     def test_complete_sun3_tables(self):
-        lab = construct_labeling(parse_spec("complete-sun:3"))
+        lab = certify(parse_spec("complete-sun:3")).labeling
         assert lab.k == 2
         assert verify_additive_coloring(generate(parse_spec("complete-sun:3")), lab)
 
@@ -152,28 +151,28 @@ class TestConstructions:
         # every residue of m mod 6 several times over
         for m in range(3, 41):
             spec = FamilySpec("complete-sun", (m,))
-            lab = construct_labeling(spec)
+            lab = certify(spec).labeling
             assert lab.k == math.ceil((m + 2) / 3)
 
     def test_even_cycle_bipartite_labeling(self):
-        lab = construct_labeling(parse_spec("cycle:8"))
+        lab = certify(parse_spec("cycle:8")).labeling
         assert lab.labels == (2, 1, 2, 1, 2, 1, 2, 1)
 
     def test_complete_split_labeling(self):
-        lab = construct_labeling(parse_spec("complete-split:3,2"))
+        lab = certify(parse_spec("complete-split:3,2")).labeling
         assert lab.labels == (1, 2, 3, 3, 3)
 
     def test_star_is_eta_one(self):
-        lab = construct_labeling(parse_spec("complete-split:1,4"))
+        lab = certify(parse_spec("complete-split:1,4")).labeling
         assert lab.k == 1
 
     @pytest.mark.parametrize("m", range(4, 12))
     def test_cycle_sun_both_parities(self, m):
-        assert construct_labeling(FamilySpec("cycle-sun", (m,))).k == 2
+        assert certify(FamilySpec("cycle-sun", (m,))).labeling.k == 2
 
     @pytest.mark.parametrize("m", range(4, 12))
     def test_wheel_sun_both_parities(self, m):
-        assert construct_labeling(FamilySpec("wheel-sun", (m,))).k == 2
+        assert certify(FamilySpec("wheel-sun", (m,))).labeling.k == 2
 
     def test_provenances(self):
         assert certify(parse_spec("path:5")).provenance == PROVENANCE_SOLVER

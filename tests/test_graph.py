@@ -4,16 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addcolor.graph import (
-    FALSE_TWINS,
-    SINGLETON,
-    TRUE_TWINS,
     Graph,
     Labeling,
     connected_components,
     induced_subgraph,
     join,
     neighborhood_sum,
-    true_twin_classes,
     twin_refined_partition,
     verify_additive_coloring,
 )
@@ -21,7 +17,7 @@ from addcolor.bounds import combined_bounds, is_eta_one
 from addcolor.families import generate, parse_spec
 from addcolor.solver import chromatic_exact, eta_exact
 
-from oracles import is_additive
+from oracles import is_additive, twin_classes_naive
 
 
 def path(n):
@@ -137,67 +133,71 @@ class TestVerify:
 
 class TestTwins:
     def test_complete_one_class(self):
-        assert true_twin_classes(complete(4)) == [[0, 1, 2, 3]]
+        assert complete(4).true_twins == ((0, 1, 2, 3),)
 
     def test_cycle_all_singletons(self):
-        assert true_twin_classes(cycle(5)) == [[0], [1], [2], [3], [4]]
+        assert cycle(5).true_twins == ((0,), (1,), (2,), (3,), (4,))
 
     def test_complete_split_clique_class(self):
         # 3-clique joined to 2 stable vertices: the clique is one true-twin class
         g = join(complete(3), Graph.from_edges(2, []))
-        classes = true_twin_classes(g)
-        assert [0, 1, 2] in classes
-        assert sorted(len(c) for c in classes) == [1, 1, 3]
+        assert g.true_twins == ((0, 1, 2), (3,), (4,))
 
     def test_star_false_twins(self):
-        part = twin_refined_partition(star(3))
-        kinds = {cls.kind: cls.vertices for cls in part.classes}
-        assert kinds[FALSE_TWINS] == (1, 2, 3)
-        assert kinds[SINGLETON] == (0,)
+        # the leaves are false twins; the center is in no class
+        assert twin_refined_partition(star(3)) == ((0, (1, 2, 3)),)
 
     def test_complete_true_class(self):
-        part = twin_refined_partition(complete(4))
-        assert part.classes == (part.classes[0],)
-        assert part.classes[0].kind == TRUE_TWINS
+        assert twin_refined_partition(complete(4)) == ((1, (0, 1, 2, 3)),)
 
     def test_path4_all_singletons(self):
-        part = twin_refined_partition(path(4))
-        assert all(cls.kind == SINGLETON for cls in part.classes)
-        assert len(part.classes) == 4
+        assert twin_refined_partition(path(4)) == ()
 
     def test_isolated_vertices_are_false_twins(self):
         g = Graph.from_edges(4, [(0, 1)])
-        part = twin_refined_partition(g)
-        kinds = {cls.vertices: cls.kind for cls in part.classes}
-        assert kinds[(2, 3)] == FALSE_TWINS
+        assert twin_refined_partition(g) == ((1, (0, 1)), (0, (2, 3)))
 
     @given(graphs(max_n=8))
     def test_partition_covers_and_verifies(self, g):
+        # the classes are disjoint, and every vertex outside them has no twin
         part = twin_refined_partition(g)
-        seen = sorted(v for cls in part.classes for v in cls.vertices)
-        assert seen == list(range(g.n))
-        for cls in part.classes:
-            first = cls.vertices[0]
-            for v in cls.vertices[1:]:
-                if cls.kind == TRUE_TWINS:
-                    assert g.closed_mask(v) == g.closed_mask(first)
+        members = [v for _, cls in part for v in cls]
+        assert len(members) == len(set(members))
+        assert [cls[0] for _, cls in part] == sorted(cls[0] for _, cls in part)
+        for gap, cls in part:
+            assert gap in (0, 1)
+            assert len(cls) >= 2 and list(cls) == sorted(cls)
+            first = cls[0]
+            for v in cls[1:]:
+                if gap:
+                    assert g.masks[v] | 1 << v == g.masks[first] | 1 << first
                 else:
                     assert g.masks[v] == g.masks[first]
-        for cls in part.classes:
-            if cls.kind != SINGLETON:
-                assert len(cls.vertices) >= 2
+        assert part == twin_classes_naive(g)
 
     @given(graphs(max_n=7))
     def test_false_classes_partition(self, g):
         # the vertices outside true-twin classes fall into maximal classes of
         # N(u) = N(v): distinct classes have distinct open neighborhoods
-        part = twin_refined_partition(g)
-        rest = [cls.vertices for cls in part.classes if cls.kind != TRUE_TWINS]
-        assert sorted(v for c in rest for v in c) == [
-            v for c in true_twin_classes(g) if len(c) == 1 for v in c
-        ]
+        singles = [c[0] for c in g.true_twins if len(c) == 1]
+        false = [cls for gap, cls in twin_refined_partition(g) if not gap]
+        covered = {v for c in false for v in c}
+        rest = false + [(v,) for v in singles if v not in covered]
+        assert sorted(v for c in rest for v in c) == singles
         firsts = [g.masks[c[0]] for c in rest]
         assert len(set(firsts)) == len(firsts)
+
+    def test_matches_naive_on_corpora(self, all_n6, conn_small):
+        for g in all_n6 + conn_small:
+            assert twin_refined_partition(g) == twin_classes_naive(g)
+
+    @pytest.mark.parametrize("spec", [
+        "complete-split:4,3", "windmill:4,3", "thick-spider:5", "multipartite:3,2,2",
+        "complete-sun:6", "join-complete:2:cycle:6", "biregular-bipartite:6,4,2",
+    ])
+    def test_matches_naive_on_families(self, spec):
+        g = generate(parse_spec(spec))
+        assert twin_refined_partition(g) == twin_classes_naive(g)
 
 
 class TestJoin:
@@ -259,7 +259,7 @@ class TestCachedData:
     def test_mutating_returned_values_changes_nothing(self, spec):
         g = generate(parse_spec(spec))
         self.results(g)  # fill the cache first
-        classes = true_twin_classes(g)
+        classes = [list(cls) for cls in g.true_twins]
         for cls in classes:
             cls.reverse()
             cls.append(g.n)
@@ -267,12 +267,13 @@ class TestCachedData:
         cliques = list(g.greedy_cliques)
         cliques.reverse()
         cliques.append((0,))
-        multi = twin_refined_partition(g).multi_classes()
-        multi.reverse()
-        multi.clear()
+        part = list(twin_refined_partition(g))
+        part.reverse()
+        part.clear()
         fresh = generate(parse_spec(spec))
         assert self.results(g) == self.results(fresh)
-        assert true_twin_classes(g) == true_twin_classes(fresh)
+        assert g.true_twins == fresh.true_twins
+        assert twin_refined_partition(g) == twin_refined_partition(fresh)
         assert g.greedy_cliques == fresh.greedy_cliques
 
     @pytest.mark.parametrize("spec", SPECS)
@@ -282,6 +283,10 @@ class TestCachedData:
             assert isinstance(value, tuple)
         for inner in g.true_twins + g.greedy_cliques:
             assert isinstance(inner, tuple)
+        part = twin_refined_partition(g)
+        assert isinstance(part, tuple)
+        for gap, cls in part:
+            assert isinstance(gap, int) and isinstance(cls, tuple)
 
     def test_equal_graphs_stay_equal_when_one_cache_is_filled(self):
         warm = generate(parse_spec("thick-spider:4"))

@@ -1,5 +1,3 @@
-import warnings
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,15 +85,6 @@ def test_nonzero_padding_strict():
     line = "A" + chr(63 + 0b011111)
     with pytest.raises(Graph6FormatError):
         parse_graph6(line)
-
-
-def test_nonzero_padding_lenient_warns():
-    line = "A" + chr(63 + 0b011111)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = parse_graph6(line, strict=False)
-    assert g.edge_count == 0
-    assert caught and "padding" in str(caught[0].message)
 
 
 def test_long_header_roundtrip():

@@ -290,3 +290,28 @@ class TestWriteLp:
         path.write_text(write_lp(build_model(g_of("path:3"), 2)))
         variables, problem = pulp.LpProblem.fromLP(str(path))
         assert problem.numVariables() == 3 + 4
+
+
+# sha256 of `write_lp(model)` followed by `repr(model_counts(model))` over
+# every model below, computed at the commit before the twin classes became
+# (gap, members) pairs, and before any source change that came with it. The
+# digest pins every row, its order, every bound and the eliminated count.
+GOLDEN_LP = "afaafaba96f86ff98f822b2f05d934a7c770630aa3d44be90e32a6e4a43a488c"
+GOLDEN_LP_SPECS = ("complete-split:4,3", "windmill:4,3", "thick-spider:5", "multipartite:3,2,2")
+
+
+def test_lp_text_matches_golden_digest(all_n6):
+    import hashlib
+
+    from addcolor.bounds import combined_bounds
+
+    graphs = [g for g in all_n6 if g.edge_count] + [g_of(s) for s in GOLDEN_LP_SPECS]
+    digest = hashlib.sha256()
+    for g in graphs:
+        ub = combined_bounds(g).eta_upper
+        for valid in (False, True):
+            for symmetry in (False, True):
+                model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+                digest.update(write_lp(model).encode())
+                digest.update(repr(model_counts(model)).encode())
+    assert digest.hexdigest() == GOLDEN_LP

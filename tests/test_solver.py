@@ -96,15 +96,6 @@ class TestEtaExact:
         g = Graph.from_edges(6, edges)
         assert eta_exact(g).value == eta_naive(g)
 
-    def test_twin_breaking_safe(self, conn_small):
-        # identical values with symmetry breaking on and off
-        for g in conn_small:
-            if g.n > 6:
-                break
-            on = eta_exact(g, twin_breaking=True).value
-            off = eta_exact(g, twin_breaking=False).value
-            assert on == off
-
     def test_matches_oracle_all_n6(self, conn_small):
         for g in conn_small:
             if g.n == 6:
