@@ -1,6 +1,13 @@
 """Graph family generators, closed-form additive chromatic numbers, and the
 constructive certificate labelings that witness them.
 
+Each family is one row of the `_FAMILIES` table, keyed by its kind: the
+arity and parameter checks, the vertex count, the generator, the closed-form
+eta, the certificate labeling with its provenance, and the lower-bound
+witness. `KINDS`, `generate`, `eta_formula`, `certify` and spec validation
+each look the row up. A spec is rejected before any graph is built when its
+vertex count exceeds the graph6 writer's limit.
+
 Vertex ordering is fixed per family so the constructions map positionally:
 
 * path/cycle: 0..n-1 along the path/ring;
@@ -20,34 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
 from . import solver as _solver
 from .graph import Graph, Labeling, join, verify_additive_coloring
+from .graph6 import WRITER_MAX_N
 
 PROVENANCE_CONSTRUCTION = "construction"
 PROVENANCE_SOLVER = "solver"
 PROVENANCE_HYBRID = "construction+solver"
-
-KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "complete-split",
-    "fan",
-    "wheel",
-    "windmill",
-    "thin-spider",
-    "thick-spider",
-    "cycle-sun",
-    "wheel-sun",
-    "complete-sun",
-    "multipartite",
-    "regular-bipartite",
-    "biregular-bipartite",
-    "join-complete",
-)
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,8 @@ class FamilySpec:
         _validate(self)
 
     def text(self) -> str:
-        if self.kind == "join-complete":
-            return f"join-complete:{self.params[0]}:{self.inner.text()}"
-        return f"{self.kind}:{','.join(str(p) for p in self.params)}"
+        inner = f":{self.inner.text()}" if self.inner else ""
+        return f"{self.kind}:{','.join(str(p) for p in self.params)}{inner}"
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -79,16 +68,16 @@ def parse_spec(text: str) -> FamilySpec:
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r} (known: {', '.join(KINDS)})")
+    inner_text = None
     if kind == "join-complete":
-        q_text, _, inner_text = rest.partition(":")
-        if not q_text or not inner_text:
+        rest, _, inner_text = rest.partition(":")
+        if not rest or not inner_text:
             raise ValueError("join-complete takes 'join-complete:q:inner-spec'")
-        return FamilySpec(kind, (int(q_text),), parse_spec(inner_text))
     try:
-        params = tuple(int(p) for p in rest.split(",") if p != "")
+        params = tuple(int(p) for p in rest.split(",")) if rest else ()
     except ValueError as exc:
         raise ValueError(f"bad parameters in family spec {text!r}") from exc
-    return FamilySpec(kind, params)
+    return FamilySpec(kind, params, parse_spec(inner_text) if inner_text else None)
 
 
 def _need(cond: bool, message: str) -> None:
@@ -97,60 +86,87 @@ def _need(cond: bool, message: str) -> None:
 
 
 def _validate(spec: FamilySpec) -> None:
-    kind, p = spec.kind, spec.params
+    kind = spec.kind
     _need(kind in KINDS, f"unknown family kind {kind!r}")
-    if kind == "join-complete":
-        _need(len(p) == 1, "join-complete takes one parameter q")
-        _need(spec.inner is not None, "join-complete needs an inner spec")
-        q = p[0]
-        inner_g = generate(spec.inner)
-        limit = inner_g.n - inner_g.max_degree() - 1
-        _need(1 <= q <= limit,
-              f"join with K_q needs 1 <= q <= n - max_degree - 1 = {limit}, got q={q}")
-        return
-    _need(spec.inner is None, f"{kind} takes no inner spec")
-    if kind == "multipartite":
-        _need(len(p) >= 1, "multipartite needs at least one part")
-        _need(all(x >= 1 for x in p), "part sizes must be >= 1")
-        _need(all(p[i] >= p[i + 1] for i in range(len(p) - 1)),
-              "part sizes must be non-increasing")
-        return
-    if kind == "regular-bipartite":
-        _need(len(p) == 2, "regular-bipartite takes (side size, degree)")
-        n, d = p
-        _need(n >= 1 and 1 <= d <= n, f"need 1 <= degree <= side size, got {p}")
-        return
-    if kind == "biregular-bipartite":
-        _need(len(p) == 3, "biregular-bipartite takes (n_u, n_v, d_u)")
-        nu, nv, du = p
-        _need(nu >= 1 and nv >= 1, "side sizes must be >= 1")
-        _need(1 <= du <= nv, f"need 1 <= d_u <= n_v, got {p}")
-        _need(nu * du % nv == 0,
-              f"right-side degree n_u*d_u/n_v must be an integer, got {p}")
-        # some orientation satisfies d(2-side) < 2*d(1-side); with two
-        # positive degrees at least one direction always does
-        dv = nu * du // nv
-        _need(du < 2 * dv or dv < 2 * du, f"no side qualifies for the 2/1 labeling, got {p}")
-        return
-    if kind == "complete-split":
-        _need(len(p) == 2, "complete-split takes (clique size, stable size)")
-        q, s = p
-        _need(q >= 1, "clique size must be >= 1")
-        _need(s >= 2, "stable size must be >= 2")
-        return
-    if kind == "windmill":
-        _need(len(p) == 2, "windmill takes (n, m)")
-        n, m = p
-        _need(n >= 3 and m >= 2, f"windmill needs n >= 3 and m >= 2, got {p}")
-        return
-    _need(len(p) == 1, f"{kind} takes one parameter")
-    v = p[0]
-    minima = {
-        "path": 1, "cycle": 3, "complete": 1, "fan": 3, "wheel": 4,
-        "thin-spider": 2, "thick-spider": 2,
-        "cycle-sun": 4, "wheel-sun": 4, "complete-sun": 3,
-    }
-    _need(v >= minima[kind], f"{kind} needs parameter >= {minima[kind]}, got {v}")
+    _need(spec.inner is None or kind == "join-complete", f"{kind} takes no inner spec")
+    _FAMILIES[kind].check(spec)
+    n = _vertex_count(spec)
+    _need(n <= WRITER_MAX_N,
+          f"{spec.text()} has {n} vertices; family specs allow n <= {WRITER_MAX_N}")
+
+
+def _args(spec: FamilySpec) -> tuple:
+    """What a row function takes: the parameters, then a join's inner spec."""
+    return spec.params if spec.inner is None else (*spec.params, spec.inner)
+
+
+def _vertex_count(spec: FamilySpec) -> int:
+    return _FAMILIES[spec.kind].size(*_args(spec))
+
+
+# ---------------------------------------------------------------------------
+# parameter checks; none of them builds a graph except the join's, which
+# builds the inner graph, itself already checked
+
+
+def _one(minimum: int) -> Callable[[FamilySpec], None]:
+    """Check for a one-parameter family whose parameter is >= minimum."""
+
+    def check(spec: FamilySpec) -> None:
+        _need(len(spec.params) == 1, f"{spec.kind} takes one parameter")
+        v = spec.params[0]
+        _need(v >= minimum, f"{spec.kind} needs parameter >= {minimum}, got {v}")
+
+    return check
+
+
+def _check_split(spec: FamilySpec) -> None:
+    _need(len(spec.params) == 2, "complete-split takes (clique size, stable size)")
+    q, s = spec.params
+    _need(q >= 1, "clique size must be >= 1")
+    _need(s >= 2, "stable size must be >= 2")
+
+
+def _check_windmill(spec: FamilySpec) -> None:
+    p = spec.params
+    _need(len(p) == 2, "windmill takes (n, m)")
+    n, m = p
+    _need(n >= 3 and m >= 2, f"windmill needs n >= 3 and m >= 2, got {p}")
+
+
+def _check_multipartite(spec: FamilySpec) -> None:
+    p = spec.params
+    _need(len(p) >= 1, "multipartite needs at least one part")
+    _need(all(x >= 1 for x in p), "part sizes must be >= 1")
+    _need(all(p[i] >= p[i + 1] for i in range(len(p) - 1)),
+          "part sizes must be non-increasing")
+
+
+def _check_regular(spec: FamilySpec) -> None:
+    p = spec.params
+    _need(len(p) == 2, "regular-bipartite takes (side size, degree)")
+    n, d = p
+    _need(n >= 1 and 1 <= d <= n, f"need 1 <= degree <= side size, got {p}")
+
+
+def _check_biregular(spec: FamilySpec) -> None:
+    p = spec.params
+    _need(len(p) == 3, "biregular-bipartite takes (n_u, n_v, d_u)")
+    nu, nv, du = p
+    _need(nu >= 1 and nv >= 1, "side sizes must be >= 1")
+    _need(1 <= du <= nv, f"need 1 <= d_u <= n_v, got {p}")
+    _need(nu * du % nv == 0,
+          f"right-side degree n_u*d_u/n_v must be an integer, got {p}")
+
+
+def _check_join(spec: FamilySpec) -> None:
+    _need(len(spec.params) == 1, "join-complete takes one parameter q")
+    _need(spec.inner is not None, "join-complete needs an inner spec")
+    q = spec.params[0]
+    inner_g = generate(spec.inner)
+    limit = inner_g.n - inner_g.max_degree() - 1
+    _need(1 <= q <= limit,
+          f"join with K_q needs 1 <= q <= n - max_degree - 1 = {limit}, got q={q}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +234,6 @@ def _complete_sun(m: int) -> Graph:
     return Graph.from_edges(2 * m, edges)
 
 
-def _multipartite(parts: tuple[int, ...]) -> Graph:
-    starts = [0]
-    for p in parts:
-        starts.append(starts[-1] + p)
-    n = starts[-1]
-    edges = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            edges += [
-                (u, v)
-                for u in range(starts[a], starts[a + 1])
-                for v in range(starts[b], starts[b + 1])
-            ]
-    return Graph.from_edges(n, edges)
-
-
 def _biregular(nu: int, nv: int, du: int) -> Graph:
     # consecutive wrap-around intervals of length d_u tile Z_nv evenly, so
     # every right vertex ends up with degree n_u*d_u/n_v
@@ -246,41 +246,7 @@ def _biregular(nu: int, nv: int, du: int) -> Graph:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the family instance with its documented vertex ordering."""
-    kind, p = spec.kind, spec.params
-    if kind == "path":
-        return _path(p[0])
-    if kind == "cycle":
-        return _cycle(p[0])
-    if kind == "complete":
-        return _complete(p[0])
-    if kind == "complete-split":
-        return join(_complete(p[0]), _empty(p[1]))
-    if kind == "fan":
-        return join(_path(p[0] + 1), _complete(1))
-    if kind == "wheel":
-        return join(_cycle(p[0]), _complete(1))
-    if kind == "windmill":
-        n, m = p
-        return join(_disjoint_cliques(n - 1, m), _complete(1))
-    if kind == "thin-spider":
-        return _spider(p[0], thin=True)
-    if kind == "thick-spider":
-        return _spider(p[0], thin=False)
-    if kind == "cycle-sun":
-        return _cycle_sun(p[0])
-    if kind == "wheel-sun":
-        return _wheel_sun(p[0])
-    if kind == "complete-sun":
-        return _complete_sun(p[0])
-    if kind == "multipartite":
-        return _multipartite(p)
-    if kind == "regular-bipartite":
-        return _biregular(p[0], p[0], p[1])
-    if kind == "biregular-bipartite":
-        return _biregular(*p)
-    if kind == "join-complete":
-        return join(generate(spec.inner), _complete(p[0]))
-    raise AssertionError(kind)
+    return _FAMILIES[spec.kind].graph(*_args(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -303,49 +269,18 @@ def eta_of_join_with_complete(
     return max(inner_eta, q)
 
 
+def _join_eta(q: int, inner: FamilySpec) -> int:
+    inner_g = generate(inner)
+    return eta_of_join_with_complete(eta_formula(inner), inner_g.n, inner_g.max_degree(), q)
+
+
+def _biregular_eta(nu: int, nv: int, du: int) -> int:
+    return 1 if nu * du // nv != du else 2
+
+
 def eta_formula(spec: FamilySpec) -> int:
     """Closed-form additive chromatic number of the family instance."""
-    kind, p = spec.kind, spec.params
-    if kind == "path":
-        n = p[0]
-        return 1 if n in (1, 3) else 2
-    if kind == "cycle":
-        return 2 if p[0] % 2 == 0 else 3
-    if kind == "complete":
-        return p[0]
-    if kind == "complete-split":
-        return p[0]
-    if kind == "fan":
-        return 2
-    if kind == "wheel":
-        return 2 if p[0] % 2 == 0 else 3
-    if kind == "windmill":
-        return p[0] - 1
-    if kind in ("thin-spider", "thick-spider"):
-        return math.ceil((p[0] + 1) / 2)
-    if kind in ("cycle-sun", "wheel-sun"):
-        return 2
-    if kind == "complete-sun":
-        return math.ceil((p[0] + 2) / 3)
-    if kind == "multipartite":
-        return _bounds.multipartite_eta(p)
-    if kind in ("regular-bipartite", "biregular-bipartite"):
-        du, dv = _side_degrees(spec)
-        return 1 if du != dv else 2
-    if kind == "join-complete":
-        inner_g = generate(spec.inner)
-        return eta_of_join_with_complete(
-            eta_formula(spec.inner), inner_g.n, inner_g.max_degree(), p[0]
-        )
-    raise AssertionError(kind)
-
-
-def _side_degrees(spec: FamilySpec) -> tuple[int, int]:
-    if spec.kind == "regular-bipartite":
-        n, d = spec.params
-        return d, d
-    nu, nv, du = spec.params
-    return du, nu * du // nv
+    return _FAMILIES[spec.kind].eta(*_args(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +361,12 @@ def _thick_spider_labeling(q: int) -> Labeling:
     return Labeling(tuple(fu[1:] + fv[1:]))
 
 
-def _cycle_sun_labeling(m: int) -> tuple[list[int], list[int]]:
+def _cycle_sun_labels(m: int) -> list[int]:
     fu = [2 if i % 2 == 1 else 1 for i in range(1, m + 1)]
     fv = [1] * m
     if m % 2 == 1:
         fv[0] = 2
-    return fu, fv
+    return fu + fv
 
 
 def _wheel_sun_labeling(m: int) -> Labeling:
@@ -439,8 +374,7 @@ def _wheel_sun_labeling(m: int) -> Labeling:
         fu = [1, 1, 2, 1, 2]
         fv = [2, 2, 2, 1, 1]
         return Labeling(tuple(fu + fv + [2]))
-    fu, fv = _cycle_sun_labeling(m)
-    return Labeling(tuple(fu + fv + [1]))
+    return Labeling(tuple(_cycle_sun_labels(m) + [1]))
 
 
 def _complete_sun_labeling(m: int) -> Labeling:
@@ -477,13 +411,8 @@ def _complete_sun_labeling(m: int) -> Labeling:
     return Labeling(tuple(fu[1:] + fv[1:]))
 
 
-def _biregular_labeling(spec: FamilySpec) -> Labeling:
-    du, dv = _side_degrees(spec)
-    if spec.kind == "regular-bipartite":
-        nu = nv = spec.params[0]
-    else:
-        nu, nv, _ = spec.params
-    if du != dv:
+def _biregular_labeling(nu: int, nv: int, du: int) -> Labeling:
+    if nu * du // nv != du:
         return Labeling((1,) * (nu + nv))
     # the doubled side must satisfy d(u) < 2 d(v) for neighbors v; with equal
     # degrees either side works
@@ -494,50 +423,23 @@ def _join_labeling(inner: Labeling, q: int) -> Labeling:
     return Labeling(inner.labels + tuple(range(1, q + 1)))
 
 
-def labeling_with_provenance(spec: FamilySpec) -> tuple[Labeling, str]:
+def _join_certificate(q: int, inner: FamilySpec) -> tuple[Labeling, str]:
+    labeling, prov = _labeled(inner)
+    out = PROVENANCE_CONSTRUCTION if prov == PROVENANCE_CONSTRUCTION else PROVENANCE_HYBRID
+    return _join_labeling(labeling, q), out
+
+
+def _labeled(spec: FamilySpec) -> tuple[Labeling, str]:
     """Certificate labeling plus how it was obtained.
 
     Provenance is "construction" for a pure closed-form labeling, "solver"
-    for a fallback exact solve (paths, complete multipartite), and
-    "construction+solver" for a join construction over a solver-labeled
-    inner graph.
+    for a fallback exact solve (the rows with no labeling), and
+    "construction+solver" for a construction over a solver-labeled part.
     """
-    kind, p = spec.kind, spec.params
-    if kind in ("path", "multipartite"):
+    construct = _FAMILIES[spec.kind].labeling
+    if construct is None:
         return _solver_labeling(spec), PROVENANCE_SOLVER
-    if kind == "cycle":
-        return _cycle_labeling(p[0]), PROVENANCE_CONSTRUCTION
-    if kind == "complete":
-        return Labeling(tuple(range(1, p[0] + 1))), PROVENANCE_CONSTRUCTION
-    if kind == "complete-split":
-        return _complete_split_labeling(*p), PROVENANCE_CONSTRUCTION
-    if kind == "fan":
-        inner, _ = labeling_with_provenance(FamilySpec("path", (p[0] + 1,)))
-        return _join_labeling(inner, 1), PROVENANCE_HYBRID
-    if kind == "wheel":
-        return _join_labeling(_cycle_labeling(p[0]), 1), PROVENANCE_CONSTRUCTION
-    if kind == "windmill":
-        n, m = p
-        blades = tuple(range(1, n)) * m
-        return _join_labeling(Labeling(blades), 1), PROVENANCE_CONSTRUCTION
-    if kind == "thin-spider":
-        return _thin_spider_labeling(p[0]), PROVENANCE_CONSTRUCTION
-    if kind == "thick-spider":
-        return _thick_spider_labeling(p[0]), PROVENANCE_CONSTRUCTION
-    if kind == "cycle-sun":
-        fu, fv = _cycle_sun_labeling(p[0])
-        return Labeling(tuple(fu + fv)), PROVENANCE_CONSTRUCTION
-    if kind == "wheel-sun":
-        return _wheel_sun_labeling(p[0]), PROVENANCE_CONSTRUCTION
-    if kind == "complete-sun":
-        return _complete_sun_labeling(p[0]), PROVENANCE_CONSTRUCTION
-    if kind in ("regular-bipartite", "biregular-bipartite"):
-        return _biregular_labeling(spec), PROVENANCE_CONSTRUCTION
-    if kind == "join-complete":
-        inner, prov = labeling_with_provenance(spec.inner)
-        out = PROVENANCE_CONSTRUCTION if prov == PROVENANCE_CONSTRUCTION else PROVENANCE_HYBRID
-        return _join_labeling(inner, p[0]), out
-    raise AssertionError(kind)
+    return construct(*_args(spec))
 
 
 def _solver_labeling(spec: FamilySpec) -> Labeling:
@@ -550,6 +452,116 @@ def _solver_labeling(spec: FamilySpec) -> Labeling:
 
 
 # ---------------------------------------------------------------------------
+# lower-bound witnesses, for eta >= 2
+
+
+def _equal_degrees(*_) -> str:
+    return "some edge joins vertices of equal degree (eta >= 2)"
+
+
+def _odd_cycle(n: int) -> str:
+    return "odd cycles admit no additive 2-coloring" if n % 2 else _equal_degrees()
+
+
+def _join_witness(q: int, inner: FamilySpec) -> str:
+    inner_eta = eta_formula(inner)
+    if q >= inner_eta:
+        return f"true-twin class of size {q} (the joined clique)"
+    return f"inner graph already needs {inner_eta} labels"
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+
+def _construction(label: Callable[..., Labeling]) -> Callable[..., tuple[Labeling, str]]:
+    return lambda *args: (label(*args), PROVENANCE_CONSTRUCTION)
+
+
+def _cycle_eta(n: int) -> int:
+    return 2 if n % 2 == 0 else 3
+
+
+def _spider_eta(q: int) -> int:
+    return math.ceil((q + 1) / 2)
+
+
+class _Family(NamedTuple):
+    """One family. `check` takes the spec and raises ValueError; the other
+    functions take `_args(spec)`. `labeling` is None where only the exact
+    solver labels the family, and `witness` explains eta >= 2."""
+
+    check: Callable[[FamilySpec], None]
+    size: Callable[..., int]
+    graph: Callable[..., Graph]
+    eta: Callable[..., int]
+    labeling: Optional[Callable[..., tuple[Labeling, str]]]
+    witness: Callable[..., str]
+
+
+_FAMILIES = {
+    "path": _Family(
+        _one(1), lambda n: n, _path, lambda n: 1 if n in (1, 3) else 2, None, _equal_degrees),
+    "cycle": _Family(
+        _one(3), lambda n: n, _cycle, _cycle_eta, _construction(_cycle_labeling), _odd_cycle),
+    "complete": _Family(
+        _one(1), lambda n: n, _complete, lambda n: n,
+        _construction(lambda n: Labeling(tuple(range(1, n + 1)))),
+        lambda n: f"true-twin class of size {n}"),
+    "complete-split": _Family(
+        _check_split, lambda q, s: q + s, lambda q, s: join(_complete(q), _empty(s)),
+        lambda q, s: q, _construction(_complete_split_labeling),
+        lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
+    "fan": _Family(
+        _one(3), lambda n: n + 2, lambda n: join(_path(n + 1), _complete(1)), lambda n: 2,
+        lambda n: _join_certificate(1, FamilySpec("path", (n + 1,))), _equal_degrees),
+    "wheel": _Family(
+        _one(4), lambda n: n + 1, lambda n: join(_cycle(n), _complete(1)), _cycle_eta,
+        _construction(lambda n: _join_labeling(_cycle_labeling(n), 1)), _odd_cycle),
+    "windmill": _Family(
+        _check_windmill, lambda n, m: (n - 1) * m + 1,
+        lambda n, m: join(_disjoint_cliques(n - 1, m), _complete(1)), lambda n, m: n - 1,
+        _construction(lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1)),
+        lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
+    "thin-spider": _Family(
+        _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=True), _spider_eta,
+        _construction(_thin_spider_labeling),
+        lambda q: f"clique bound ceil((q+1)/2) on the clique of degree-{q} vertices"),
+    "thick-spider": _Family(
+        _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=False), _spider_eta,
+        _construction(_thick_spider_labeling),
+        lambda q: "pigeonhole on the clique neighborhood sums"),
+    "cycle-sun": _Family(
+        _one(4), lambda m: 2 * m, _cycle_sun, lambda m: 2,
+        _construction(lambda m: Labeling(tuple(_cycle_sun_labels(m)))), _equal_degrees),
+    "wheel-sun": _Family(
+        _one(4), lambda m: 2 * m + 1, _wheel_sun, lambda m: 2,
+        _construction(_wheel_sun_labeling), _equal_degrees),
+    "complete-sun": _Family(
+        _one(3), lambda m: 2 * m, _complete_sun, lambda m: math.ceil((m + 2) / 3),
+        _construction(_complete_sun_labeling),
+        lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
+    "multipartite": _Family(
+        _check_multipartite, lambda *p: sum(p), lambda *p: reduce(join, map(_empty, p)),
+        lambda *p: _bounds.multipartite_eta(p), None,
+        lambda *p: "optimal monotone orientation of the multipartite digraph"),
+    "regular-bipartite": _Family(
+        _check_regular, lambda n, d: 2 * n, lambda n, d: _biregular(n, n, d),
+        lambda n, d: _biregular_eta(n, n, d),
+        _construction(lambda n, d: _biregular_labeling(n, n, d)), _equal_degrees),
+    "biregular-bipartite": _Family(
+        _check_biregular, lambda nu, nv, du: nu + nv, _biregular, _biregular_eta,
+        _construction(_biregular_labeling), _equal_degrees),
+    "join-complete": _Family(
+        _check_join, lambda q, inner: q + _vertex_count(inner),
+        lambda q, inner: join(generate(inner), _complete(q)), _join_eta,
+        _join_certificate, _join_witness),
+}
+
+KINDS = tuple(_FAMILIES)
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -557,44 +569,20 @@ def _solver_labeling(spec: FamilySpec) -> Labeling:
 class EtaCertificate:
     spec: FamilySpec
     eta: int
-    labeling: Optional[Labeling]
+    labeling: Labeling
     provenance: str
     lower_bound_witness: str
-
-
-def _witness(spec: FamilySpec, eta: int) -> str:
-    kind, p = spec.kind, spec.params
-    if eta == 1:
-        return "every edge joins vertices of different degree (eta = 1)"
-    if kind == "complete":
-        return f"true-twin class of size {p[0]}"
-    if kind == "complete-split":
-        return f"true-twin class of size {p[0]} (the dominating clique)"
-    if kind == "windmill":
-        return f"true-twin class of size {p[0] - 1} (one blade minus the hub)"
-    if kind == "thin-spider":
-        return f"clique bound ceil((q+1)/2) on the clique of degree-{p[0]} vertices"
-    if kind == "thick-spider":
-        return "pigeonhole on the clique neighborhood sums"
-    if kind == "complete-sun":
-        return f"clique bound ceil((m+2)/3) on the base clique of degree-{p[0] + 1} vertices"
-    if kind in ("cycle", "wheel") and p[0] % 2 == 1:
-        return "odd cycles admit no additive 2-coloring"
-    if kind == "multipartite":
-        return "optimal monotone orientation of the multipartite digraph"
-    if kind == "join-complete":
-        q = p[0]
-        if q >= eta:
-            return f"true-twin class of size {q} (the joined clique)"
-        return f"inner graph already needs {eta} labels"
-    return "some edge joins vertices of equal degree (eta >= 2)"
 
 
 def certify(spec: FamilySpec) -> EtaCertificate:
     """Formula value plus a verified certificate labeling and witness."""
     g = generate(spec)
     eta = eta_formula(spec)
-    labeling, provenance = labeling_with_provenance(spec)
+    labeling, provenance = _labeled(spec)
     if labeling.k != eta or not verify_additive_coloring(g, labeling):
         raise AssertionError(f"certificate failed verification for {spec.text()}")
-    return EtaCertificate(spec, eta, labeling, provenance, _witness(spec, eta))
+    if eta == 1:
+        witness = "every edge joins vertices of different degree (eta = 1)"
+    else:
+        witness = _FAMILIES[spec.kind].witness(*_args(spec))
+    return EtaCertificate(spec, eta, labeling, provenance, witness)

@@ -164,9 +164,6 @@ class Labeling:
     def k(self) -> int:
         return max(self.labels, default=0)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def neighborhood_sum(g: Graph, f: Labeling, v: int) -> int:
     """Sum of labels over the open neighborhood of v (0 if isolated)."""

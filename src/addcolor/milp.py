@@ -89,8 +89,9 @@ def _big_m(only_u: int, only_v: int, ub: int) -> int:
     return 1 + only_u * ub - only_v
 
 
-def _twin_chains(g: Graph) -> tuple[list[Constraint], frozenset[str]]:
-    """Chain rows per twin class, and the z variables they make redundant.
+def _twin_chains(g: Graph) -> tuple[list[Constraint], set[tuple[int, int]]]:
+    """Chain rows per twin class, and the ordered edges (u, v) whose z
+    variables they make redundant.
 
     A class (gap, v_1..v_t) gives f(v_i) - f(v_{i+1}) <= -gap. False twins
     (gap 0): z(u, v_i), z(v_i, u) are dropped for i >= 2 and u in N(v_1).
@@ -99,28 +100,20 @@ def _twin_chains(g: Graph) -> tuple[list[Constraint], frozenset[str]]:
     the optimum is unchanged.
     """
     chains: list[Constraint] = []
-    dropped: set[str] = set()
+    dropped: set[tuple[int, int]] = set()
     for gap, verts in twin_refined_partition(g):
-        for a, b in zip(verts, verts[1:]):
-            chains.append(
-                Constraint(
-                    f"c_chain_{a}_{b}",
-                    ((1, f_name(a)), (-1, f_name(b))),
-                    "<=",
-                    -gap,
-                )
-            )
+        chains += [
+            Constraint(f"c_chain_{a}_{b}", ((1, f_name(a)), (-1, f_name(b))), "<=", -gap)
+            for a, b in zip(verts, verts[1:])
+        ]
         if gap:
-            for vi in verts[1:]:
-                for vj in verts[1:]:
-                    if vi != vj:
-                        dropped.add(z_name(vi, vj))
+            dropped.update((vi, vj) for vi in verts[1:] for vj in verts[1:] if vi != vj)
         else:
             for vi in verts[1:]:
                 for u in g.neighbors[verts[0]]:
-                    dropped.add(z_name(u, vi))
-                    dropped.add(z_name(vi, u))
-    return chains, frozenset(dropped)
+                    dropped.add((u, vi))
+                    dropped.add((vi, u))
+    return chains, dropped
 
 
 def build_model(
@@ -134,15 +127,14 @@ def build_model(
         raise ValueError(f"UB must be >= 1, got {ub}")
     if g.edge_count == 0:
         raise ValueError("model needs a graph with at least one edge")
-    chains, dropped = _twin_chains(g) if twin_symmetry else ([], frozenset())
+    chains, dropped = _twin_chains(g) if twin_symmetry else ([], set())
     # the dropped set is symmetric, so an edge keeps both z variables or none;
     # z[(a, b)] is the name of each live z, formatted once
     z: dict[tuple[int, int], str] = {}
     live_edges = []
     for u, v in g.edges():
-        zuv = z_name(u, v)
-        if zuv not in dropped:
-            z[u, v], z[v, u] = zuv, z_name(v, u)
+        if (u, v) not in dropped:
+            z[u, v], z[v, u] = z_name(u, v), z_name(v, u)
             live_edges.append((u, v))
     variables = [Variable("k", INTEGER, 1, None)]
     variables += [Variable(f_name(v), INTEGER, 1, ub) for v in range(g.n)]
@@ -195,7 +187,8 @@ def build_model(
                         Constraint(f"c_vi_{u}_{v}_{w}", ((1, zvw), (1, zwu)), "<=", 1)
                     )
     constraints += chains
-    return MilpModel(variables, ((1, "k"),), constraints, dropped)
+    eliminated = frozenset(z_name(u, v) for u, v in dropped)
+    return MilpModel(variables, ((1, "k"),), constraints, eliminated)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +196,27 @@ def build_model(
 
 
 def _format_terms(terms: Sequence[tuple[int, str]]) -> list[str]:
-    parts: list[str] = []
-    for idx, (coef, var) in enumerate(terms):
-        if idx == 0:
-            if coef == 1:
-                parts.append(var)
-            elif coef == -1:
-                parts.append(f"- {var}")
-            else:
-                parts.append(f"{coef} {var}" if coef >= 0 else f"- {-coef} {var}")
-            continue
-        sign = "+" if coef >= 0 else "-"
-        mag = abs(coef)
-        parts.append(f"{sign} {var}" if mag == 1 else f"{sign} {mag} {var}")
+    # one rule, "+ var", "- var", "+ 3 var" or "- 3 var"; the first term
+    # drops a leading "+ "
+    parts = []
+    for coef, var in terms:
+        if coef == 1:
+            parts.append("+ " + var)
+        elif coef == -1:
+            parts.append("- " + var)
+        else:
+            parts.append(f"- {-coef} {var}" if coef < 0 else f"+ {coef} {var}")
+    parts[0] = parts[0].removeprefix("+ ")
     return parts
+
+
+def _wrap(items: Sequence[str], head: str, indent: str) -> list[str]:
+    """Lines of _WRAP_TERMS items each, the first after `head` and the rest
+    after `indent`."""
+    return [
+        (indent if i else head) + " ".join(items[i:i + _WRAP_TERMS])
+        for i in range(0, len(items), _WRAP_TERMS)
+    ]
 
 
 def write_lp(model: MilpModel) -> str:
@@ -227,17 +227,8 @@ def write_lp(model: MilpModel) -> str:
     lines.append("Subject To")
     for c in model.constraints:
         parts = _format_terms(c.terms)
-        body = f" {c.name}:"
-        chunks = [body]
-        count = 0
-        for p in parts:
-            chunks.append(p)
-            count += 1
-            if count % _WRAP_TERMS == 0:
-                lines.append(" ".join(chunks))
-                chunks = ["   "]
-        chunks.append(f"{c.relation} {c.rhs}")
-        lines.append(" ".join(chunks))
+        parts.append(f"{c.relation} {c.rhs}")
+        lines += _wrap(parts, f" {c.name}: ", "    ")
     lines.append("Bounds")
     for var in model.variables:
         if var.kind != INTEGER:
@@ -246,24 +237,13 @@ def write_lp(model: MilpModel) -> str:
             lines.append(f" {var.lower} <= {var.name}")
         else:
             lines.append(f" {var.lower} <= {var.name} <= {var.upper}")
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
-    if generals:
-        lines.append("Generals")
-        for chunk in _wrap_names(generals):
-            lines.append(" " + chunk)
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for chunk in _wrap_names(binaries):
-            lines.append(" " + chunk)
+    for header, kind in (("Generals", INTEGER), ("Binaries", BINARY)):
+        names = [v.name for v in model.variables if v.kind == kind]
+        if names:
+            lines.append(header)
+            lines += _wrap(names, " ", " ")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def _wrap_names(names: Sequence[str]) -> list[str]:
-    return [
-        " ".join(names[i:i + _WRAP_TERMS]) for i in range(0, len(names), _WRAP_TERMS)
-    ]
 
 
 def model_counts(model: MilpModel) -> dict[str, int]:

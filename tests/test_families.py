@@ -1,9 +1,15 @@
+import hashlib
 import math
+import re
+import time
+from pathlib import Path
 
 import pytest
 
 from addcolor.bounds import combined_bounds
+from addcolor.cli import main
 from addcolor.families import (
+    KINDS,
     PROVENANCE_CONSTRUCTION,
     PROVENANCE_HYBRID,
     PROVENANCE_SOLVER,
@@ -14,7 +20,8 @@ from addcolor.families import (
     generate,
     parse_spec,
 )
-from addcolor.graph import neighborhood_sum, verify_additive_coloring
+from addcolor.graph import Graph, neighborhood_sum, verify_additive_coloring
+from addcolor.graph6 import write_graph6
 from addcolor.solver import chromatic_exact, eta_exact
 
 
@@ -221,10 +228,138 @@ def test_formula_certificate_solver_coherence(text):
     assert cert.lower_bound_witness
 
 
-@pytest.mark.parametrize("text", [t for t in small_specs() if True])
+@pytest.mark.parametrize("text", small_specs())
 def test_conjecture_on_families(text):
     spec = parse_spec(text)
     g = generate(spec)
     if g.n > 14:
         pytest.skip("chromatic solve limited")
     assert eta_formula(spec) <= chromatic_exact(g).value
+
+
+# Every kind and each special-case branch: paths 1..3, cycle:3, spiders of
+# order 2, wheel-sun:5, complete-sun:3..14 (all residues of m mod 6), joins
+# whose certificate is a pure construction and joins over a solver labeling.
+DIGEST_ACCEPTED = (
+    [f"path:{n}" for n in range(1, 10)]
+    + [f"cycle:{n}" for n in range(3, 17)]
+    + [f"complete:{n}" for n in range(1, 9)]
+    + ["complete-split:1,2", "complete-split:1,4", "complete-split:2,2",
+       "complete-split:3,2", "complete-split:3,4", "complete-split:4,3"]
+    + [f"fan:{n}" for n in range(3, 10)]
+    + [f"wheel:{n}" for n in range(4, 13)]
+    + ["windmill:3,2", "windmill:3,3", "windmill:3,4", "windmill:4,2", "windmill:4,3",
+       "windmill:5,2", "windmill:6,2"]
+    + [f"thin-spider:{q}" for q in range(2, 8)]
+    + [f"thick-spider:{q}" for q in range(2, 8)]
+    + [f"cycle-sun:{m}" for m in range(4, 9)]
+    + [f"wheel-sun:{m}" for m in range(4, 9)]
+    + [f"complete-sun:{m}" for m in range(3, 15)]
+    + ["multipartite:1", "multipartite:3", "multipartite:2,1", "multipartite:3,1",
+       "multipartite:2,2", "multipartite:2,2,1", "multipartite:3,2,2", "multipartite:3,3",
+       "multipartite:4,2,1", "multipartite:2,2,2,2", "multipartite:1,1,1,1,1",
+       "multipartite:5,1"]
+    + ["regular-bipartite:1,1", "regular-bipartite:3,1", "regular-bipartite:4,2",
+       "regular-bipartite:5,3", "regular-bipartite:4,4"]
+    + ["biregular-bipartite:6,4,2", "biregular-bipartite:6,3,2", "biregular-bipartite:2,4,2",
+       "biregular-bipartite:3,3,3", "biregular-bipartite:4,2,1", "biregular-bipartite:2,1,1"]
+    + ["join-complete:2:cycle:6", "join-complete:1:cycle:5", "join-complete:3:cycle:8",
+       "join-complete:1:cycle:8", "join-complete:1:path:5", "join-complete:2:multipartite:3,3",
+       "join-complete:1:thin-spider:4", "join-complete:3:thin-spider:4",
+       "join-complete:1:thick-spider:5", "join-complete:1:biregular-bipartite:6,4,2",
+       "join-complete:2:biregular-bipartite:6,4,2"]
+    + ["CYCLE:5", " wheel:6 "]
+)
+DIGEST_REJECTED = (
+    "unknown:3", "", "cycle", "cycle:", "cycle:x", "cycle:5.0", "cycle:2", "cycle:-5",
+    "cycle:5,6", "path:0", "complete:0", "fan:2", "wheel:3", "thin-spider:1",
+    "thick-spider:1", "cycle-sun:3", "wheel-sun:3", "complete-sun:2",
+    "windmill:2,2", "windmill:3,1", "windmill:3", "complete-split:0,2",
+    "complete-split:2,1", "complete-split:2", "multipartite:", "multipartite:1,2",
+    "multipartite:0,0", "multipartite:2,-1", "regular-bipartite:4,5",
+    "regular-bipartite:0,0", "regular-bipartite:4", "biregular-bipartite:3,2,1",
+    "biregular-bipartite:0,2,1", "biregular-bipartite:3,2,3", "biregular-bipartite:3,2",
+    "join-complete:3:multipartite:2,2", "join-complete:0:cycle:6", "join-complete:2",
+    "join-complete::cycle:5", "join-complete:1:unknown:2", "join-complete:1:cycle:2",
+    "join-complete:1:fan:4", "join-complete:1:join-complete:2:cycle:6",
+)
+# sha256 over each spec above of its text, the exit code, stdout and stderr
+# of `acp family`, and for an accepted spec the graph6 of `generate` and
+# `eta_formula`; computed before the families became one table of rows. It
+# pins spec text, error messages, vertex orders, labelings, provenance and
+# witnesses.
+GOLDEN_FAMILY = "8c98c023e4040ff3fb6e5dbf4dc16ab4f048e892ebc45e0d120f0a29f82920be"
+
+
+def test_family_outputs_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for text in (*DIGEST_ACCEPTED, *DIGEST_REJECTED):
+        code = main(["family", text])
+        captured = capsys.readouterr()
+        assert (code == 0) == (text in DIGEST_ACCEPTED), text
+        digest.update(f"{text}\n{code}\n{captured.out}{captured.err}".encode())
+        if code == 0:
+            spec = parse_spec(text)
+            digest.update(f"{write_graph6(generate(spec))}\n{eta_formula(spec)}\n".encode())
+    assert digest.hexdigest() == GOLDEN_FAMILY
+
+
+@pytest.mark.parametrize(
+    "text", ["cycle:7,", "multipartite:3,,2", "cycle:,7", "join-complete:x:cycle:5"]
+)
+def test_empty_or_non_integer_field_rejected(capsys, text):
+    assert main(["family", text]) == 1
+    assert capsys.readouterr().err == f"error: bad parameters in family spec {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("nope",), "unknown family kind 'nope'"),
+        (("cycle", (5,), FamilySpec("cycle", (5,))), "cycle takes no inner spec"),
+        (("join-complete", (1,)), "join-complete needs an inner spec"),
+        (("join-complete", (1, 2), FamilySpec("cycle", (6,))),
+         "join-complete takes one parameter q"),
+    ],
+)
+def test_direct_construction_messages(args, message):
+    with pytest.raises(ValueError) as exc:
+        FamilySpec(*args)
+    assert str(exc.value) == message
+
+
+def _refuse_graphs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cycle:100000000000", "windmill:3,100000000000", "multipartite:200000,200000",
+     "join-complete:1:cycle:100000000000"],
+)
+def test_oversized_spec_rejected_before_any_graph(capsys, monkeypatch, text):
+    _refuse_graphs(monkeypatch)
+    start = time.perf_counter()
+    assert main(["family", text]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "family specs allow n <= 258047" in err
+
+
+def test_size_limit_is_the_graph6_writer_limit(monkeypatch):
+    _refuse_graphs(monkeypatch)
+    assert parse_spec("cycle:258047").text() == "cycle:258047"
+    assert parse_spec("wheel-sun:129023").text() == "wheel-sun:129023"
+    for text in ("cycle:258048", "wheel-sun:129024", "multipartite:129024,129024"):
+        with pytest.raises(ValueError, match="allow n <= 258047"):
+            parse_spec(text)
+
+
+def test_readme_lists_every_kind_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("Family specs:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([a-z-]+):", paragraph)) == KINDS

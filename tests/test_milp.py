@@ -315,3 +315,32 @@ def test_lp_text_matches_golden_digest(all_n6):
                 digest.update(write_lp(model).encode())
                 digest.update(repr(model_counts(model)).encode())
     assert digest.hexdigest() == GOLDEN_LP
+
+
+# Stars whose hub rows have exactly 20, 21, 40 and 41 terms, so the row wrap
+# is pinned at and just past one and two times its width. sha256 of the LP
+# text, `model_counts` and the sorted eliminated names over UB in
+# (eta_upper, 3) and valid/symmetry on/off; computed before `write_lp` took
+# one signed-term rule and one wrapper.
+GOLDEN_LP_WRAP = "c52c939375b8b49026f340dff52a7be8e930688cda5c7bfc82465a4f29f46b14"
+GOLDEN_LP_WRAP_SPECS = (
+    "multipartite:18,1", "multipartite:19,1", "multipartite:38,1", "multipartite:39,1",
+)
+
+
+def test_wrapped_rows_match_golden_digest():
+    import hashlib
+
+    from addcolor.bounds import combined_bounds
+
+    digest = hashlib.sha256()
+    for text in GOLDEN_LP_WRAP_SPECS:
+        g = g_of(text)
+        for ub in (combined_bounds(g).eta_upper, 3):
+            for valid in (False, True):
+                for symmetry in (False, True):
+                    model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+                    digest.update(write_lp(model).encode())
+                    digest.update(repr(model_counts(model)).encode())
+                    digest.update(repr(sorted(model.eliminated_variables)).encode())
+    assert digest.hexdigest() == GOLDEN_LP_WRAP
