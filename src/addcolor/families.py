@@ -26,6 +26,7 @@ produced it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple, Optional
@@ -73,10 +74,12 @@ def parse_spec(text: str) -> FamilySpec:
         rest, _, inner_text = rest.partition(":")
         if not rest or not inner_text:
             raise ValueError("join-complete takes 'join-complete:q:inner-spec'")
-    try:
-        params = tuple(int(p) for p in rest.split(",")) if rest else ()
-    except ValueError as exc:
-        raise ValueError(f"bad parameters in family spec {text!r}") from exc
+    # plain ASCII digits only, so the text form stays canonical: int() would
+    # also take "1_0", "+5", " 5" and non-ASCII digits
+    fields = rest.split(",") if rest else []
+    if not all(re.fullmatch(r"-?[0-9]+", f) for f in fields):
+        raise ValueError(f"bad parameters in family spec {text!r}")
+    params = tuple(map(int, fields))
     return FamilySpec(kind, params, parse_spec(inner_text) if inner_text else None)
 
 

@@ -13,6 +13,42 @@ increasing inside a true-twin class) mirrors the chain inequalities of the
 integer-programming model; both read the chains from
 `twin_refined_partition`.
 
+The search also prunes on cliques. The members of a clique Q need pairwise
+distinct neighborhood sums. Member v's sum is the labels of Q except f(v),
+plus its outside neighbors. Each outside neighbor w enters with the sign
+that touches fewer members. If w sees at most half of Q, it adds +f(w) at
+the members it sees. Otherwise it adds f(w) to every member, a shift all of
+Q shares, and -f(w) at the members it misses. Dropping the shared parts
+leaves -f(v) plus v's signed outside terms. On the labeled positions these
+terms differ from the search's partial sum sums[v] only by labels every
+member shares: the labeled members of Q and the labeled dense neighbors. So
+sums[v] plus v's unlabeled terms is v's sum up to a shared shift. With a
+plus and b minus unlabeled terms, each label in 1..k, it lies in
+[sums[v] + a - k*b, sums[v] + k*a - b]. The members' values must be
+distinct integers in their intervals. This bounds-consistency all-different
+condition (Puget, AAAI 1998; Lopez-Ortiz, Quimper, Tromp and van Beek,
+IJCAI 2003) is decided by sorting the intervals by upper end and giving
+each the least unused value at or above its lower end. The paper's clique
+bound and its thick-spider argument are windows of the same condition.
+
+Only a clique with more than k members can fail the check. An interval
+that is not a single point has a + b >= 1 unlabeled terms, so it spans
+(k - 1)(a + b) + 1 >= k values: room for every member when |Q| <= k. Two
+single-point members have every term labeled, and their symmetric
+difference lies in those terms, so the edge check has already compared
+them.
+
+Each k >= 3 first checks every distinct greedy clique with more than k
+members at the root, where nothing is labeled; one failure rules k out
+with no nodes. Inside the search, after the edge checks at position i
+pass, the check re-runs on the tight cliques: those that fail the root
+check with k - 1 labels and have i as a member or an outside neighbor. It
+only cuts subtrees without an additive labeling, so the first labeling
+found is the same and the node count can only fall. The check starts at
+k = 3 (`HALL_MIN_K`): 9 380 of the 10 493 searched connected 8-vertex
+graphs end at k = 2 after about 21 nodes, and starting at k = 2 made
+`eta_exact` on them 2.5 times slower (213 vs 84 us per graph).
+
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound (the largest of the graph's cached greedy
 cliques), and backtracking k-colorability in between. DSATUR keeps each
@@ -28,13 +64,18 @@ import time
 from dataclasses import dataclass
 
 from . import bounds as _bounds
-from .graph import Graph, Labeling, twin_refined_partition, verify_additive_coloring
+from .graph import Graph, Labeling, iter_bits, twin_refined_partition, verify_additive_coloring
 
 OPTIMAL = "optimal"
 UB_EXCEEDED = "ub_exceeded"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# the clique-sum check starts at k = 3: most searched graphs end at k = 2
+# after a few dozen nodes, and building the clique terms for them costs
+# more than the search (measured in the module docstring)
+HALL_MIN_K = 3
 
 
 class ResourceLimitError(RuntimeError):
@@ -110,10 +151,29 @@ def eta_exact(
         for a, b in zip(cls, cls[1:]):
             pred[pos[b]] = pos[a]
             step[pos[b]] = gap
+    cliques = None
     nodes = 0
     for k in range(lb, ub + 1):
         labels = [0] * n
         sums = [0] * n
+        # hall[i]: the clique terms to re-check once position i is labeled
+        hall: list = [()] * n
+        if k >= HALL_MIN_K:
+            if cliques is None:
+                cliques = _clique_terms(
+                    [c for c in g.greedy_cliques if len(c) > HALL_MIN_K], pos, masks
+                )
+            # the search re-checks only the cliques that are tight at the
+            # root, failing it with one label fewer; intervals widen with k,
+            # so only a tight clique can fail the root check at k
+            tight = [
+                (touch, terms) for touch, terms in cliques
+                if len(terms) > k and not _hall_ok(terms, sums, 0, k - 1)
+            ]
+            if not all(_hall_ok(terms, sums, 0, k) for _, terms in tight):
+                continue
+            if tight:
+                hall = [[terms for touch, terms in tight if touch >> p & 1] for p in range(n)]
         i = 0
         while 0 <= i < n:
             # next label of position i: one past its current label, else the
@@ -138,7 +198,12 @@ def eta_exact(
                     if sums[a] == sums[b]:
                         break
                 else:
-                    break
+                    # the edges hold; the label stands if the cliques do too
+                    for terms in hall[i]:
+                        if not _hall_ok(terms, sums, i + 1, k):
+                            break
+                    else:
+                        break
                 for w in nb:
                     sums[w] -= lab
                 lab += 1
@@ -155,6 +220,65 @@ def eta_exact(
             return SolveResult(OPTIMAL, k, cert, stats)
     stats = SolveStats(nodes, time.perf_counter() - start)
     return SolveResult(UB_EXCEEDED, None, None, stats)
+
+
+def _clique_terms(
+    cliques: list[tuple[int, ...]], pos: list[int], masks: list[int]
+) -> list[tuple[int, tuple[tuple[int, int, int], ...]]]:
+    """Signed terms of the member sums of each distinct clique, in
+    positions: one (touch, terms) pair per clique, where terms holds a
+    (v, plus, minus) triple per member v and touch is the clique with its
+    outside neighbors, the positions whose label can change the check.
+    """
+    out = []
+    seen = set()
+    for clique in cliques:
+        qmask = 0
+        for v in clique:
+            qmask |= 1 << pos[v]
+        if qmask in seen:
+            continue
+        seen.add(qmask)
+        outside = 0
+        for v in iter_bits(qmask):
+            outside |= masks[v]
+        outside &= ~qmask
+        # an outside neighbor that sees more than half of Q enters with a
+        # minus sign at the members it misses
+        dense = 0
+        for w in iter_bits(outside):
+            if 2 * (masks[w] & qmask).bit_count() > len(clique):
+                dense |= 1 << w
+        terms = tuple(
+            (v, masks[v] & outside & ~dense, dense & ~masks[v] | 1 << v)
+            for v in iter_bits(qmask)
+        )
+        out.append((qmask | outside, terms))
+    return out
+
+
+def _hall_ok(terms: tuple[tuple[int, int, int], ...], sums: list[int], free: int, k: int) -> bool:
+    """Can the members' sums still be pairwise distinct? Positions >= free
+    are unlabeled; each member's sum lies in [sums[v] + a - k*b,
+    sums[v] + k*a - b] up to a shift all members share, with a and b its
+    unlabeled plus and minus terms. Sorted by upper end, each interval takes
+    the least value at or above its lower end that no earlier one took; the
+    sums can be distinct iff every interval gets a value."""
+    spans = []
+    for v, plus, minus in terms:
+        s = sums[v]
+        a = (plus >> free).bit_count()
+        b = (minus >> free).bit_count()
+        spans.append((s + k * a - b, s + a - k * b))
+    spans.sort()
+    taken = set()
+    for hi, lo in spans:
+        while lo in taken:
+            lo += 1
+        if lo > hi:
+            return False
+        taken.add(lo)
+    return True
 
 
 def dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:

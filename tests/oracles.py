@@ -30,6 +30,32 @@ def eta_naive(g: Graph, kmax: int = 8) -> int:
     raise AssertionError(f"no additive coloring with k <= {kmax}")
 
 
+def additive_labelings(g: Graph, k: int):
+    """Every additive labeling with labels 1..k, as tuples in lexicographic
+    order: vertices are labeled in id order, and each edge is tested once
+    both of its endpoints' neighborhoods are labeled."""
+    ready = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        ready[max(g.neighbors[u] + g.neighbors[v])].append((u, v))
+    labels = [0] * g.n
+    sums = [0] * g.n
+
+    def extend(j):
+        if j == g.n:
+            yield tuple(labels)
+            return
+        for x in range(1, k + 1):
+            labels[j] = x
+            for w in g.neighbors[j]:
+                sums[w] += x
+            if all(sums[u] != sums[v] for u, v in ready[j]):
+                yield from extend(j + 1)
+            for w in g.neighbors[j]:
+                sums[w] -= x
+
+    yield from extend(0)
+
+
 def chi_naive(g: Graph) -> int:
     if g.n == 0:
         return 0

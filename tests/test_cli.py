@@ -1,8 +1,13 @@
+import re
+
 import pytest
 
 from addcolor.cli import main
-from addcolor.graph import Graph
+from addcolor.families import eta_formula, generate, parse_spec
+from addcolor.graph import Graph, Labeling, verify_additive_coloring
 from addcolor.graph6 import write_graph6
+
+from oracles import is_additive
 
 
 def run(capsys, *argv):
@@ -111,6 +116,26 @@ def test_solve_budget_exhausted(capsys):
     code, out, _ = run(capsys, "solve", "Dhc", "--budget", "2")
     assert code == 3
     assert "budget exceeded" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["thick-spider:7", "thick-spider:8", "thick-spider:9", "thick-spider:10",
+     "thin-spider:8", "complete-sun:10", "complete-sun:11", "complete-sun:12"],
+)
+def test_solve_hard_family_instances_within_budget(capsys, text):
+    # the benchmark panel's family instances under its node budget
+    g = generate(parse_spec(text))
+    code, out, _ = run(capsys, "solve", write_graph6(g), "--budget", "300000")
+    assert code == 0
+    eta = int(re.search(r"^eta = (\d+)$", out, re.M).group(1))
+    assert eta == eta_formula(parse_spec(text))
+    labels = [0] * g.n
+    for token in re.search(r"^component 1: .* labeling: (.*)$", out, re.M).group(1).split():
+        v, x = token.split(":")
+        labels[int(v) - 1] = int(x)
+    assert verify_additive_coloring(g, Labeling(tuple(labels))) and is_additive(g, labels)
+    assert max(labels) == eta
 
 
 def test_export_lp_k2(tmp_path, capsys):

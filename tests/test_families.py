@@ -305,7 +305,10 @@ def test_family_outputs_match_golden_digest(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["cycle:7,", "multipartite:3,,2", "cycle:,7", "join-complete:x:cycle:5"]
+    "text",
+    ["cycle:7,", "multipartite:3,,2", "cycle:,7", "join-complete:x:cycle:5",
+     # int() takes these, but they are not the canonical text of any spec
+     "cycle:1_0", "cycle:+5", "cycle: 5", "multipartite:3, 2"],
 )
 def test_empty_or_non_integer_field_rejected(capsys, text):
     assert main(["family", text]) == 1

@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from addcolor.bounds import degree_upper_bound
 from addcolor.graph import Graph, verify_additive_coloring
 from addcolor.families import generate, parse_spec
 from addcolor.solver import (
@@ -13,13 +17,24 @@ from addcolor.solver import (
     eta_exact,
     greedy_clique_lower_bound,
     verify_proper_coloring,
+    _clique_terms,
+    _hall_ok,
 )
 
-from oracles import chi_naive, dsatur_naive, eta_naive
+from oracles import additive_labelings, chi_naive, dsatur_naive, eta_naive
+from test_families import small_specs
 
 
 def g_of(text):
     return generate(parse_spec(text))
+
+
+# sha256 over (status, value, certificate) of eta_exact(g) and of
+# eta_exact(g, 1, degree bound) on every graph of graphs_all_n1-6.g6, then
+# graphs_conn_n1-7.g6, then the small_specs() family instances; computed
+# before the search pruned on clique sums, which must not change the
+# labelling it finds first.
+GOLDEN_ETA = "bae4f5bd262d97cf16fb708d76ec69c64dcd0dbfa94c6e371381f6b17830fe76"
 
 
 class TestEtaExact:
@@ -100,6 +115,56 @@ class TestEtaExact:
         for g in conn_small:
             if g.n == 6:
                 assert eta_exact(g).value == eta_naive(g)
+
+    def test_results_match_golden_digest(self, all_n6, conn_small):
+        digest = hashlib.sha256()
+        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
+            for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
+                digest.update(f"{r.status} {r.value} {r.certificate.labels}\n".encode())
+        assert digest.hexdigest() == GOLDEN_ETA
+
+
+def assert_hall_passes_every_labeling(g):
+    """Every additive labeling with labels <= k, for k = eta and eta + 1,
+    passes the clique-sum check at every prefix of the search order."""
+    pos = [0] * g.n
+    for i, v in enumerate(g.search_order):
+        pos[v] = i
+    masks = [sum(1 << pos[w] for w in g.neighbors[v]) for v in g.search_order]
+    # every greedy clique of three or more vertices, not only the ones the
+    # search checks (more than k >= 3 vertices): small graphs have few of
+    # those, and the signs are the same for any clique
+    cliques = [
+        terms
+        for _, terms in _clique_terms([c for c in g.greedy_cliques if len(c) >= 3], pos, masks)
+    ]
+    if not cliques:
+        return
+    eta = eta_naive(g)
+    for k in (eta, eta + 1):
+        for labels in additive_labelings(g, k):
+            sums = [0] * g.n
+            for free, v in enumerate((*g.search_order, None)):
+                for terms in cliques:
+                    assert _hall_ok(terms, sums, free, k), (g, labels, free)
+                if v is not None:
+                    for w in g.neighbors[v]:
+                        sums[pos[w]] += labels[v]
+
+
+class TestHallCheck:
+    def test_sound_on_all_n6(self, all_n6):
+        for g in all_n6:
+            assert_hall_passes_every_labeling(g)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_sound_on_random_n6(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(5, 6)
+        density = rng.choice((0.5, 0.7, 0.9))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        assert_hall_passes_every_labeling(Graph.from_edges(n, edges))
 
 
 class TestDsatur:
