@@ -194,22 +194,45 @@ def multipartite_chain(part_sizes: Sequence[int]) -> list[int]:
     return s
 
 
+def eta_upper_bound(g: Graph) -> int:
+    """Upper bound on eta: 1 when every edge joins vertices of different
+    degree (0 for the empty graph), else the best of the degree and split
+    bounds. `combined_bounds` reports the same value."""
+    return _upper_bound(g)[0]
+
+
+def _upper_bound(g: Graph) -> tuple[int, list[tuple[str, object]]]:
+    """`eta_upper_bound` with its witnesses."""
+    if is_eta_one(g):
+        # the empty graph needs no label at all: eta(K_0) = 0 = chi(K_0)
+        return min(g.n, 1), [("degree_distinct_edges", None)]
+    upper = degree_upper_bound(g)
+    witnesses: list[tuple[str, object]] = [("max_degree", g.max_degree())]
+    split = split_recognize(g)
+    if split is not None:
+        q, s = split
+        bound = split_upper_bound(g, q, s)
+        if bound < upper:
+            upper = bound
+            witnesses.append(("split", (q, s)))
+    return upper, witnesses
+
+
 def combined_bounds(g: Graph) -> BoundsReport:
     """Aggregate bounds: eta_lower <= eta(g) <= eta_upper.
 
     The eta = 1 characterization short-circuits both bounds to 1 (to 0 for
     the empty graph); otherwise the lower bound is the best of the twin and
     clique bounds (at least 2, since some edge joins equal-degree vertices),
-    and the upper bound the best of the degree and split bounds.
+    and the upper bound is `eta_upper_bound`.
     """
-    witnesses: list[tuple[str, object]] = []
-    if is_eta_one(g):
-        # the empty graph needs no label at all: eta(K_0) = 0 = chi(K_0)
-        value = min(g.n, 1)
-        witnesses.append(("degree_distinct_edges", None))
-        return BoundsReport(value, value, tuple(witnesses))
+    upper, upper_witnesses = _upper_bound(g)
+    # only the eta = 1 short-circuit gives upper <= 1: otherwise the upper
+    # bound is sound and some edge joins vertices of equal degree, so eta >= 2
+    if upper <= 1:
+        return BoundsReport(upper, upper, tuple(upper_witnesses))
     lower = 2
-    witnesses.append(("equal_degree_edge", None))
+    witnesses: list[tuple[str, object]] = [("equal_degree_edge", None)]
     twin_class = largest_true_twin_class(g)
     if len(twin_class) > lower:
         lower = len(twin_class)
@@ -218,14 +241,5 @@ def combined_bounds(g: Graph) -> BoundsReport:
     if clique_value > lower:
         lower = clique_value
         witnesses.append(("clique", clique))
-    upper = degree_upper_bound(g)
-    witnesses.append(("max_degree", g.max_degree()))
-    split = split_recognize(g)
-    if split is not None:
-        q, s = split
-        bound = split_upper_bound(g, q, s)
-        if bound < upper:
-            upper = bound
-            witnesses.append(("split", (q, s)))
     assert lower <= upper
-    return BoundsReport(lower, upper, tuple(witnesses))
+    return BoundsReport(lower, upper, tuple(witnesses + upper_witnesses))

@@ -147,7 +147,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
         if sub.edge_count == 0:
             print(f"{path}: skipped (component has no edges, eta = 1)")
             continue
-        ub = args.ub if args.ub is not None else _bounds.combined_bounds(sub).eta_upper
+        ub = args.ub if args.ub is not None else _bounds.eta_upper_bound(sub)
         try:
             model = _milp.build_model(
                 sub, ub, valid_inequalities=args.valid, twin_symmetry=args.symmetry

@@ -9,19 +9,38 @@ thousand vertices at most), so O(n^2) memory is fine.
 A graph also caches the data that bounds, the eta search and the chi solve
 all derive from it: the degree tuple, the search order (descending degree,
 then id), the true-twin classes and the greedy cliques. Each is computed on
-first use and kept in the instance `__dict__` (`functools.cached_property`),
-so every layer reads the same values instead of rebuilding them. This is
-safe because the graph is immutable and every cached value is a tuple of
-ints or of int tuples: no caller can change it, and equality and hashing
-still look only at the four fields.
+first use and kept in the instance `__dict__` (`_cached`), so every layer
+reads the same values instead of rebuilding them. This is safe because the
+graph is immutable and every cached value is a tuple of ints or of int
+tuples: no caller can change it, and equality and hashing still look only
+at the four fields.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+
+class _cached:
+    """Method turned attribute, computed on first access and stored in the
+    instance `__dict__`, which shadows this non-data descriptor from then
+    on. Unlike `functools.cached_property` on Python 3.11 it takes no lock:
+    a graph is immutable, so two threads filling it store equal values."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -60,20 +79,20 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
-    @cached_property
+    @_cached
     def _degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.neighbors))
 
     def max_degree(self) -> int:
         return max(self._degrees, default=0)
 
-    @cached_property
+    @_cached
     def search_order(self) -> tuple[int, ...]:
         """Vertices by descending degree, then ascending id."""
         deg = self._degrees
         return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
 
-    @cached_property
+    @_cached
     def true_twins(self) -> tuple[tuple[int, ...], ...]:
         """Maximal classes of the equivalence N[u] = N[v], singletons
         included, each ascending, ordered by smallest member."""
@@ -82,7 +101,7 @@ class Graph:
             groups.setdefault(mask | 1 << v, []).append(v)
         return tuple(map(tuple, groups.values()))
 
-    @cached_property
+    @_cached
     def greedy_cliques(self) -> tuple[tuple[int, ...], ...]:
         """One clique per start vertex, in growth order: the clique
         repeatedly takes the common neighbor that keeps the most common

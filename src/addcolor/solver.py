@@ -38,16 +38,50 @@ single-point members have every term labeled, and their symmetric
 difference lies in those terms, so the edge check has already compared
 them.
 
-Each k >= 3 first checks every distinct greedy clique with more than k
-members at the root, where nothing is labeled; one failure rules k out
-with no nodes. Inside the search, after the edge checks at position i
-pass, the check re-runs on the tight cliques: those that fail the root
-check with k - 1 labels and have i as a member or an outside neighbor. It
-only cuts subtrees without an additive labeling, so the first labeling
-found is the same and the node count can only fall. The check starts at
-k = 3 (`HALL_MIN_K`): 9 380 of the 10 493 searched connected 8-vertex
-graphs end at k = 2 after about 21 nodes, and starting at k = 2 made
-`eta_exact` on them 2.5 times slower (213 vs 84 us per graph).
+The check is armed on demand. A call builds the clique terms only once it
+has spent `HALL_AFTER` search nodes. It then checks the current k at the
+root, where nothing is labeled, over every distinct greedy clique with more
+than k members, and abandons k at once if one fails. Every later k gets the
+same root check before its search, so a k the check rules out costs no
+nodes: on thick-spider:q it refutes k = 2, whose search tree alone has
+2^(q+4) - 2 nodes. From k = 3 on (`HALL_MIN_K`) the search also re-runs the
+check after the edge checks at position i pass, on the tight cliques: those
+that fail the root check with k - 1 labels and have i as a member or an
+outside neighbor. At k = 2 nearly every clique is tight (with one label
+every interval is a single point), and re-checking them there cut 12 % of
+the panel nodes below but made it 2.6 times slower (at HALL_AFTER = 64).
+The check only cuts subtrees without an additive labeling, so the value
+and the first labeling found are those of the plain search. The node count
+can rise a little over an eager check: by the nodes spent before arming
+that it would have cut (at most 145 on every graph of data/ and the tested
+families).
+
+Times below are CPython 3.11.7 on a 2-vCPU virtual machine. Building the
+terms and the root check cost about 33 search nodes on connected 8-vertex
+graphs (23-29 us at 0.71-0.83 us per node, two runs) and about 80-90 on
+G(16, 1/2) (77-110 us). Yet the check cuts only 3 % of the nodes of the
+8-vertex searches that reach k = 3, so arming there rarely pays back: of
+the 10 493 searched 8-vertex graphs, 926 reach 64 nodes, 347 reach 128
+and 108 reach 256; 9 380 end at k = 2 after about 21 nodes. HALL_AFTER
+against the eager check it replaced (from k = 3, at the root and inside),
+each instance timed under every setting in turn, the sum of per-instance
+minima over 7 (panel) or 5 (n = 8) passes. Panel: the 11 solve-panel
+family instances and 32 seeded G(16, 1/2) under a 300 000-node budget;
+n = 8: the 10 493 graphs of graphs_conn_n8.g6 whose bounds do not meet;
+lb and ub from the bounds:
+
+    HALL_AFTER       panel nodes  panel s  n = 8 nodes  n = 8 eta s
+    eager, k >= 3        125 872    0.100      297 574     0.537
+    32                    95 486    0.079      298 031     0.577
+    64                    95 736    0.079      299 170     0.534
+    128                   96 251    0.079      300 049     0.507
+    256                   97 276    0.079      300 493     0.493
+
+The panel does not tell 32 to 256 apart. At 64 the 8-vertex searches cost
+what the eager check cost them; 128 takes back most of that (a search
+that never arms ran 0.457 s against the eager 0.494 s in a separate run
+of the same kind) while keeping the rise in any call's node count near
+HALL_AFTER.
 
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound (the largest of the graph's cached greedy
@@ -72,9 +106,14 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# the clique-sum check starts at k = 3: most searched graphs end at k = 2
-# after a few dozen nodes, and building the clique terms for them costs
-# more than the search (measured in the module docstring)
+# the clique-sum check is armed once a call has spent this many nodes: most
+# searches end sooner, and on small graphs building the clique terms costs
+# more than the check saves (measured in the module docstring)
+HALL_AFTER = 128
+
+# the search re-checks tight cliques from k = 3 on; at k = 2 nearly every
+# clique is tight, and re-checking them costs more than it cuts (measured in
+# the module docstring); the root check runs at every k once armed
 HALL_MIN_K = 3
 
 
@@ -153,27 +192,17 @@ def eta_exact(
             step[pos[b]] = gap
     cliques = None
     nodes = 0
+    # the next node count that needs a look: arming, then the budget
+    limit = min(HALL_AFTER, node_budget)
     for k in range(lb, ub + 1):
         labels = [0] * n
         sums = [0] * n
         # hall[i]: the clique terms to re-check once position i is labeled
         hall: list = [()] * n
-        if k >= HALL_MIN_K:
-            if cliques is None:
-                cliques = _clique_terms(
-                    [c for c in g.greedy_cliques if len(c) > HALL_MIN_K], pos, masks
-                )
-            # the search re-checks only the cliques that are tight at the
-            # root, failing it with one label fewer; intervals widen with k,
-            # so only a tight clique can fail the root check at k
-            tight = [
-                (touch, terms) for touch, terms in cliques
-                if len(terms) > k and not _hall_ok(terms, sums, 0, k - 1)
-            ]
-            if not all(_hall_ok(terms, sums, 0, k) for _, terms in tight):
+        if cliques is not None:
+            hall = _hall_root(cliques, k, n)
+            if hall is None:
                 continue
-            if tight:
-                hall = [[terms for touch, terms in tight if touch >> p & 1] for p in range(n)]
         i = 0
         while 0 <= i < n:
             # next label of position i: one past its current label, else the
@@ -189,9 +218,21 @@ def eta_exact(
                 lab = 1
             while lab <= k:
                 nodes += 1
-                if nodes > node_budget:
-                    stats = SolveStats(nodes, time.perf_counter() - start)
-                    return SolveResult(BUDGET_EXCEEDED, None, None, stats)
+                if nodes > limit:
+                    if nodes > node_budget:
+                        stats = SolveStats(nodes, time.perf_counter() - start)
+                        return SolveResult(BUDGET_EXCEEDED, None, None, stats)
+                    # the search is not cheap after all: arm the check
+                    limit = node_budget
+                    cliques = _clique_terms(
+                        [c for c in g.greedy_cliques if len(c) > k], pos, masks
+                    )
+                    hall = _hall_root(cliques, k, n)
+                    if hall is None:
+                        # k fails at the root: end its search as if
+                        # position 0 had run out of labels
+                        i, lab = 0, k + 1
+                        break
                 for w in nb:
                     sums[w] += lab
                 for a, b in edges:
@@ -255,6 +296,27 @@ def _clique_terms(
         )
         out.append((qmask | outside, terms))
     return out
+
+
+def _hall_root(
+    cliques: list[tuple[int, tuple[tuple[int, int, int], ...]]], k: int, n: int
+) -> list | None:
+    """The clique-sum check at the root for k labels: None when a clique
+    with more than k members fails it, else hall[i] for each position i,
+    the clique terms the search re-checks once i is labeled."""
+    zeros = [0] * n
+    # the tight cliques fail the root check with one label fewer; intervals
+    # widen with k, so only a tight clique can fail it at k, and only the
+    # tight ones are worth re-checking in the search
+    tight = [
+        (touch, terms) for touch, terms in cliques
+        if len(terms) > k and not _hall_ok(terms, zeros, 0, k - 1)
+    ]
+    if not all(_hall_ok(terms, zeros, 0, k) for _, terms in tight):
+        return None
+    if k < HALL_MIN_K:
+        return [()] * n
+    return [[terms for touch, terms in tight if touch >> p & 1] for p in range(n)]
 
 
 def _hall_ok(terms: tuple[tuple[int, int, int], ...], sums: list[int], free: int, k: int) -> bool:

@@ -8,6 +8,7 @@ from addcolor.bounds import (
     clique_lower_bound,
     combined_bounds,
     degree_upper_bound,
+    eta_upper_bound,
     is_eta_one,
     largest_true_twin_class,
     multipartite_chain,
@@ -19,6 +20,7 @@ from addcolor.families import generate, parse_spec, split_labeling
 from addcolor.graph import Graph, verify_additive_coloring
 
 from oracles import clique_bound_naive, eta_naive, greedy_cliques_naive, is_split_naive
+from test_families import small_specs
 
 
 def g_of(text):
@@ -278,6 +280,11 @@ class TestCombined:
         report = combined_bounds(g)
         eta = eta_naive(g)
         assert report.eta_lower <= eta <= report.eta_upper
+
+    def test_upper_bound_alone_matches(self, all_n6, conn_small):
+        # every graph in data/ with n <= 7, and the small family instances
+        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
+            assert eta_upper_bound(g) == combined_bounds(g).eta_upper
 
     def test_witnesses_reverify(self, conn_small):
         for g in conn_small:

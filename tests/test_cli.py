@@ -121,10 +121,12 @@ def test_solve_budget_exhausted(capsys):
 @pytest.mark.parametrize(
     "text",
     ["thick-spider:7", "thick-spider:8", "thick-spider:9", "thick-spider:10",
-     "thin-spider:8", "complete-sun:10", "complete-sun:11", "complete-sun:12"],
+     "thin-spider:8", "complete-sun:10", "complete-sun:11", "complete-sun:12",
+     "thick-spider:16"],
 )
 def test_solve_hard_family_instances_within_budget(capsys, text):
-    # the benchmark panel's family instances under its node budget
+    # the benchmark panel's family instances under its node budget, and a
+    # spider whose 2-label tree alone would exceed that budget
     g = generate(parse_spec(text))
     code, out, _ = run(capsys, "solve", write_graph6(g), "--budget", "300000")
     assert code == 0

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from addcolor.bounds import degree_upper_bound
 from addcolor.graph import Graph, verify_additive_coloring
-from addcolor.families import generate, parse_spec
+from addcolor.families import eta_formula, generate, parse_spec
+from addcolor.graph6 import read_graph6_file
+from addcolor import solver
 from addcolor.solver import (
     BUDGET_EXCEEDED,
+    HALL_AFTER,
     OPTIMAL,
     UB_EXCEEDED,
     ResourceLimitError,
@@ -21,6 +24,7 @@ from addcolor.solver import (
     _hall_ok,
 )
 
+from conftest import DATA
 from oracles import additive_labelings, chi_naive, dsatur_naive, eta_naive
 from test_families import small_specs
 
@@ -35,6 +39,20 @@ def g_of(text):
 # before the search pruned on clique sums, which must not change the
 # labelling it finds first.
 GOLDEN_ETA = "bae4f5bd262d97cf16fb708d76ec69c64dcd0dbfa94c6e371381f6b17830fe76"
+
+# the same digest over searches that run past the node count at which the
+# clique-sum check is armed: every graph of graphs_conn_n8.g6 (366 of them
+# took more than 128 nodes, from one lb or the other, with the check started
+# eagerly at k = 3), ARMING_SPECS and 40 seeded G(14, 1/2); computed with
+# that eager check, so arming it mid-search must not change the labelling
+# found first.
+GOLDEN_ARMING = "96e2030e8d029f73d462ecfd3a21b3440eea4ec521f73934a899e6dc296f9e79"
+ARMING_SPECS = (
+    [f"thick-spider:{q}" for q in range(7, 13)]
+    + [f"complete-sun:{q}" for q in range(10, 13)]
+    + ["wheel:15"]
+    + [f"cycle:{n}" for n in range(13, 18)]
+)
 
 
 class TestEtaExact:
@@ -52,6 +70,24 @@ class TestEtaExact:
     def test_known_values(self, text, expected):
         result = eta_exact(g_of(text))
         assert result.status == OPTIMAL and result.value == expected
+
+    @pytest.mark.parametrize("q", range(7, 17))
+    def test_thick_spider_refutes_small_k_at_the_root(self, q):
+        # without the root clique-sum check, k = 2 alone walks a binary tree
+        # of 2^(q+4) - 2 nodes
+        spec = parse_spec(f"thick-spider:{q}")
+        result = eta_exact(generate(spec))
+        assert result.status == OPTIMAL and result.value == eta_formula(spec)
+        assert result.stats.nodes < 1000
+
+    def test_clique_terms_built_once_past_hall_after(self, monkeypatch):
+        calls = []
+        build = solver._clique_terms
+        monkeypatch.setattr(solver, "_clique_terms", lambda *args: calls.append(1) or build(*args))
+        cheap = eta_exact(g_of("cycle:5"))
+        assert cheap.value == 3 and cheap.stats.nodes <= HALL_AFTER and not calls
+        hard = eta_exact(g_of("complete-sun:10"))
+        assert hard.value == 4 and hard.stats.nodes > HALL_AFTER and len(calls) == 1
 
     def test_petersen_regression(self, petersen):
         # pinned after the first verified run (naive enumeration agrees)
@@ -117,11 +153,27 @@ class TestEtaExact:
                 assert eta_exact(g).value == eta_naive(g)
 
     def test_results_match_golden_digest(self, all_n6, conn_small):
-        digest = hashlib.sha256()
-        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
-            for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
-                digest.update(f"{r.status} {r.value} {r.certificate.labels}\n".encode())
-        assert digest.hexdigest() == GOLDEN_ETA
+        graphs = all_n6 + conn_small + [g_of(text) for text in small_specs()]
+        assert results_digest(graphs) == GOLDEN_ETA
+
+    def test_results_match_arming_digest(self):
+        graphs = read_graph6_file(str(DATA / "graphs_conn_n8.g6"))
+        graphs += [g_of(text) for text in ARMING_SPECS]
+        rng = random.Random(14)
+        for _ in range(40):
+            edges = [(u, v) for v in range(14) for u in range(v) if rng.random() < 0.5]
+            graphs.append(Graph.from_edges(14, edges))
+        assert results_digest(graphs) == GOLDEN_ARMING
+
+
+def results_digest(graphs):
+    """sha256 over (status, value, certificate) of eta_exact(g) and of
+    eta_exact(g, 1, degree bound), graph by graph."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
+            digest.update(f"{r.status} {r.value} {r.certificate.labels}\n".encode())
+    return digest.hexdigest()
 
 
 def assert_hall_passes_every_labeling(g):
