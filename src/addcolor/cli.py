@@ -88,7 +88,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    g = _families.generate(spec)
+    g = cert.graph
     report = _bounds.combined_bounds(g)
     print(f"family: {spec.text()}")
     print(f"n={g.n} m={g.edge_count}")

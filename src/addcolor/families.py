@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple, Optional
 
@@ -427,13 +427,14 @@ def _join_labeling(inner: Labeling, q: int) -> Labeling:
 
 
 def _join_certificate(q: int, inner: FamilySpec) -> tuple[Labeling, str]:
-    labeling, prov = _labeled(inner)
+    labeling, prov = _labeled(inner, None)
     out = PROVENANCE_CONSTRUCTION if prov == PROVENANCE_CONSTRUCTION else PROVENANCE_HYBRID
     return _join_labeling(labeling, q), out
 
 
-def _labeled(spec: FamilySpec) -> tuple[Labeling, str]:
-    """Certificate labeling plus how it was obtained.
+def _labeled(spec: FamilySpec, g: Graph | None) -> tuple[Labeling, str]:
+    """Certificate labeling plus how it was obtained; g is the spec's graph,
+    or None to build it only if the solver needs it.
 
     Provenance is "construction" for a pure closed-form labeling, "solver"
     for a fallback exact solve (the rows with no labeling), and
@@ -441,12 +442,11 @@ def _labeled(spec: FamilySpec) -> tuple[Labeling, str]:
     """
     construct = _FAMILIES[spec.kind].labeling
     if construct is None:
-        return _solver_labeling(spec), PROVENANCE_SOLVER
+        return _solver_labeling(spec, generate(spec) if g is None else g), PROVENANCE_SOLVER
     return construct(*_args(spec))
 
 
-def _solver_labeling(spec: FamilySpec) -> Labeling:
-    g = generate(spec)
+def _solver_labeling(spec: FamilySpec, g: Graph) -> Labeling:
     target = eta_formula(spec)
     result = _solver.eta_exact(g, lb=target, ub=target)
     if not result.ok:
@@ -575,17 +575,19 @@ class EtaCertificate:
     labeling: Labeling
     provenance: str
     lower_bound_witness: str
+    graph: Graph = field(compare=False, repr=False)
 
 
 def certify(spec: FamilySpec) -> EtaCertificate:
-    """Formula value plus a verified certificate labeling and witness."""
+    """Formula value plus a verified certificate labeling and witness, with
+    the graph they certify."""
     g = generate(spec)
     eta = eta_formula(spec)
-    labeling, provenance = _labeled(spec)
+    labeling, provenance = _labeled(spec, g)
     if labeling.k != eta or not verify_additive_coloring(g, labeling):
         raise AssertionError(f"certificate failed verification for {spec.text()}")
     if eta == 1:
         witness = "every edge joins vertices of different degree (eta = 1)"
     else:
         witness = _FAMILIES[spec.kind].witness(*_args(spec))
-    return EtaCertificate(spec, eta, labeling, provenance, witness)
+    return EtaCertificate(spec, eta, labeling, provenance, witness, g)

@@ -83,6 +83,70 @@ that never arms ran 0.457 s against the eager 0.494 s in a separate run
 of the same kind) while keeping the rise in any call's node count near
 HALL_AFTER.
 
+The search also records failed states (nogood recording; Dechter,
+*Enhancement schemes for constraint processing*, Artificial Intelligence
+41, 1990). Once positions 0..i-1 are labeled, whether the subtree at i
+holds an additive labeling depends only on the key of i:
+
+- for each edge (a, b) checked at i or later whose N(a) ^ N(b) has a
+  labeled position, the difference sums[a] - sums[b]. What the unlabeled
+  positions still add to it, with A plus and B minus terms of labels in
+  1..k, lies in [A - kB, kA - B], the interval rule of `_hall_ok`. A
+  difference outside [B - kA, kB - A] can never reach 0, so the edge holds
+  whatever follows and the key holds None for it: states that differ only
+  in such settled edges share a key. An edge with no labeled term has
+  difference 0 in every state and adds nothing;
+- the labels of the twin-chain predecessors before i whose successors lie
+  at i or later, which bound the successors' least labels.
+
+The clique-sum check adds nothing to the key: it only cuts subtrees without
+an additive labeling, so it cannot make a subtree fail. Backtracking out of
+position i stores the key computed on entry as failed, for the current k,
+and a later entry to i with a stored key skips the subtree. Only failed
+subtrees are cut, so the value and the first labeling found stay those of
+the plain search.
+
+The cache arms with the clique-sum check, at HALL_AFTER nodes, and only
+when no position has more than NOGOOD_WIDTH * n key terms. A call that
+arms it builds the key terms in O(n + m + the sum of the key widths); a
+wider call builds none and searches exactly as before. Keys can still fail
+to repeat on narrow graphs: 26-vertex graphs made of a random Hamiltonian
+cycle and a random perfect matching have 1.3n to 1.5n terms, and about one
+stored key in a thousand is hit, while on the cycles and wheels below
+about one in four is hit, the first within the first 13 stored. So the
+cache gives up once it has stored more than n + NOGOOD_MISSES * (hits + 1)
+keys. Nodes and time (best of 9, of 3 above
+100 000 nodes) from the default bounds under a 300 000-node budget, the
+cache never armed against the cache as armed here and against a cache that
+never gives up:
+
+    instance                  never armed      armed           never gives up
+    cycle:25                  47 803  25.3 ms   1 401   3.0 ms   1 401   2.6 ms
+    cycle:33                  over budget       1 923   3.5 ms   1 923   3.4 ms
+    cycle:41                  over budget       2 453   6.9 ms   2 453   4.3 ms
+    wheel:15                   3 779   3.1 ms     757   2.3 ms     757   2.4 ms
+    wheel:25                  95 576  89.4 ms   1 420   7.5 ms   1 420   6.9 ms
+    path:150, lb = ub = 2        196   0.5 ms     196   1.3 ms     196   1.0 ms
+    complete-sun:10 (wide)     4 082   9.2 ms   4 082   9.5 ms   4 082   9.2 ms
+    4 cycle + matching, n = 26 48 264  39.7 ms  48 258  43.7 ms  48 152 193.6 ms
+
+Of the 10 493 searched 8-vertex graphs (as in the HALL_AFTER table), 347
+arm the clique-sum check. The width gate decides how many of them arm the
+cache too, and what the sweep pays for it, as the sum of per-graph minima
+over 5 passes, two runs:
+
+    NOGOOD_WIDTH   cache armed   n = 8 nodes   n = 8 eta s
+    never                    0       300 049   0.751  0.780
+    1.5                     11       300 043   0.748  0.782
+    2                      127       299 684   0.767  0.804
+    any width              347       299 142   0.809  0.847
+
+The panel admits cycle:25 (6 terms) and wheel:15 (21) at both 1.5 and 2
+and rejects G(16, 1/2) (57-68), complete-sun:10-12 (65-90) and the
+spiders (36 and up) at both; a wheel on n vertices has n + 5 terms, within
+1.5n from n = 10 on. So 1.5 keeps the wheels and costs the 8-vertex
+searches nothing measurable.
+
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound (the largest of the graph's cached greedy
 cliques), and backtracking k-colorability in between. DSATUR keeps each
@@ -96,6 +160,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import bounds as _bounds
 from .graph import Graph, Labeling, iter_bits, twin_refined_partition, verify_additive_coloring
@@ -115,6 +180,18 @@ HALL_AFTER = 128
 # clique is tight, and re-checking them costs more than it cuts (measured in
 # the module docstring); the root check runs at every k once armed
 HALL_MIN_K = 3
+
+# the nogood cache arms with the clique-sum check, but only when no position
+# has more than NOGOOD_WIDTH * n key terms: wide keys rarely repeat, and
+# building them costs more than the hits save (measured in the module
+# docstring)
+NOGOOD_WIDTH = 1.5
+
+# the cache gives up once it has stored more than n + NOGOOD_MISSES * (hits
+# + 1) keys: on searches where it pays, about one stored key in four is hit
+# later; where keys rarely repeat, it would cost the search several times
+# over (measured in the module docstring)
+NOGOOD_MISSES = 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -164,33 +241,8 @@ def eta_exact(
         raise ValueError(f"need 1 <= lb <= ub, got lb={lb}, ub={ub}")
     start = time.perf_counter()
     n = g.n
-    # work on positions in search order: pos[v] is the position of vertex v
-    order = g.search_order
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    neighbors = [sorted(pos[w] for w in g.neighbors[v]) for v in order]
-    masks = [0] * n
-    for i, nb in enumerate(neighbors):
-        for w in nb:
-            masks[i] |= 1 << w
-    # common neighbors add the same label to both sums, so edge (u, v) is
-    # decided once N(u) ^ N(v) is labeled: check it at that set's last position
-    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, nb in enumerate(neighbors):
-        for v in nb:
-            if u < v:
-                checks[(masks[u] ^ masks[v]).bit_length() - 1].append((u, v))
-    # symmetry breaking: chain each twin class in id order; twins share a
-    # degree, so the id order is the position order and the predecessor is
-    # always labeled first
-    pred: list[int | None] = [None] * n
-    step = [0] * n
-    for gap, cls in twin_refined_partition(g):
-        for a, b in zip(cls, cls[1:]):
-            pred[pos[b]] = pos[a]
-            step[pos[b]] = gap
-    cliques = None
+    pos, neighbors, masks, checks, pred, step = _positions(g)
+    cliques = cuts = None
     nodes = 0
     # the next node count that needs a look: arming, then the budget
     limit = min(HALL_AFTER, node_budget)
@@ -203,6 +255,11 @@ def eta_exact(
             hall = _hall_root(cliques, k, n)
             if hall is None:
                 continue
+        # nogood cache: cut[i] the key terms at position i, failed[i] the
+        # keys whose subtree failed, keys[i] the key of the current entry
+        cut = None
+        if cuts is not None:
+            cut, failed, keys = _nogoods(cuts, k, n)
         i = 0
         while 0 <= i < n:
             # next label of position i: one past its current label, else the
@@ -212,21 +269,31 @@ def eta_exact(
                 for w in nb:
                     sums[w] -= lab
                 lab += 1
-            elif pred[i] is not None:
-                lab = labels[pred[i]] + step[i]
             else:
-                lab = 1
+                if cut is not None:
+                    key = _nogood_key(*cut[i], sums, labels)
+                    if key in failed[i]:
+                        credit += NOGOOD_MISSES
+                        i -= 1
+                        continue
+                    keys[i] = key
+                lab = 1 if pred[i] is None else labels[pred[i]] + step[i]
             while lab <= k:
                 nodes += 1
                 if nodes > limit:
                     if nodes > node_budget:
                         stats = SolveStats(nodes, time.perf_counter() - start)
                         return SolveResult(BUDGET_EXCEEDED, None, None, stats)
-                    # the search is not cheap after all: arm the check
+                    # the search is not cheap after all: arm the check and,
+                    # if every cut is narrow, the cache
                     limit = node_budget
                     cliques = _clique_terms(
                         [c for c in g.greedy_cliques if len(c) > k], pos, masks
                     )
+                    cuts = _cut_terms(masks, checks, pred, NOGOOD_WIDTH * n)
+                    if cuts is not None:
+                        cut, failed, keys = _nogoods(cuts, k, n)
+                        credit = n + NOGOOD_MISSES
                     hall = _hall_root(cliques, k, n)
                     if hall is None:
                         # k fails at the root: end its search as if
@@ -253,6 +320,12 @@ def eta_exact(
                 i += 1
             else:
                 labels[i] = 0
+                if cut is not None and keys[i] is not None:
+                    failed[i].add(keys[i])
+                    credit -= 1
+                    if credit < 0:
+                        # the keys do not repeat: give the cache up
+                        cut = cuts = None
                 i -= 1
         if i == n:
             cert = Labeling(tuple(labels[p] for p in pos))
@@ -261,6 +334,100 @@ def eta_exact(
             return SolveResult(OPTIMAL, k, cert, stats)
     stats = SolveStats(nodes, time.perf_counter() - start)
     return SolveResult(UB_EXCEEDED, None, None, stats)
+
+
+def _positions(g: Graph) -> tuple:
+    """The search's view of g, with vertices renumbered to their positions
+    in its search order: pos[v] for each vertex v, then for each position
+    its sorted neighbors, their mask, the edges checked there, and its
+    twin-chain predecessor and step."""
+    n = g.n
+    order = g.search_order
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    neighbors = [sorted(pos[w] for w in g.neighbors[v]) for v in order]
+    masks = [0] * n
+    for i, nb in enumerate(neighbors):
+        for w in nb:
+            masks[i] |= 1 << w
+    # common neighbors add the same label to both sums, so edge (u, v) is
+    # decided once N(u) ^ N(v) is labeled: check it at that set's last position
+    checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, nb in enumerate(neighbors):
+        for v in nb:
+            if u < v:
+                checks[(masks[u] ^ masks[v]).bit_length() - 1].append((u, v))
+    # symmetry breaking: chain each twin class in id order; twins share a
+    # degree, so the id order is the position order and the predecessor is
+    # always labeled first
+    pred: list[int | None] = [None] * n
+    step = [0] * n
+    for gap, cls in twin_refined_partition(g):
+        for a, b in zip(cls, cls[1:]):
+            pred[pos[b]] = pos[a]
+            step[pos[b]] = gap
+    return pos, neighbors, masks, checks, pred, step
+
+
+def _cut_terms(
+    masks: list[int], checks: list[list[tuple[int, int]]], pred: list[int | None], most: float
+) -> list[tuple[list[tuple[int, int, int, int]], list[int]]] | None:
+    """The terms of the nogood key at each position i, or None when some
+    position has more than `most` of them. The edge terms are (a, b, A, B)
+    for each edge (a, b) checked at or after i with a labeled term, where A
+    and B count the unlabeled positions of N(a) - N(b) and N(b) - N(a); the
+    link terms are the twin-chain predecessors before i of positions at or
+    after i."""
+    n = len(masks)
+    spans = []
+    for hi, edges in enumerate(checks):
+        for a, b in edges:
+            d = masks[a] ^ masks[b]
+            lo = (d & -d).bit_length() - 1
+            if lo < hi:
+                spans.append((lo, hi, a, b))
+    chains = [(p, s) for s, p in enumerate(pred) if p is not None]
+    # a term spans positions lo + 1 .. hi: count the terms at each position
+    count = [0] * (n + 1)
+    for lo, hi, *_ in spans + chains:
+        count[lo + 1] += 1
+        count[hi + 1] -= 1
+    if max(accumulate(count)) > most:
+        return None
+    cuts: list = [([], []) for _ in range(n)]
+    for lo, hi, a, b in spans:
+        plus, minus = masks[a] & ~masks[b], masks[b] & ~masks[a]
+        for i in range(lo + 1, hi + 1):
+            cuts[i][0].append((a, b, (plus >> i).bit_count(), (minus >> i).bit_count()))
+    for p, s in chains:
+        for i in range(p + 1, s + 1):
+            cuts[i][1].append(p)
+    return cuts
+
+
+def _nogoods(cuts: list, k: int, n: int) -> tuple[list, list[set], list]:
+    """Fresh nogood tables for k labels: the key terms of each position
+    with the range in which each edge difference can still reach 0, an
+    empty set of failed keys per position, and no entry keys."""
+    # the later change of sums[a] - sums[b] lies in [A - kB, kA - B], so the
+    # difference can still reach 0 only inside [B - kA, kB - A]
+    cut = [
+        ([(a, b, bb - k * aa, k * bb - aa) for a, b, aa, bb in edges], links)
+        for edges, links in cuts
+    ]
+    return cut, [set() for _ in range(n)], [None] * n
+
+
+def _nogood_key(
+    edges: list[tuple[int, int, int, int]], links: list[int], sums: list[int], labels: list[int]
+) -> tuple:
+    """The state that decides the subtree at a position: each edge
+    difference still to check, None once it can no longer reach 0, and the
+    labels of the twin-chain predecessors already placed."""
+    key = [d if lo <= (d := sums[a] - sums[b]) <= hi else None for a, b, lo, hi in edges]
+    key += [labels[p] for p in links]
+    return tuple(key)
 
 
 def _clique_terms(
@@ -382,27 +549,40 @@ def greedy_clique_lower_bound(g: Graph) -> int:
 
 
 def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Backtracking k-colorability; colors restricted to 1 + max used so far."""
+    """Backtracking k-colorability; colors restricted to 1 + max used so far.
+
+    An index over the search order moves forward and back, as in
+    `eta_exact`. Bit c of taken[i] is set when a neighbor earlier in the
+    order has color c, and used[i] is the largest color before position i.
+    """
     n = g.n
     order = g.search_order
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier = [[pos[w] for w in g.neighbors[v] if pos[w] < i] for i, v in enumerate(order)]
     colors = [0] * n
-
-    def dfs(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        taken = {colors[w] for w in g.neighbors[v] if colors[w]}
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if c in taken:
-                continue
-            colors[v] = c
-            if dfs(i + 1, max(used, c)):
-                return True
-        colors[v] = 0
-        return False
-
-    return tuple(colors) if dfs(0, 0) else None
+    taken = [0] * n
+    used = [0] * (n + 1)
+    i = 0
+    while 0 <= i < n:
+        c = colors[i]
+        if not c:
+            mask = 0
+            for w in earlier[i]:
+                mask |= 1 << colors[w]
+            taken[i] = mask
+        # the least color above c that no earlier neighbor has
+        free = ~taken[i] & (-1 << (c + 1))
+        c = (free & -free).bit_length() - 1
+        if c <= min(k, used[i] + 1):
+            colors[i] = c
+            used[i + 1] = max(used[i], c)
+            i += 1
+        else:
+            colors[i] = 0
+            i -= 1
+    return tuple(colors[p] for p in pos) if i == n else None
 
 
 def verify_proper_coloring(g: Graph, colors: tuple[int, ...]) -> bool:

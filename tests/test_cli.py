@@ -44,6 +44,20 @@ def test_family_multipartite_solver_certified(capsys):
     assert "solver" in out
 
 
+@pytest.mark.parametrize("text", ["cycle:201", "path:150"])
+def test_family_builds_its_graph_once(capsys, monkeypatch, text):
+    # certify builds the graph; the report and, for path, the solver
+    # fallback use that one
+    built = []
+    build = Graph.from_edges
+    monkeypatch.setattr(
+        Graph, "from_edges", staticmethod(lambda *args: built.append(1) or build(*args))
+    )
+    code, out, _ = run(capsys, "family", text)
+    assert code == 0 and "verified: additive coloring" in out and "OK" in out
+    assert len(built) == 1
+
+
 def test_family_bad_spec(capsys):
     code, _, err = run(capsys, "family", "fan:1")
     assert code == 1

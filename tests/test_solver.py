@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -47,6 +48,12 @@ GOLDEN_ETA = "bae4f5bd262d97cf16fb708d76ec69c64dcd0dbfa94c6e371381f6b17830fe76"
 # that eager check, so arming it mid-search must not change the labelling
 # found first.
 GOLDEN_ARMING = "96e2030e8d029f73d462ecfd3a21b3440eea4ec521f73934a899e6dc296f9e79"
+# sha256 over (value, certificate) of chromatic_exact on every graph of
+# graphs_conn_n1-7.g6, then graphs_conn_n8.g6; computed with the recursive
+# k-colorability search, which the index loop must match labeling for
+# labeling.
+GOLDEN_CHI = "5ce102668fd9edaaa2fc766d498e2bbd2a039c0c799b04983bce54163584af79"
+
 ARMING_SPECS = (
     [f"thick-spider:{q}" for q in range(7, 13)]
     + [f"complete-sun:{q}" for q in range(10, 13)]
@@ -88,6 +95,39 @@ class TestEtaExact:
         assert cheap.value == 3 and cheap.stats.nodes <= HALL_AFTER and not calls
         hard = eta_exact(g_of("complete-sun:10"))
         assert hard.value == 4 and hard.stats.nodes > HALL_AFTER and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text,most",
+        [("cycle:25", 2000), ("cycle:33", 3000), ("cycle:41", 3000), ("wheel:25", 3000)],
+    )
+    def test_nogood_cache_keeps_narrow_searches_small(self, text, most):
+        # without the cache, k = 2 walks every labeling that holds along the
+        # search order: 47 803 nodes on cycle:25, 95 576 on wheel:25 and
+        # more than 300 000 on cycle:33 and cycle:41
+        spec = parse_spec(text)
+        result = eta_exact(generate(spec), node_budget=300_000)
+        assert result.status == OPTIMAL and result.value == eta_formula(spec)
+        assert result.stats.nodes <= most
+
+    def test_nogood_tables_built_only_for_narrow_calls(self, monkeypatch):
+        built = []
+        build = solver._cut_terms
+        monkeypatch.setattr(
+            solver, "_cut_terms", lambda *args: built.append(build(*args)) or built[-1]
+        )
+        assert eta_exact(g_of("cycle:5")).value == 3 and not built
+        # wide calls arm the clique-sum check but build no cache tables, and
+        # search exactly the nodes they searched before the cache existed
+        rng = random.Random(16)
+        wide = [(g_of("complete-sun:10"), 4, 4082)]
+        edges = [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.5]
+        wide.append((Graph.from_edges(16, edges), 3, 18867))
+        for g, eta, nodes in wide:
+            result = eta_exact(g)
+            assert (result.value, result.stats.nodes) == (eta, nodes)
+        assert built == [None, None]
+        assert eta_exact(g_of("cycle:25")).value == 3
+        assert len(built) == 3 and built[-1] is not None
 
     def test_petersen_regression(self, petersen):
         # pinned after the first verified run (naive enumeration agrees)
@@ -219,6 +259,77 @@ class TestHallCheck:
         assert_hall_passes_every_labeling(Graph.from_edges(n, edges))
 
 
+def assert_keys_decide_extension(g):
+    """Prefix labelings that reach a position of the search order with the
+    same nogood key are all extendable to an additive labeling that keeps
+    the twin chains, or all dead; for k in eta - 1 .. eta + 1, by brute
+    force. The prefixes are those that pass the edge checks and the twin
+    chains so far, as in the search (without the clique-sum check, which
+    only removes prefixes)."""
+    n = g.n
+    pos, _, masks, checks, pred, step = solver._positions(g)
+    cuts = solver._cut_terms(masks, checks, pred, math.inf)
+    nbrs = [[pos[w] for w in g.neighbors[v]] for v in g.search_order]
+    # an edge is decided once N(u) ^ N(v) is labeled
+    decided = [[] for _ in range(n)]
+    for u, v in g.edges():
+        a, b = pos[u], pos[v]
+        decided[max(set(nbrs[a]) ^ set(nbrs[b]))].append((a, b))
+
+    def chained(lab, i):
+        return pred[i] is None or lab[i] >= lab[pred[i]] + step[i]
+
+    eta = eta_naive(g)
+    for k in range(max(1, eta - 1), eta + 2):
+        cut = solver._nogoods(cuts, k, n)[0]
+        full = [tuple(labels[v] for v in g.search_order) for labels in additive_labelings(g, k)]
+        full = [lab for lab in full if all(chained(lab, i) for i in range(n))]
+        # (prefix, neighborhood sums of its labels)
+        states = [((), [0] * n)]
+        for i in range(n):
+            extendable = {lab[:i] for lab in full}
+            verdict = {}
+            for prefix, sums in states:
+                key = solver._nogood_key(*cut[i], sums, prefix)
+                alive = prefix in extendable
+                assert verdict.setdefault(key, alive) == alive, (g, k, i, prefix)
+            reached = []
+            for prefix, sums in states:
+                for x in range(1, k + 1):
+                    longer = prefix + (x,)
+                    more = list(sums)
+                    for w in nbrs[i]:
+                        more[w] += x
+                    if chained(longer, i) and all(more[a] != more[b] for a, b in decided[i]):
+                        reached.append((longer, more))
+            states = reached
+
+
+class TestNogoodCache:
+    def test_keys_sound_on_all_n6(self, all_n6):
+        for g in all_n6:
+            assert_keys_decide_extension(g)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_keys_sound_on_random_n7(self, seed):
+        rng = random.Random(seed)
+        density = rng.choice((0.3, 0.5, 0.7))
+        edges = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < density]
+        assert_keys_decide_extension(Graph.from_edges(7, edges))
+
+    def test_armed_from_the_first_node_matches_golden_digest(
+        self, monkeypatch, all_n6, conn_small
+    ):
+        # every call arms the cache at its first node, whatever its width,
+        # and never gives it up
+        monkeypatch.setattr(solver, "HALL_AFTER", 0)
+        monkeypatch.setattr(solver, "NOGOOD_WIDTH", math.inf)
+        monkeypatch.setattr(solver, "NOGOOD_MISSES", math.inf)
+        graphs = all_n6 + conn_small + [g_of(text) for text in small_specs()]
+        assert results_digest(graphs) == GOLDEN_ETA
+
+
 class TestDsatur:
     def test_complete(self):
         count, colors = dsatur(g_of("complete:5"))
@@ -292,6 +403,14 @@ class TestChromatic:
             if g.n > 5:
                 break
             assert chromatic_exact(g).value == chi_naive(g)
+
+    def test_results_match_golden_digest(self):
+        digest = hashlib.sha256()
+        for name in ("graphs_conn_n1-7.g6", "graphs_conn_n8.g6"):
+            for g in read_graph6_file(str(DATA / name)):
+                result = chromatic_exact(g)
+                digest.update(f"{result.value} {result.certificate}\n".encode())
+        assert digest.hexdigest() == GOLDEN_CHI
 
     def test_clique_bound_valid(self, conn_small):
         for g in conn_small:
