@@ -37,24 +37,6 @@ def largest_true_twin_class(g: Graph) -> tuple[int, ...]:
     return max(g.true_twins, key=len, default=())
 
 
-def clique_lower_bound(g: Graph, clique: Sequence[int]) -> int:
-    """ceil((d1+1)/(d2-|Q|+2)) for a verified clique Q, with d1/d2 the
-    smallest/largest degree inside Q."""
-    verts = list(clique)
-    if not verts:
-        raise ValueError("clique must be non-empty")
-    if len(set(verts)) != len(verts):
-        raise ValueError("clique contains repeated vertices")
-    for v in verts:
-        g._check_vertex(v)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not g.masks[u] >> v & 1:
-                raise ValueError(f"vertices {u} and {v} are not adjacent: not a clique")
-    degrees = [g.degree(v) for v in verts]
-    return _clique_bound(min(degrees), max(degrees), len(verts))
-
-
 def _clique_bound(d1: int, d2: int, q: int) -> int:
     return -(-(d1 + 1) // (d2 - q + 2))
 

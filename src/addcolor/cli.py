@@ -58,9 +58,12 @@ def _read_edge_list(path: str) -> Graph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            fields = line.split()
+            try:
+                fields = [int(x) for x in line.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(fields) == 1 and declared_n is None and not edges:
-                declared_n = int(fields[0])
+                declared_n = fields[0]
                 if declared_n > WRITER_MAX_N:
                     raise ValueError(
                         f"{path}:{lineno}: declared n={declared_n} exceeds {WRITER_MAX_N}"
@@ -68,7 +71,7 @@ def _read_edge_list(path: str) -> Graph:
                 continue
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
-            edges.append((int(fields[0]), int(fields[1])))
+            edges.append((fields[0], fields[1]))
     n = declared_n
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
@@ -174,8 +177,8 @@ def _solve_record(
     """Solve one corpus line; pure function of the line, so worker count
     cannot change any record. None marks a graph skipped for having more
     than `max_n` vertices."""
-    index, line = item
-    record: dict = {"index": index, "g6": line}
+    _, line = item
+    record: dict = {"g6": line}
     try:
         g = parse_graph6(line)
     except Graph6FormatError as exc:
@@ -208,21 +211,27 @@ def _solve_record(
     chi_result = _solver.chromatic_exact(g, limit=chi_limit)
     chi = chi_result.value
     record.update(chi=chi, chi_source="exact")
-    # audit a deterministic ~1% sample of the formula short-circuits by
-    # re-solving; a mismatch is an internal bug, reported as its own status
-    # with both values so the evidence survives the sweep
-    if eta_source == "formula" and zlib.crc32(line.encode()) % AUDIT_RATE == 0:
-        recheck = _solver.eta_exact(g, 1, report.eta_upper, node_budget=budget)
-        if recheck.ok and recheck.value != eta:
+    # re-solve a formula short-circuit for a deterministic ~1% audit sample,
+    # and whenever it exceeds chi (a violation needs the solver's
+    # certificate); the re-solve takes no bound from the report it checks. A
+    # mismatch is an internal bug, reported as its own status with both
+    # values so the evidence survives the sweep
+    if eta_source == "formula" and (
+        eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0
+    ):
+        recheck = _solver.eta_exact(g, 1, node_budget=budget)
+        if not recheck.ok:
+            record["status"] = "budget-exceeded"
+            return record
+        if recheck.value != eta:
             record["status"] = "audit-mismatch"
             record["eta_solver"] = recheck.value
             return record
+        eta_cert = recheck.certificate
     if eta <= chi:
         record["status"] = "holds"
     else:
         record["status"] = "VIOLATION"
-        if eta_cert is None:
-            eta_cert = _solver.eta_exact(g, 1, report.eta_upper, node_budget=budget).certificate
         record["eta_cert"] = ",".join(str(x) for x in eta_cert.labels)
         record["chi_cert"] = ",".join(str(x) for x in chi_result.certificate)
     return record
@@ -262,7 +271,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     arrive, merged in input order; only the aggregates stay in memory."""
     started = time.perf_counter()
     try:
-        fh = open(args.corpus, "r", encoding="ascii")
+        # a non-ASCII byte decodes to U+FFFD, which the parser rejects, so
+        # the line becomes a parse-error record the UTF-8 report can hold
+        fh = open(args.corpus, "r", encoding="ascii", errors="replace")
         try:
             out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
         except OSError:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
@@ -168,6 +167,9 @@ def _check_join(spec: FamilySpec) -> None:
     q = spec.params[0]
     inner_g = generate(spec.inner)
     limit = inner_g.n - inner_g.max_degree() - 1
+    # eta(G v K_q) = max(eta(G), q) holds only up to this limit; from
+    # q = n - Delta on the formula genuinely fails (there is a counterexample
+    # already at q = n - Delta), so such specs are rejected
     _need(1 <= q <= limit,
           f"join with K_q needs 1 <= q <= n - max_degree - 1 = {limit}, got q={q}")
 
@@ -237,6 +239,15 @@ def _complete_sun(m: int) -> Graph:
     return Graph.from_edges(2 * m, edges)
 
 
+def _multipartite(*parts: int) -> Graph:
+    # part[v] is the index of v's part; the parts take consecutive ids
+    part = [i for i, p in enumerate(parts) for _ in range(p)]
+    n = len(part)
+    return Graph.from_edges(
+        n, [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]]
+    )
+
+
 def _biregular(nu: int, nv: int, du: int) -> Graph:
     # consecutive wrap-around intervals of length d_u tile Z_nv evenly, so
     # every right vertex ends up with degree n_u*d_u/n_v
@@ -256,25 +267,9 @@ def generate(spec: FamilySpec) -> Graph:
 # closed-form values
 
 
-def eta_of_join_with_complete(
-    inner_eta: int, inner_n: int, inner_max_degree: int, q: int
-) -> int:
-    """eta(G v K_q) = max(eta(G), q), valid only for q <= n - Delta - 1.
-
-    Outside that range the formula genuinely fails (there is a counterexample
-    already at q = n - Delta), so this raises instead of extrapolating.
-    """
-    limit = inner_n - inner_max_degree - 1
-    if not 1 <= q <= limit:
-        raise ValueError(
-            f"join formula needs 1 <= q <= n - max_degree - 1 = {limit}, got q={q}"
-        )
-    return max(inner_eta, q)
-
-
 def _join_eta(q: int, inner: FamilySpec) -> int:
-    inner_g = generate(inner)
-    return eta_of_join_with_complete(eta_formula(inner), inner_g.n, inner_g.max_degree(), q)
+    # eta(G v K_q) = max(eta(G), q); `_check_join` keeps q in range
+    return max(eta_formula(inner), q)
 
 
 def _biregular_eta(nu: int, nv: int, du: int) -> int:
@@ -545,7 +540,7 @@ _FAMILIES = {
         _construction(_complete_sun_labeling),
         lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
     "multipartite": _Family(
-        _check_multipartite, lambda *p: sum(p), lambda *p: reduce(join, map(_empty, p)),
+        _check_multipartite, lambda *p: sum(p), _multipartite,
         lambda *p: _bounds.multipartite_eta(p), None,
         lambda *p: "optimal monotone orientation of the multipartite digraph"),
     "regular-bipartite": _Family(

@@ -141,11 +141,6 @@ class Graph:
             cliques.append(tuple(clique))
         return tuple(cliques)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.masks[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs (u, v) with u < v, lexicographic."""
         for u in range(self.n):

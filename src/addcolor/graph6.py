@@ -121,9 +121,3 @@ def write_graph6(g: Graph) -> str:
                 chunk[bit // 6] |= 1 << (5 - bit % 6)
             bit += 1
     return header + "".join(chr(_MIN_BYTE + v) for v in chunk)
-
-
-def read_graph6_file(path: str) -> list[Graph]:
-    """Decode every non-blank line of a graph6 file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return [parse_graph6(line) for line in map(str.strip, fh) if line]

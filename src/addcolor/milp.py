@@ -73,19 +73,8 @@ def z_name(u: int, v: int) -> str:
     return f"z_{u}_{v}"
 
 
-def big_m(g: Graph, u: int, v: int, ub: int) -> int:
-    """M_uv = 1 + |N(u)\\N(v)|*UB - |N(v)\\N(u)| for an ordered edge (u,v)."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    if ub < 1:
-        raise ValueError(f"UB must be >= 1, got {ub}")
-    only_u = (g.masks[u] & ~g.masks[v]).bit_count()
-    only_v = (g.masks[v] & ~g.masks[u]).bit_count()
-    return _big_m(only_u, only_v, ub)
-
-
 def _big_m(only_u: int, only_v: int, ub: int) -> int:
-    # M_uv from the sizes of N(u)\N(v) and N(v)\N(u); unchecked
+    # M_uv from the sizes of N(u)\N(v) and N(v)\N(u)
     return 1 + only_u * ub - only_v
 
 

@@ -8,7 +8,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from addcolor.graph import Graph
-from addcolor.graph6 import read_graph6_file
+from addcolor.graph6 import parse_graph6
 
 DATA = ROOT / "data"
 
@@ -26,13 +26,13 @@ def all_n6_corpus_path() -> Path:
 @pytest.fixture(scope="session")
 def conn_small(conn_corpus_path) -> list[Graph]:
     """All connected graphs on 1..7 vertices."""
-    return read_graph6_file(str(conn_corpus_path))
+    return [parse_graph6(line) for line in conn_corpus_path.read_text().split()]
 
 
 @pytest.fixture(scope="session")
 def all_n6(all_n6_corpus_path) -> list[Graph]:
     """All graphs (connected or not) on 1..6 vertices."""
-    return read_graph6_file(str(all_n6_corpus_path))
+    return [parse_graph6(line) for line in all_n6_corpus_path.read_text().split()]
 
 
 @pytest.fixture(scope="session")

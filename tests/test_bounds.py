@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from addcolor.bounds import (
     best_clique_lower_bound,
-    clique_lower_bound,
     combined_bounds,
     degree_upper_bound,
     eta_upper_bound,
@@ -53,25 +52,25 @@ class TestTwinBound:
 class TestCliqueBound:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_complete_sun_base_clique(self, m):
+        # the base clique of degree-(m+1) vertices gives the best bound
         g = g_of(f"complete-sun:{m}")
-        assert clique_lower_bound(g, range(m)) == math.ceil((m + 2) / 3)
+        assert best_clique_lower_bound(g)[0] == clique_bound_naive(g) == math.ceil((m + 2) / 3)
 
     @pytest.mark.parametrize("q", range(2, 7))
     def test_thin_spider_clique(self, q):
         g = g_of(f"thin-spider:{q}")
-        assert clique_lower_bound(g, range(q)) == math.ceil((q + 1) / 2)
+        assert best_clique_lower_bound(g)[0] == clique_bound_naive(g) == math.ceil((q + 1) / 2)
 
     def test_complete_graph(self):
-        assert clique_lower_bound(g_of("complete:6"), range(6)) == 6
-
-    def test_non_clique_rejected(self):
-        with pytest.raises(ValueError):
-            clique_lower_bound(g_of("cycle:5"), [0, 1, 2])
+        g = g_of("complete:6")
+        assert best_clique_lower_bound(g) == (6, tuple(range(6)))
+        assert clique_bound_naive(g) == 6
 
     def test_best_on_complete_sun(self):
-        value, clique = best_clique_lower_bound(g_of("complete-sun:6"))
-        assert value == 3
-        assert clique_lower_bound(g_of("complete-sun:6"), clique) == 3
+        g = g_of("complete-sun:6")
+        value, clique = best_clique_lower_bound(g)
+        assert value == 3 == clique_bound_naive(g)
+        assert all(g.masks[u] >> v & 1 for u in clique for v in clique if u != v)
 
     def test_best_on_c5(self):
         # any edge: d1 = d2 = 2, |Q| = 2 gives ceil(3/2) = 2
@@ -294,7 +293,9 @@ class TestCombined:
                 if name == "true_twins":
                     assert tuple(data) in g.true_twins
                 elif name == "clique":
-                    assert clique_lower_bound(g, data) >= 1  # raises on non-clique
+                    assert data and all(
+                        g.masks[u] >> v & 1 for u in data for v in data if u != v
+                    )
                 elif name == "split":
                     q, s = data
                     assert split_upper_bound(g, q, s) <= len(q)  # raises if invalid

@@ -1,4 +1,5 @@
 import re
+import zlib
 
 import pytest
 
@@ -44,10 +45,8 @@ def test_family_multipartite_solver_certified(capsys):
     assert "solver" in out
 
 
-@pytest.mark.parametrize("text", ["cycle:201", "path:150"])
-def test_family_builds_its_graph_once(capsys, monkeypatch, text):
-    # certify builds the graph; the report and, for path, the solver
-    # fallback use that one
+def family_builds(capsys, monkeypatch, text):
+    """Run `acp family text`; the number of graphs it built."""
     built = []
     build = Graph.from_edges
     monkeypatch.setattr(
@@ -55,7 +54,20 @@ def test_family_builds_its_graph_once(capsys, monkeypatch, text):
     )
     code, out, _ = run(capsys, "family", text)
     assert code == 0 and "verified: additive coloring" in out and "OK" in out
-    assert len(built) == 1
+    return len(built)
+
+
+@pytest.mark.parametrize("text", ["cycle:201", "path:150", "multipartite:5,4,3,3,2"])
+def test_family_builds_its_graph_once(capsys, monkeypatch, text):
+    # certify builds the graph; the report and, for path and multipartite,
+    # the solver fallback use that one
+    assert family_builds(capsys, monkeypatch, text) == 1
+
+
+def test_family_join_graph_builds(capsys, monkeypatch):
+    # the join's range check builds the inner graph; generate builds it
+    # again, then K_q and the join
+    assert family_builds(capsys, monkeypatch, "join-complete:5:cycle:80") == 4
 
 
 def test_family_bad_spec(capsys):
@@ -119,6 +131,14 @@ def test_solve_huge_edge_list_rejected(tmp_path, capsys, text):
     assert code == 1
     assert err.startswith("error:") and "258047" in err
     assert out == ""
+
+
+def test_solve_edge_list_bad_number_names_the_line(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("0 1\n# comment\n0 x\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}:3: invalid literal for int()")
 
 
 def test_solve_parse_failure(capsys):
@@ -252,8 +272,8 @@ def test_sweep_budget_exit_code(tmp_path, capsys):
     assert "budget-exceeded" in out
 
 
-def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
-    # a pinch one too high must survive as a record, not a traceback
+def pinch_one_too_high(monkeypatch):
+    # combined_bounds pinches one above eta: K_3 (chi 3) is claimed at 4
     import addcolor.cli as cli
     from addcolor.bounds import BoundsReport, combined_bounds
 
@@ -263,8 +283,15 @@ def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
             return report
         return BoundsReport(report.eta_lower + 1, report.eta_upper + 1, report.witnesses)
 
-    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
     monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_high)
+
+
+def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
+    # a pinch one too high must survive as a record, not a traceback
+    import addcolor.cli as cli
+
+    pinch_one_too_high(monkeypatch)
+    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
     corpus = tmp_path / "k3.g6"
     corpus.write_text("Bw\n")
     code, out, err = run(capsys, "sweep", str(corpus))
@@ -273,6 +300,39 @@ def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
     assert ("# holds: 0 violations: 0 budget_exceeded: 0 parse_errors: 0 "
             "audit_mismatches: 1\n") in out
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv, exit_code, status", [
+    ((), 4, "audit-mismatch\teta_solver=3"),
+    (("--budget", "2"), 3, "budget-exceeded"),
+])
+def test_sweep_formula_above_chi_is_rechecked(
+    tmp_path, capsys, monkeypatch, argv, exit_code, status
+):
+    # Bw is outside the default audit sample: only eta > chi re-solves it
+    import addcolor.cli as cli
+
+    assert zlib.crc32(b"Bw") % cli.AUDIT_RATE
+    pinch_one_too_high(monkeypatch)
+    corpus = tmp_path / "k3.g6"
+    corpus.write_text("Bw\n")
+    code, out, err = run(capsys, "sweep", str(corpus), *argv)
+    assert code == exit_code
+    assert f"Bw\t3\t3\t4\t3\tformula\texact\t{status}\n" in out
+    assert "VIOLATION" not in out and "Traceback" not in out + err
+
+
+def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_bytes(b"Bw\n\xc3\xa9\nA_\n")
+    report = tmp_path / "report.txt"
+    code, _, err = run(capsys, "sweep", str(corpus), "-o", str(report))
+    assert code == 0 and err == ""
+    text = report.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    assert lines[0].startswith("Bw\t") and lines[2].startswith("A_\t")
+    assert lines[1].startswith("\ufffd\ufffd\tparse-error\t")
+    assert "# holds: 2 violations: 0 budget_exceeded: 0 parse_errors: 1 " in text
 
 
 def test_violation_record_carries_both_certificates():

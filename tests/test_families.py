@@ -16,7 +16,6 @@ from addcolor.families import (
     FamilySpec,
     certify,
     eta_formula,
-    eta_of_join_with_complete,
     generate,
     parse_spec,
 )
@@ -112,15 +111,21 @@ class TestFormula:
         assert eta_formula(parse_spec(text)) == expected
 
     def test_join_formula(self):
-        assert eta_of_join_with_complete(2, 6, 2, 1) == 2
-        assert eta_of_join_with_complete(3, 12, 5, 5) == 5
+        # max(eta(G), q) for 1 <= q <= n - max_degree - 1
+        assert eta_formula(parse_spec("join-complete:1:cycle:6")) == 2
+        assert eta_formula(parse_spec("join-complete:2:cycle:7")) == 3
+        assert eta_formula(parse_spec("join-complete:5:cycle:12")) == 5
+        assert eta_formula(parse_spec("join-complete:3:cycle:6")) == 3
 
     def test_join_formula_out_of_range(self):
-        # the formula genuinely fails at q = n - max_degree
+        # the formula genuinely fails at q = n - max_degree, so the spec is
+        # rejected when it is made
+        with pytest.raises(ValueError, match="n - max_degree - 1 = 3, got q=4"):
+            parse_spec("join-complete:4:cycle:6")
+        with pytest.raises(ValueError, match="got q=0"):
+            parse_spec("join-complete:0:cycle:6")
         with pytest.raises(ValueError):
-            eta_of_join_with_complete(2, 6, 2, 4)
-        with pytest.raises(ValueError):
-            eta_of_join_with_complete(2, 6, 2, 0)
+            FamilySpec("join-complete", (4,), parse_spec("cycle:6"))
 
 
 class TestConstructions:

@@ -2,8 +2,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from addcolor.cli import _iter_corpus
 from addcolor.graph import Graph
-from addcolor.graph6 import Graph6FormatError, parse_graph6, read_graph6_file, write_graph6
+from addcolor.graph6 import Graph6FormatError, parse_graph6, write_graph6
 
 
 def complete(n):
@@ -123,9 +124,13 @@ def test_matches_networkx_encoding(g):
 
 
 def test_record_iterator(tmp_path):
+    # the sweep's corpus reader skips blank lines and strips the rest
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\n\nA_\n")
-    graphs = read_graph6_file(str(path))
+    with open(path) as fh:
+        items = list(_iter_corpus(fh))
+    assert items == [(0, "Bw"), (2, "A_")]
+    graphs = [parse_graph6(line) for _, line in items]
     assert [g.n for g in graphs] == [3, 2]
     assert [write_graph6(g) for g in graphs] == ["Bw", "A_"]
 

@@ -5,7 +5,6 @@ import pytest
 from addcolor.families import generate, parse_spec
 from addcolor.graph import Graph
 from addcolor.milp import (
-    big_m,
     build_model,
     model_counts,
     write_lp,
@@ -17,6 +16,12 @@ from oracles import model_optimum, point_feasible
 
 def g_of(text):
     return generate(parse_spec(text))
+
+
+def big_m(g, u, v, ub):
+    """M_uv as build_model emits it: the rhs of the c_z_{u}_{v} row is M - 1."""
+    row = next(c for c in build_model(g, ub).constraints if c.name == f"c_z_{u}_{v}")
+    return row.rhs + 1
 
 
 class TestBigM:
@@ -34,13 +39,9 @@ class TestBigM:
         assert big_m(g, 0, 1, 3) == 3
         assert big_m(g, 0, 1, 7) == 7
 
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            big_m(g_of("path:3"), 0, 2, 2)
-
     def test_bad_ub_rejected(self):
         with pytest.raises(ValueError):
-            big_m(g_of("complete:2"), 0, 1, 0)
+            build_model(g_of("complete:2"), 0)
 
     def test_slack_at_zero_is_exact(self, all_n6):
         # M - 1 equals the worst case of f(N(u)) - f(N(v)) over [UB]^V
@@ -107,8 +108,9 @@ class TestBuildModel:
 
 class TestRowsByDefinition:
     def test_rows_match_definition(self, all_n6):
-        # c_z rows: +f_w for w in N(a)\\N(b), -f_w for w in N(b)\\N(a), both
-        # ascending, then M z(a,b); c_vi rows: the O(n^2) triple scan
+        # c_z rows: one per ordered edge whose z is live, +f_w for w in
+        # N(a)\\N(b), -f_w for w in N(b)\\N(a), both ascending, then M z(a,b)
+        # with M from the two set sizes; c_vi rows: the O(n^2) triple scan
         for g in all_n6:
             if g.edge_count == 0:
                 continue
@@ -117,14 +119,20 @@ class TestRowsByDefinition:
                 for symmetry in (False, True):
                     model = build_model(g, 3, valid, symmetry)
                     gone = model.eliminated_variables
-                    for c in model.constraints:
-                        if not c.name.startswith("c_z_"):
-                            continue
+                    z_rows = [c for c in model.constraints if c.name.startswith("c_z_")]
+                    assert {c.name for c in z_rows} == {
+                        f"c_z_{a}_{b}"
+                        for u, v in g.edges() for a, b in ((u, v), (v, u))
+                        if f"z_{a}_{b}" not in gone
+                    }
+                    for c in z_rows:
                         a, b = map(int, c.name.split("_")[2:])
                         expected = [(1, f"f_v{w}") for w in sorted(nbr[a] - nbr[b])]
                         expected += [(-1, f"f_v{w}") for w in sorted(nbr[b] - nbr[a])]
-                        expected.append((big_m(g, a, b, 3), f"z_{a}_{b}"))
+                        m = 1 + len(nbr[a] - nbr[b]) * 3 - len(nbr[b] - nbr[a])
+                        expected.append((m, f"z_{a}_{b}"))
                         assert list(c.terms) == expected
+                        assert c.rhs == m - 1
                     expected_vi = [
                         f"c_vi_{u}_{v}_{w}"
                         for u in range(g.n) for v in range(g.n)
