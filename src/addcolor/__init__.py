@@ -12,7 +12,6 @@ from .graph import (
     Graph,
     Labeling,
     connected_components,
-    join,
     neighborhood_sum,
     twin_refined_partition,
     verify_additive_coloring,
@@ -37,7 +36,6 @@ __all__ = [
     "eta_exact",
     "eta_formula",
     "generate",
-    "join",
     "multipartite_eta",
     "neighborhood_sum",
     "parse_graph6",

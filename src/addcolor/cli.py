@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import time
 import zlib
@@ -50,7 +51,9 @@ def _load_graph(arg: str) -> Graph:
 def _read_edge_list(path: str) -> Graph:
     """Whitespace-separated 0-based integer pairs, one edge per line; lines
     starting with '#' are comments. An optional single-integer first line
-    declares the vertex count (needed for trailing isolated vertices)."""
+    declares the vertex count (needed for trailing isolated vertices).
+    Numbers are plain ASCII digits; int() would also take "1_0", "+1" and
+    non-ASCII digits."""
     edges = []
     declared_n = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -58,10 +61,13 @@ def _read_edge_list(path: str) -> Graph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                fields = [int(x) for x in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            fields = line.split()
+            for x in fields:
+                if not re.fullmatch(r"[0-9]+", x):
+                    raise ValueError(
+                        f"{path}:{lineno}: invalid literal for int() with base 10: {x!r}"
+                    )
+            fields = [int(x) for x in fields]
             if len(fields) == 1 and declared_n is None and not edges:
                 declared_n = fields[0]
                 if declared_n > WRITER_MAX_N:
@@ -71,13 +77,30 @@ def _read_edge_list(path: str) -> Graph:
                 continue
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
-            edges.append((fields[0], fields[1]))
+            u, v = fields
+            # Graph.from_edges checks these too, but cannot name the line
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop at vertex {u}")
+            if declared_n is not None and max(u, v) >= declared_n:
+                raise ValueError(
+                    f"{path}:{lineno}: edge ({u},{v}) out of range for n={declared_n}"
+                )
+            edges.append((u, v))
     n = declared_n
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
         if n > WRITER_MAX_N:
             raise ValueError(f"{path}: vertex {n - 1} exceeds n <= {WRITER_MAX_N}")
     return Graph.from_edges(n, edges)
+
+
+def _components(g: Graph) -> list[tuple[list[int], Graph]]:
+    """(vertices, induced subgraph) per connected component; a connected
+    graph is its own component, not a copy."""
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return [(comps[0], g)]
+    return [(comp, induced_subgraph(g, comp)) for comp in comps]
 
 
 def _format_labeling(lab: Labeling) -> str:
@@ -111,11 +134,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    comps = connected_components(g)
+    comps = _components(g)
     print(f"graph: n={g.n} m={g.edge_count} components={len(comps)}")
     best = 0
-    for idx, comp in enumerate(comps, 1):
-        sub = induced_subgraph(g, comp)
+    for idx, (comp, sub) in enumerate(comps, 1):
         result = _solver.eta_exact(sub, node_budget=args.budget)
         if result.status == _solver.BUDGET_EXCEEDED:
             print(f"component {idx}: budget exceeded after {result.stats.nodes} nodes")
@@ -138,14 +160,14 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    comps = connected_components(g)
-    outputs = []
+    comps = _components(g)
     if len(comps) == 1:
-        outputs.append((args.output, g))
+        outputs = [(args.output, comps[0][1])]
     else:
         root, ext = os.path.splitext(args.output)
-        for idx, comp in enumerate(comps, 1):
-            outputs.append((f"{root}_c{idx}{ext or '.lp'}", induced_subgraph(g, comp)))
+        outputs = [
+            (f"{root}_c{idx}{ext or '.lp'}", sub) for idx, (_, sub) in enumerate(comps, 1)
+        ]
     for path, sub in outputs:
         if sub.edge_count == 0:
             print(f"{path}: skipped (component has no edges, eta = 1)")

@@ -2,11 +2,12 @@
 constructive certificate labelings that witness them.
 
 Each family is one row of the `_FAMILIES` table, keyed by its kind: the
-arity and parameter checks, the vertex count, the generator, the closed-form
+arity and parameter checks, the vertex count, the edge list, the closed-form
 eta, the certificate labeling with its provenance, and the lower-bound
 witness. `KINDS`, `generate`, `eta_formula`, `certify` and spec validation
-each look the row up. A spec is rejected before any graph is built when its
-vertex count exceeds the graph6 writer's limit.
+each look the row up; only `generate` builds a graph from the edges. A spec
+is rejected before any graph is built when its vertex count exceeds the
+graph6 writer's limit.
 
 Vertex ordering is fixed per family so the constructions map positionally:
 
@@ -27,12 +28,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
 from . import solver as _solver
-from .graph import Graph, Labeling, join, verify_additive_coloring
+from .graph import Graph, Labeling, verify_additive_coloring
 from .graph6 import WRITER_MAX_N
 
 PROVENANCE_CONSTRUCTION = "construction"
@@ -107,8 +110,7 @@ def _vertex_count(spec: FamilySpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parameter checks; none of them builds a graph except the join's, which
-# builds the inner graph, itself already checked
+# parameter checks; none of them builds a graph
 
 
 def _one(minimum: int) -> Callable[[FamilySpec], None]:
@@ -165,8 +167,9 @@ def _check_join(spec: FamilySpec) -> None:
     _need(len(spec.params) == 1, "join-complete takes one parameter q")
     _need(spec.inner is not None, "join-complete needs an inner spec")
     q = spec.params[0]
-    inner_g = generate(spec.inner)
-    limit = inner_g.n - inner_g.max_degree() - 1
+    # the inner spec is already checked; its row lists each edge once
+    degree = Counter(chain.from_iterable(_edges(spec.inner)))
+    limit = _vertex_count(spec.inner) - max(degree.values(), default=0) - 1
     # eta(G v K_q) = max(eta(G), q) holds only up to this limit; from
     # q = n - Delta on the formula genuinely fails (there is a counterexample
     # already at q = n - Delta), so such specs are rejected
@@ -175,41 +178,42 @@ def _check_join(spec: FamilySpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# edge lists
 
 
-def _path(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+def _path(n: int) -> list[tuple[int, int]]:
+    return [(i, i + 1) for i in range(n - 1)]
 
 
-def _cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+def _cycle(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
 
 
-def _complete(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+def _complete(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _empty(n: int) -> Graph:
-    return Graph.from_edges(n, [])
+def _cone(edges: list[tuple[int, int]], n: int, q: int) -> list[tuple[int, int]]:
+    # the join of an n-vertex graph with K_q on the ids n..n+q-1
+    return edges + [(u, v) for v in range(n, n + q) for u in range(v)]
 
 
-def _disjoint_cliques(size: int, copies: int) -> Graph:
+def _disjoint_cliques(size: int, copies: int) -> list[tuple[int, int]]:
     edges = []
     for c in range(copies):
         base = c * size
         edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
-    return Graph.from_edges(size * copies, edges)
+    return edges
 
 
-def _spider(q: int, thin: bool) -> Graph:
-    edges = [(i, j) for i in range(q) for j in range(i + 1, q)]
+def _spider(q: int, thin: bool) -> list[tuple[int, int]]:
+    edges = _complete(q)
     for i in range(q):
         if thin:
             edges.append((i, q + i))
         else:
             edges += [(i, q + j) for j in range(q) if j != i]
-    return Graph.from_edges(2 * q, edges)
+    return edges
 
 
 def _sun_edges(m: int) -> list[tuple[int, int]]:
@@ -222,45 +226,30 @@ def _sun_edges(m: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _cycle_sun(m: int) -> Graph:
-    edges = [(i, (i + 1) % m) for i in range(m)] + _sun_edges(m)
-    return Graph.from_edges(2 * m, edges)
-
-
-def _wheel_sun(m: int) -> Graph:
-    hub = 2 * m
-    edges = [(i, (i + 1) % m) for i in range(m)] + _sun_edges(m)
-    edges += [(i, hub) for i in range(m)]
-    return Graph.from_edges(2 * m + 1, edges)
-
-
-def _complete_sun(m: int) -> Graph:
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)] + _sun_edges(m)
-    return Graph.from_edges(2 * m, edges)
-
-
-def _multipartite(*parts: int) -> Graph:
+def _multipartite(*parts: int) -> list[tuple[int, int]]:
     # part[v] is the index of v's part; the parts take consecutive ids
     part = [i for i, p in enumerate(parts) for _ in range(p)]
-    n = len(part)
-    return Graph.from_edges(
-        n, [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]]
-    )
+    return [(u, v) for v in range(len(part)) for u in range(v) if part[u] != part[v]]
 
 
-def _biregular(nu: int, nv: int, du: int) -> Graph:
+def _biregular(nu: int, nv: int, du: int) -> list[tuple[int, int]]:
     # consecutive wrap-around intervals of length d_u tile Z_nv evenly, so
     # every right vertex ends up with degree n_u*d_u/n_v
     edges = []
     for i in range(nu):
         for j in range(du):
             edges.append((i, nu + (i * du + j) % nv))
-    return Graph.from_edges(nu + nv, edges)
+    return edges
+
+
+def _edges(spec: FamilySpec) -> list[tuple[int, int]]:
+    """The instance's edges, each listed once, in its vertex ordering."""
+    return _FAMILIES[spec.kind].edges(*_args(spec))
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the family instance with its documented vertex ordering."""
-    return _FAMILIES[spec.kind].graph(*_args(spec))
+    return Graph.from_edges(_vertex_count(spec), _edges(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,7 @@ class _Family(NamedTuple):
 
     check: Callable[[FamilySpec], None]
     size: Callable[..., int]
-    graph: Callable[..., Graph]
+    edges: Callable[..., list[tuple[int, int]]]
     eta: Callable[..., int]
     labeling: Optional[Callable[..., tuple[Labeling, str]]]
     witness: Callable[..., str]
@@ -507,18 +496,19 @@ _FAMILIES = {
         _construction(lambda n: Labeling(tuple(range(1, n + 1)))),
         lambda n: f"true-twin class of size {n}"),
     "complete-split": _Family(
-        _check_split, lambda q, s: q + s, lambda q, s: join(_complete(q), _empty(s)),
+        _check_split, lambda q, s: q + s,
+        lambda q, s: [(u, v) for v in range(q + s) for u in range(min(v, q))],
         lambda q, s: q, _construction(_complete_split_labeling),
         lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
     "fan": _Family(
-        _one(3), lambda n: n + 2, lambda n: join(_path(n + 1), _complete(1)), lambda n: 2,
+        _one(3), lambda n: n + 2, lambda n: _cone(_path(n + 1), n + 1, 1), lambda n: 2,
         lambda n: _join_certificate(1, FamilySpec("path", (n + 1,))), _equal_degrees),
     "wheel": _Family(
-        _one(4), lambda n: n + 1, lambda n: join(_cycle(n), _complete(1)), _cycle_eta,
+        _one(4), lambda n: n + 1, lambda n: _cone(_cycle(n), n, 1), _cycle_eta,
         _construction(lambda n: _join_labeling(_cycle_labeling(n), 1)), _odd_cycle),
     "windmill": _Family(
         _check_windmill, lambda n, m: (n - 1) * m + 1,
-        lambda n, m: join(_disjoint_cliques(n - 1, m), _complete(1)), lambda n, m: n - 1,
+        lambda n, m: _cone(_disjoint_cliques(n - 1, m), (n - 1) * m, 1), lambda n, m: n - 1,
         _construction(lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1)),
         lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
     "thin-spider": _Family(
@@ -530,13 +520,15 @@ _FAMILIES = {
         _construction(_thick_spider_labeling),
         lambda q: "pigeonhole on the clique neighborhood sums"),
     "cycle-sun": _Family(
-        _one(4), lambda m: 2 * m, _cycle_sun, lambda m: 2,
+        _one(4), lambda m: 2 * m, lambda m: _cycle(m) + _sun_edges(m), lambda m: 2,
         _construction(lambda m: Labeling(tuple(_cycle_sun_labels(m)))), _equal_degrees),
     "wheel-sun": _Family(
-        _one(4), lambda m: 2 * m + 1, _wheel_sun, lambda m: 2,
+        _one(4), lambda m: 2 * m + 1,
+        lambda m: _cycle(m) + _sun_edges(m) + [(i, 2 * m) for i in range(m)], lambda m: 2,
         _construction(_wheel_sun_labeling), _equal_degrees),
     "complete-sun": _Family(
-        _one(3), lambda m: 2 * m, _complete_sun, lambda m: math.ceil((m + 2) / 3),
+        _one(3), lambda m: 2 * m, lambda m: _complete(m) + _sun_edges(m),
+        lambda m: math.ceil((m + 2) / 3),
         _construction(_complete_sun_labeling),
         lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
     "multipartite": _Family(
@@ -552,7 +544,7 @@ _FAMILIES = {
         _construction(_biregular_labeling), _equal_degrees),
     "join-complete": _Family(
         _check_join, lambda q, inner: q + _vertex_count(inner),
-        lambda q, inner: join(generate(inner), _complete(q)), _join_eta,
+        lambda q, inner: _cone(_edges(inner), _vertex_count(inner), q), _join_eta,
         _join_certificate, _join_witness),
 }
 

@@ -1,4 +1,4 @@
-"""Immutable simple-graph core: neighborhoods, twins, join, and the
+"""Immutable simple-graph core: neighborhoods, twins, components, and the
 additive-coloring verifier that certifies everything else in the package.
 
 Vertices are 0-based contiguous integers. Adjacency is kept both as sorted
@@ -223,15 +223,6 @@ def twin_refined_partition(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     classes += [(0, tuple(cls)) for cls in groups.values() if len(cls) >= 2]
     classes.sort(key=lambda c: c[1][0])
     return tuple(classes)
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all cross edges; g1 keeps its ids, g2 is shifted."""
-    n1 = g1.n
-    edges = list(g1.edges())
-    edges += [(u + n1, v + n1) for u, v in g2.edges()]
-    edges += [(u, v + n1) for u in range(n1) for v in range(g2.n)]
-    return Graph.from_edges(n1 + g2.n, edges)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

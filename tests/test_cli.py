@@ -45,29 +45,44 @@ def test_family_multipartite_solver_certified(capsys):
     assert "solver" in out
 
 
-def family_builds(capsys, monkeypatch, text):
-    """Run `acp family text`; the number of graphs it built."""
+def count_builds(capsys, monkeypatch, *argv):
+    """Run `acp *argv`; its exit code, stdout and the number of graphs it built."""
     built = []
     build = Graph.from_edges
     monkeypatch.setattr(
         Graph, "from_edges", staticmethod(lambda *args: built.append(1) or build(*args))
     )
-    code, out, _ = run(capsys, "family", text)
-    assert code == 0 and "verified: additive coloring" in out and "OK" in out
-    return len(built)
+    code, out, _ = run(capsys, *argv)
+    return code, out, len(built)
 
 
-@pytest.mark.parametrize("text", ["cycle:201", "path:150", "multipartite:5,4,3,3,2"])
+# certify builds the graph; the report and, for path and multipartite, the
+# solver fallback use that one. A fan's certificate labels its path with the
+# solver, on a graph of its own
+FAMILY_BUILDS = {
+    "cycle:201": 1, "path:150": 1, "multipartite:5,4,3,3,2": 1, "wheel:150": 1,
+    "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
+    "join-complete:3:wheel-sun:20": 1, "fan:120": 2,
+}
+
+
+@pytest.mark.parametrize("text", FAMILY_BUILDS)
 def test_family_builds_its_graph_once(capsys, monkeypatch, text):
-    # certify builds the graph; the report and, for path and multipartite,
-    # the solver fallback use that one
-    assert family_builds(capsys, monkeypatch, text) == 1
+    code, out, builds = count_builds(capsys, monkeypatch, "family", text)
+    assert code == 0 and "verified: additive coloring" in out and "OK" in out
+    assert builds == FAMILY_BUILDS[text]
 
 
-def test_family_join_graph_builds(capsys, monkeypatch):
-    # the join's range check builds the inner graph; generate builds it
-    # again, then K_q and the join
-    assert family_builds(capsys, monkeypatch, "join-complete:5:cycle:80") == 4
+def test_solve_builds_no_second_graph(tmp_path, capsys, monkeypatch):
+    # a connected graph is solved as its own component, not as a copy: the
+    # graph6 parser builds no graph through from_edges, the edge-list reader one
+    g = generate(parse_spec("wheel:7"))
+    path = tmp_path / "wheel7.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    for arg, expected in ((write_graph6(g), 0), (str(path), 1)):
+        code, out, builds = count_builds(capsys, monkeypatch, "solve", arg)
+        assert code == 0 and "components=1" in out and "eta = 3" in out
+        assert builds == expected, arg
 
 
 def test_family_bad_spec(capsys):
@@ -139,6 +154,31 @@ def test_solve_edge_list_bad_number_names_the_line(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}:3: invalid literal for int()")
+
+
+@pytest.mark.parametrize("field", ["1_0", "+1", "\u0663"])
+def test_solve_edge_list_number_is_ascii_digits(tmp_path, capsys, field):
+    # int() takes each of these (as 10, 1 and 3)
+    path = tmp_path / "odd.edges"
+    path.write_text(f"0 2\n0 {field}\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}:2: invalid literal for int() with base 10: {field!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("3\n0 1\n0 5\n", "3: edge (0,5) out of range for n=3"),
+     ("3\n0 1\n# loop\n1 1\n", "4: self-loop at vertex 1"),
+     ("0 1\n2 2\n", "2: self-loop at vertex 2")],
+    ids=["out-of-range", "self-loop", "self-loop-undeclared-n"],
+)
+def test_solve_edge_list_bad_edge_names_the_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}:{message}\n"
 
 
 def test_solve_parse_failure(capsys):

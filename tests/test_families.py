@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from addcolor.families import (
     PROVENANCE_HYBRID,
     PROVENANCE_SOLVER,
     FamilySpec,
+    _edges,
     certify,
     eta_formula,
     generate,
@@ -234,6 +236,21 @@ def test_formula_certificate_solver_coherence(text):
 
 
 @pytest.mark.parametrize("text", small_specs())
+def test_join_range_from_edge_list_degrees(text):
+    # the join's range check counts degrees on the edge list, so each edge
+    # must be listed once; its limit n - Delta - 1 is the built graph's
+    spec = parse_spec(text)
+    g = generate(spec)
+    degree = Counter(v for edge in _edges(spec) for v in edge)
+    assert tuple(degree[v] for v in range(g.n)) == g.degrees()
+    limit = g.n - g.max_degree() - 1
+    if limit >= 1:
+        assert parse_spec(f"join-complete:{limit}:{text}").params == (limit,)
+    with pytest.raises(ValueError, match=f"= {limit}, got q={limit + 1}"):
+        parse_spec(f"join-complete:{limit + 1}:{text}")
+
+
+@pytest.mark.parametrize("text", small_specs())
 def test_conjecture_on_families(text):
     spec = parse_spec(text)
     g = generate(spec)
@@ -356,6 +373,11 @@ def test_oversized_spec_rejected_before_any_graph(capsys, monkeypatch, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "family specs allow n <= 258047" in err
+
+
+def test_join_range_check_builds_no_graph(monkeypatch):
+    _refuse_graphs(monkeypatch)
+    assert parse_spec("join-complete:1:cycle:20000").text() == "join-complete:1:cycle:20000"
 
 
 def test_size_limit_is_the_graph6_writer_limit(monkeypatch):

@@ -1,14 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from addcolor.graph import (
     Graph,
     Labeling,
     connected_components,
     induced_subgraph,
-    join,
     neighborhood_sum,
     twin_refined_partition,
     verify_additive_coloring,
@@ -18,6 +17,7 @@ from addcolor.families import generate, parse_spec
 from addcolor.solver import chromatic_exact, eta_exact
 
 from oracles import is_additive, twin_classes_naive
+from test_families import small_specs
 
 
 def path(n):
@@ -140,7 +140,7 @@ class TestTwins:
 
     def test_complete_split_clique_class(self):
         # 3-clique joined to 2 stable vertices: the clique is one true-twin class
-        g = join(complete(3), Graph.from_edges(2, []))
+        g = generate(parse_spec("complete-split:3,2"))
         assert g.true_twins == ((0, 1, 2), (3,), (4,))
 
     def test_star_false_twins(self):
@@ -201,27 +201,33 @@ class TestTwins:
 
 
 class TestJoin:
+    # the family rows that join a graph with a clique, on the generated graph
     def test_fan_shape(self):
-        g = join(path(4), complete(1))
-        assert g.n == 5 and g.edge_count == 3 + 4
+        g = generate(parse_spec("fan:3"))
+        assert g == Graph.from_edges(5, list(path(4).edges()) + [(v, 4) for v in range(4)])
         assert g.degree(4) == 4
 
     def test_wheel_shape(self):
-        g = join(cycle(4), complete(1))
-        assert g.n == 5 and g.edge_count == 8
+        g = generate(parse_spec("wheel:4"))
+        assert g == Graph.from_edges(5, list(cycle(4).edges()) + [(v, 4) for v in range(4)])
 
     def test_complete_split_edge_count(self):
-        g = join(Graph.from_edges(3, []), complete(2))
-        assert g.edge_count == 0 + 1 + 3 * 2
+        g = generate(parse_spec("complete-split:2,3"))
+        assert g.edge_count == 1 + 2 * 3
+        assert g.degrees() == (4, 4, 2, 2, 2)
 
-    @given(graphs(max_n=5), graphs(max_n=5))
-    @settings(max_examples=40)
-    def test_join_sizes_and_degrees(self, g1, g2):
-        g = join(g1, g2)
-        assert g.n == g1.n + g2.n
-        assert g.edge_count == g1.edge_count + g2.edge_count + g1.n * g2.n
-        for v in range(g1.n):
-            assert g.degree(v) == g1.degree(v) + g2.n
+    def test_join_sizes_and_degrees(self):
+        # join-complete:q over every small spec and every q its range allows
+        for text in small_specs():
+            g1 = generate(parse_spec(text))
+            for q in range(1, g1.n - g1.max_degree()):
+                g = generate(parse_spec(f"join-complete:{q}:{text}"))
+                assert g.n == g1.n + q, text
+                assert g.edge_count == g1.edge_count + q * (q - 1) // 2 + g1.n * q
+                assert g.degrees() == (
+                    tuple(d + q for d in g1.degrees()) + (g1.n + q - 1,) * q
+                )
+                assert induced_subgraph(g, range(g1.n)) == g1
 
 
 class TestComponents:
