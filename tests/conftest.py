@@ -36,6 +36,12 @@ def all_n6(all_n6_corpus_path) -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
+def conn_n8() -> list[Graph]:
+    """All connected graphs on 8 vertices."""
+    return [parse_graph6(line) for line in (DATA / "graphs_conn_n8.g6").read_text().split()]
+
+
+@pytest.fixture(scope="session")
 def petersen() -> Graph:
     edges = (
         [(i, (i + 1) % 5) for i in range(5)]

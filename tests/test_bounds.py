@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -24,6 +25,15 @@ from test_families import small_specs
 
 def g_of(text):
     return generate(parse_spec(text))
+
+
+# sha256 over "eta_lower eta_upper witnesses" of combined_bounds(g) on every
+# graph of graphs_all_n1-6.g6, then graphs_conn_n1-7.g6, then
+# graphs_conn_n8.g6, then the small_specs() family instances; computed while
+# split recognition still re-checked its partition, grew Q to maximality and
+# split_upper_bound re-validated it, which the bare degree-sequence test must
+# match witness for witness.
+GOLDEN_BOUNDS = "544715fb611216d7eeefa6fb7f324cb3b8027616a3ca0b67ab46cc0a3b568f49"
 
 
 class TestEtaOne:
@@ -284,6 +294,13 @@ class TestCombined:
         # every graph in data/ with n <= 7, and the small family instances
         for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
             assert eta_upper_bound(g) == combined_bounds(g).eta_upper
+
+    def test_results_match_golden_digest(self, all_n6, conn_small, conn_n8):
+        digest = hashlib.sha256()
+        for g in all_n6 + conn_small + conn_n8 + [g_of(text) for text in small_specs()]:
+            r = combined_bounds(g)
+            digest.update(f"{r.eta_lower} {r.eta_upper} {r.witnesses}\n".encode())
+        assert digest.hexdigest() == GOLDEN_BOUNDS
 
     def test_witnesses_reverify(self, conn_small):
         for g in conn_small:
