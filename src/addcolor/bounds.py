@@ -80,12 +80,10 @@ def degree_upper_bound(g: Graph) -> int:
 def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Split partition (Q, S) with Q a maximal clique, or None.
 
-    Degree-sequence recognition: with degrees sorted non-increasing and
-    h = max{i : d_i >= i-1}, the graph is split iff
-    sum_{i<=h} d_i = h(h-1) + sum_{i>h} d_i, and the top-h vertices form a
-    clique. The clique is then grown to maximality (at most one stable-set
-    vertex can be adjacent to all of Q). Deterministic: degree ties break by
-    vertex id.
+    Degree-sequence recognition (Hammer and Simeone, 1981): with degrees
+    sorted non-increasing and h = max{i : d_i >= i-1}, the graph is split iff
+    sum_{i<=h} d_i = h(h-1) + sum_{i>h} d_i, and then the top-h vertices
+    form Q. Deterministic: degree ties break by vertex id.
     """
     n = g.n
     if n == 0:
@@ -96,24 +94,11 @@ def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]
     h = max(i for i in range(1, n + 1) if d[i - 1] >= i - 1)
     if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
         return None
-    clique = list(order[:h])
-    stable = list(order[h:])
-    q_mask = 0
-    for v in clique:
-        q_mask |= 1 << v
-    for v in clique:
-        if g.masks[v] & q_mask != q_mask ^ (1 << v):
-            raise RuntimeError("degree-sequence split partition failed clique check")
-    for i, u in enumerate(stable):
-        for v in stable[i + 1:]:
-            if g.masks[u] >> v & 1:
-                raise RuntimeError("degree-sequence split partition failed stable check")
-    movers = [v for v in stable if g.masks[v] & q_mask == q_mask]
-    if movers:
-        v = min(movers)
-        clique.append(v)
-        stable.remove(v)
-    return tuple(sorted(clique)), tuple(sorted(stable))
+    # the equality is the whole proof: sum_Q d = 2e(Q) + e(Q,S) <= h(h-1) +
+    # e(Q,S) and sum_S d = 2e(S) + e(Q,S), so it forces e(Q) = h(h-1)/2 and
+    # e(S) = 0; and Q is maximal, as every vertex of S has degree
+    # <= d_{h+1} < h and so cannot see all of Q
+    return tuple(sorted(order[:h])), tuple(sorted(order[h:]))
 
 
 def max_degree_distinct_subset(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
@@ -125,27 +110,10 @@ def max_degree_distinct_subset(g: Graph, clique: Sequence[int]) -> tuple[int, ..
     return tuple(sorted(chosen.values()))
 
 
-def split_upper_bound(g: Graph, clique: Sequence[int], stable: Sequence[int]) -> int:
-    """|Q| - |T| + 1 for a split partition with Q maximal; always <= |Q|."""
-    q_set, s_set = set(clique), set(stable)
-    if q_set & s_set or len(q_set) + len(s_set) != g.n:
-        raise ValueError("clique and stable set must partition the vertices")
-    q_sorted, s_sorted = sorted(q_set), sorted(s_set)
-    for i, u in enumerate(q_sorted):
-        for v in q_sorted[i + 1:]:
-            if not g.masks[u] >> v & 1:
-                raise ValueError("Q is not a clique")
-    for i, u in enumerate(s_sorted):
-        for v in s_sorted[i + 1:]:
-            if g.masks[u] >> v & 1:
-                raise ValueError("S is not stable")
-    q_mask = 0
-    for v in q_set:
-        q_mask |= 1 << v
-    if any(g.masks[v] & q_mask == q_mask for v in s_set):
-        raise ValueError("Q is not maximal")
-    t = max_degree_distinct_subset(g, q_sorted)
-    return len(q_set) - len(t) + 1
+def split_upper_bound(g: Graph, clique: Sequence[int]) -> int:
+    """|Q| - |T| + 1 for the maximal clique Q of a split partition (as
+    `split_recognize` returns it); always <= |Q|."""
+    return len(clique) - len(max_degree_distinct_subset(g, clique)) + 1
 
 
 def multipartite_eta(part_sizes: Sequence[int]) -> int:
@@ -192,11 +160,10 @@ def _upper_bound(g: Graph) -> tuple[int, list[tuple[str, object]]]:
     witnesses: list[tuple[str, object]] = [("max_degree", g.max_degree())]
     split = split_recognize(g)
     if split is not None:
-        q, s = split
-        bound = split_upper_bound(g, q, s)
+        bound = split_upper_bound(g, split[0])
         if bound < upper:
             upper = bound
-            witnesses.append(("split", (q, s)))
+            witnesses.append(("split", split))
     return upper, witnesses
 
 

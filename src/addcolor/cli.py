@@ -21,7 +21,7 @@ from . import bounds as _bounds
 from . import families as _families
 from . import milp as _milp
 from . import solver as _solver
-from .graph import Graph, Labeling, connected_components, induced_subgraph, verify_additive_coloring
+from .graph import Graph, Labeling, connected_components, induced_subgraph
 from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
 EXIT_OK = 0
@@ -64,9 +64,7 @@ def _read_edge_list(path: str) -> Graph:
             fields = line.split()
             for x in fields:
                 if not re.fullmatch(r"[0-9]+", x):
-                    raise ValueError(
-                        f"{path}:{lineno}: invalid literal for int() with base 10: {x!r}"
-                    )
+                    raise ValueError(f"{path}:{lineno}: numbers are plain ASCII digits, got {x!r}")
             fields = [int(x) for x in fields]
             if len(fields) == 1 and declared_n is None and not edges:
                 declared_n = fields[0]
@@ -121,11 +119,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     print(f"eta = {cert.eta}")
     print(f"labeling ({cert.provenance}; vertex:label, 1-based): "
           f"{_format_labeling(cert.labeling)}")
-    ok = verify_additive_coloring(g, cert.labeling)
-    print(f"verified: additive coloring with k={cert.labeling.k}: {'OK' if ok else 'FAILED'}")
+    # certify raises unless the labeling verifies
+    print(f"verified: additive coloring with k={cert.labeling.k}: OK")
     print(f"lower-bound witness: {cert.lower_bound_witness}")
     print(f"bounds: {report.eta_lower} <= eta <= {report.eta_upper}")
-    return EXIT_OK if ok else EXIT_USAGE
+    return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -124,7 +124,7 @@ def test_criterion_2_certificate_suite():
             q, s = part
             lab = split_labeling(g, q, s)
             assert verify_additive_coloring(g, lab)
-            assert lab.k == split_upper_bound(g, q, s)
+            assert lab.k == split_upper_bound(g, q)
             split_checked += 1
     print(f"ACCEPTANCE 2 PASS: {checked} constructive certificates verified "
           f"(+ split constructions on {split_checked} split graphs)")

@@ -160,55 +160,45 @@ class TestSplit:
         for g in all_n6:
             assert (split_recognize(g) is not None) == is_split_naive(g)
 
-    def test_partition_is_valid_and_maximal(self, conn_small):
-        for g in conn_small:
+    def test_partition_is_valid_and_maximal(self, conn_small, conn_n8):
+        # split_recognize re-checks nothing: the degree-sequence equality is
+        # its proof of the partition, so this test checks that proof's output
+        family = [f"complete-split:{q},{s}" for q in range(1, 9) for s in range(2, 9)]
+        family += [f"{kind}-spider:{q}" for kind in ("thin", "thick") for q in range(2, 13)]
+        family += [f"complete:{n}" for n in range(1, 13)]
+        for g in conn_small + conn_n8 + [g_of(text) for text in family]:
             part = split_recognize(g)
-            if part is None:
-                continue
-            q, s = part
-            q_mask = 0
-            for v in q:
-                q_mask |= 1 << v
-            for v in q:
-                assert g.masks[v] & q_mask == q_mask ^ (1 << v)
-            for i, u in enumerate(s):
-                for v in s[i + 1:]:
-                    assert not g.masks[u] >> v & 1
-            assert not any(g.masks[v] & q_mask == q_mask for v in s)
+            if part is not None:
+                assert_maximal_split_partition(g, *part)
 
     @pytest.mark.parametrize("q,s", [(1, 2), (2, 3), (3, 2), (4, 4)])
     def test_complete_split_bound_tight(self, q, s):
         g = g_of(f"complete-split:{q},{s}")
-        cq, cs = split_recognize(g)
-        assert split_upper_bound(g, cq, cs) == q
+        cq, _ = split_recognize(g)
+        assert split_upper_bound(g, cq) == q
 
     @pytest.mark.parametrize("q", range(2, 7))
     def test_thin_spider_bound_not_tight(self, q):
         g = g_of(f"thin-spider:{q}")
-        cq, cs = split_recognize(g)
+        cq, _ = split_recognize(g)
         # all clique degrees equal, so T has one vertex
-        assert split_upper_bound(g, cq, cs) == q
+        assert split_upper_bound(g, cq) == q
 
     def test_all_distinct_degrees_gives_one(self):
         g = g_of("path:3")  # split with clique {center, end}, degrees 2 and 1
-        cq, cs = split_recognize(g)
-        assert split_upper_bound(g, cq, cs) == 1
+        cq, _ = split_recognize(g)
+        assert split_upper_bound(g, cq) == 1
 
-    def test_invalid_partition_rejected(self):
-        g = g_of("complete:3")
-        with pytest.raises(ValueError):
-            split_upper_bound(g, (0, 1), (1, 2))
-
-    def test_split_construction_on_all_small_splits(self, all_n6):
+    def test_split_construction_on_all_small_splits(self, all_n6, conn_n8):
         # the constructive (|Q|-|T|+1)-coloring works on every split graph
-        for g in all_n6:
+        for g in all_n6 + conn_n8:
             part = split_recognize(g)
             if part is None or g.n == 0:
                 continue
             q, s = part
             lab = split_labeling(g, q, s)
             assert verify_additive_coloring(g, lab)
-            assert lab.k == split_upper_bound(g, q, s)
+            assert lab.k == split_upper_bound(g, q)
 
 
 class TestMultipartite:
@@ -314,7 +304,21 @@ class TestCombined:
                         g.masks[u] >> v & 1 for u in data for v in data if u != v
                     )
                 elif name == "split":
-                    q, s = data
-                    assert split_upper_bound(g, q, s) <= len(q)  # raises if invalid
+                    assert_maximal_split_partition(g, *data)
                 elif name == "max_degree":
                     assert data == g.max_degree()
+
+
+def assert_maximal_split_partition(g, q, s):
+    """Q and S partition the vertices, Q is a clique that no vertex of S
+    extends, and S is stable."""
+    assert sorted(q + s) == list(range(g.n))
+    q_mask = 0
+    for v in q:
+        q_mask |= 1 << v
+    for v in q:
+        assert g.masks[v] & q_mask == q_mask ^ (1 << v)
+    for i, u in enumerate(s):
+        for v in s[i + 1:]:
+            assert not g.masks[u] >> v & 1
+    assert not any(g.masks[v] & q_mask == q_mask for v in s)

@@ -1,4 +1,5 @@
 import re
+import sys
 import zlib
 
 import pytest
@@ -71,6 +72,30 @@ def test_family_builds_its_graph_once(capsys, monkeypatch, text):
     code, out, builds = count_builds(capsys, monkeypatch, "family", text)
     assert code == 0 and "verified: additive coloring" in out and "OK" in out
     assert builds == FAMILY_BUILDS[text]
+
+
+# certify verifies its labeling once; the solver's certificates (the path and
+# multipartite fallbacks, a fan's path) are also checked where they are found
+FAMILY_VERIFIES = {
+    "cycle:201": 1, "path:150": 2, "multipartite:5,4,3,3,2": 2, "wheel:150": 1,
+    "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
+    "join-complete:3:wheel-sun:20": 1, "fan:120": 2,
+}
+
+
+@pytest.mark.parametrize("text", FAMILY_VERIFIES)
+def test_family_verifies_its_certificate_once(capsys, monkeypatch, text):
+    calls = []
+    for module in list(sys.modules.values()):
+        verify = getattr(module, "verify_additive_coloring", None)
+        if module.__name__.startswith("addcolor.") and verify is not None:
+            monkeypatch.setattr(
+                module, "verify_additive_coloring",
+                lambda *args, verify=verify: calls.append(1) or verify(*args),
+            )
+    code, out, _ = run(capsys, "family", text)
+    assert code == 0 and "verified: additive coloring with k=" in out
+    assert len(calls) == FAMILY_VERIFIES[text]
 
 
 def test_solve_builds_no_second_graph(tmp_path, capsys, monkeypatch):
@@ -153,17 +178,17 @@ def test_solve_edge_list_bad_number_names_the_line(tmp_path, capsys):
     path.write_text("0 1\n# comment\n0 x\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {path}:3: invalid literal for int()")
+    assert err == f"error: {path}:3: numbers are plain ASCII digits, got 'x'\n"
 
 
-@pytest.mark.parametrize("field", ["1_0", "+1", "\u0663"])
+@pytest.mark.parametrize("field", ["1_0", "+1", "\u0663", "-1"])
 def test_solve_edge_list_number_is_ascii_digits(tmp_path, capsys, field):
-    # int() takes each of these (as 10, 1 and 3)
+    # int() takes each of these (as 10, 1, 3 and -1)
     path = tmp_path / "odd.edges"
     path.write_text(f"0 2\n0 {field}\n", encoding="utf-8")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1 and out == ""
-    assert err == f"error: {path}:2: invalid literal for int() with base 10: {field!r}\n"
+    assert err == f"error: {path}:2: numbers are plain ASCII digits, got {field!r}\n"
 
 
 @pytest.mark.parametrize(
