@@ -108,7 +108,6 @@ def _sorted_lines(graphs: list[Graph]) -> list[str]:
 
 def check_against_atlas(levels: dict[int, list[Graph]]) -> None:
     try:
-        import networkx as nx
         from networkx.generators.atlas import graph_atlas_g
     except ImportError:
         print("networkx not available; skipping atlas cross-check")

@@ -117,8 +117,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     print(f"family: {spec.text()}")
     print(f"n={g.n} m={g.edge_count}")
     print(f"eta = {cert.eta}")
-    print(f"labeling ({cert.provenance}; vertex:label, 1-based): "
-          f"{_format_labeling(cert.labeling)}")
+    print(f"labeling (construction; vertex:label, 1-based): {_format_labeling(cert.labeling)}")
     # certify raises unless the labeling verifies
     print(f"verified: additive coloring with k={cert.labeling.k}: OK")
     print(f"lower-bound witness: {cert.lower_bound_witness}")
@@ -158,6 +157,9 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if g.n == 0:
+        print(f"{args.output}: skipped (graph has no vertices, eta = 0)")
+        return EXIT_OK
     comps = _components(g)
     if len(comps) == 1:
         outputs = [(args.output, comps[0][1])]
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--budget", type=int, default=_solver.DEFAULT_NODE_BUDGET,
                          help="per-graph search node budget")
-    p_sweep.add_argument("--chi-limit", type=int, default=16,
+    p_sweep.add_argument("--chi-limit", type=int, default=_solver.DEFAULT_CHI_LIMIT,
                          help="largest n for exact chromatic number")
     p_sweep.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

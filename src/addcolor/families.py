@@ -3,11 +3,11 @@ constructive certificate labelings that witness them.
 
 Each family is one row of the `_FAMILIES` table, keyed by its kind: the
 arity and parameter checks, the vertex count, the edge list, the closed-form
-eta, the certificate labeling with its provenance, and the lower-bound
-witness. `KINDS`, `generate`, `eta_formula`, `certify` and spec validation
-each look the row up; only `generate` builds a graph from the edges. A spec
-is rejected before any graph is built when its vertex count exceeds the
-graph6 writer's limit.
+eta, the certificate labeling and the lower-bound witness. `KINDS`,
+`generate`, `eta_formula`, `certify` and spec validation each look the row
+up; only `generate` builds a graph from the edges. A spec is rejected
+before any graph is built when its vertex count exceeds the graph6 writer's
+limit.
 
 Vertex ordering is fixed per family so the constructions map positionally:
 
@@ -19,9 +19,8 @@ Vertex ordering is fixed per family so the constructions map positionally:
 * complete multipartite: parts in the given (non-increasing) order;
 * biregular bipartite: left side 0..n_u-1, right side n_u..n_u+n_v-1.
 
-Where no closed-form labeling is known (paths, complete multipartite), the
-certificate falls back to the exact solver; provenance records which route
-produced it.
+Every row labels its instance in closed form, so a certificate runs no
+search and each command builds one graph, the one `certify` verifies.
 """
 
 from __future__ import annotations
@@ -34,13 +33,8 @@ from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
-from . import solver as _solver
 from .graph import Graph, Labeling, verify_additive_coloring
 from .graph6 import WRITER_MAX_N
-
-PROVENANCE_CONSTRUCTION = "construction"
-PROVENANCE_SOLVER = "solver"
-PROVENANCE_HYBRID = "construction+solver"
 
 
 @dataclass(frozen=True)
@@ -274,6 +268,17 @@ def eta_formula(spec: FamilySpec) -> int:
 # certificate labelings
 
 
+def _path_labeling(n: int) -> Labeling:
+    if n in (1, 3):
+        return Labeling((1,) * n)
+    if n == 2:
+        return Labeling((1, 2))
+    # a 2 on every fourth vertex makes the interior sums alternate 2, 3, 2,
+    # 3; without the shift, n = 2 (mod 4) would tie the last edge's sums
+    shift = 1 if n % 4 == 2 else 0
+    return Labeling(tuple(2 if (i + shift) % 4 == 0 else 1 for i in range(n)))
+
+
 def _odd_cycle_labeling(n: int) -> Labeling:
     if n == 3:
         return Labeling((1, 2, 3))
@@ -290,7 +295,7 @@ def _cycle_labeling(n: int) -> Labeling:
     return _odd_cycle_labeling(n)
 
 
-def split_labeling(g: Graph, clique: tuple[int, ...], stable: tuple[int, ...]) -> Labeling:
+def split_labeling(g: Graph, clique: tuple[int, ...]) -> Labeling:
     """Constructive additive (|Q|-|T|+1)-coloring of a split graph.
 
     Q must be maximal; T picks one clique vertex per distinct degree. The
@@ -398,6 +403,17 @@ def _complete_sun_labeling(m: int) -> Labeling:
     return Labeling(tuple(fu[1:] + fv[1:]))
 
 
+def _multipartite_labeling(*parts: int) -> Labeling:
+    # part i's labels add up to s_i, so each of its vertices sums to
+    # total - s_i, and the s_i strictly decrease; spreading s_i evenly makes
+    # the largest label max ceil(s_i / p_i), the formula's value
+    labels: list[int] = []
+    for p, s in zip(parts, _bounds.multipartite_chain(parts)):
+        q, r = divmod(s, p)
+        labels += [q + 1] * r + [q] * (p - r)
+    return Labeling(tuple(labels))
+
+
 def _biregular_labeling(nu: int, nv: int, du: int) -> Labeling:
     if nu * du // nv != du:
         return Labeling((1,) * (nu + nv))
@@ -410,32 +426,8 @@ def _join_labeling(inner: Labeling, q: int) -> Labeling:
     return Labeling(inner.labels + tuple(range(1, q + 1)))
 
 
-def _join_certificate(q: int, inner: FamilySpec) -> tuple[Labeling, str]:
-    labeling, prov = _labeled(inner, None)
-    out = PROVENANCE_CONSTRUCTION if prov == PROVENANCE_CONSTRUCTION else PROVENANCE_HYBRID
-    return _join_labeling(labeling, q), out
-
-
-def _labeled(spec: FamilySpec, g: Graph | None) -> tuple[Labeling, str]:
-    """Certificate labeling plus how it was obtained; g is the spec's graph,
-    or None to build it only if the solver needs it.
-
-    Provenance is "construction" for a pure closed-form labeling, "solver"
-    for a fallback exact solve (the rows with no labeling), and
-    "construction+solver" for a construction over a solver-labeled part.
-    """
-    construct = _FAMILIES[spec.kind].labeling
-    if construct is None:
-        return _solver_labeling(spec, generate(spec) if g is None else g), PROVENANCE_SOLVER
-    return construct(*_args(spec))
-
-
-def _solver_labeling(spec: FamilySpec, g: Graph) -> Labeling:
-    target = eta_formula(spec)
-    result = _solver.eta_exact(g, lb=target, ub=target)
-    if not result.ok:
-        raise AssertionError(f"solver fallback failed for {spec.text()}")
-    return result.certificate
+def _labeling(spec: FamilySpec) -> Labeling:
+    return _FAMILIES[spec.kind].labeling(*_args(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +453,6 @@ def _join_witness(q: int, inner: FamilySpec) -> str:
 # the table
 
 
-def _construction(label: Callable[..., Labeling]) -> Callable[..., tuple[Labeling, str]]:
-    return lambda *args: (label(*args), PROVENANCE_CONSTRUCTION)
-
-
 def _cycle_eta(n: int) -> int:
     return 2 if n % 2 == 0 else 3
 
@@ -475,77 +463,75 @@ def _spider_eta(q: int) -> int:
 
 class _Family(NamedTuple):
     """One family. `check` takes the spec and raises ValueError; the other
-    functions take `_args(spec)`. `labeling` is None where only the exact
-    solver labels the family, and `witness` explains eta >= 2."""
+    functions take `_args(spec)`, and `witness` explains eta >= 2."""
 
     check: Callable[[FamilySpec], None]
     size: Callable[..., int]
     edges: Callable[..., list[tuple[int, int]]]
     eta: Callable[..., int]
-    labeling: Optional[Callable[..., tuple[Labeling, str]]]
+    labeling: Callable[..., Labeling]
     witness: Callable[..., str]
 
 
 _FAMILIES = {
     "path": _Family(
-        _one(1), lambda n: n, _path, lambda n: 1 if n in (1, 3) else 2, None, _equal_degrees),
+        _one(1), lambda n: n, _path, lambda n: 1 if n in (1, 3) else 2, _path_labeling,
+        _equal_degrees),
     "cycle": _Family(
-        _one(3), lambda n: n, _cycle, _cycle_eta, _construction(_cycle_labeling), _odd_cycle),
+        _one(3), lambda n: n, _cycle, _cycle_eta, _cycle_labeling, _odd_cycle),
     "complete": _Family(
         _one(1), lambda n: n, _complete, lambda n: n,
-        _construction(lambda n: Labeling(tuple(range(1, n + 1)))),
-        lambda n: f"true-twin class of size {n}"),
+        lambda n: Labeling(tuple(range(1, n + 1))), lambda n: f"true-twin class of size {n}"),
     "complete-split": _Family(
         _check_split, lambda q, s: q + s,
         lambda q, s: [(u, v) for v in range(q + s) for u in range(min(v, q))],
-        lambda q, s: q, _construction(_complete_split_labeling),
+        lambda q, s: q, _complete_split_labeling,
         lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
     "fan": _Family(
         _one(3), lambda n: n + 2, lambda n: _cone(_path(n + 1), n + 1, 1), lambda n: 2,
-        lambda n: _join_certificate(1, FamilySpec("path", (n + 1,))), _equal_degrees),
+        lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
     "wheel": _Family(
         _one(4), lambda n: n + 1, lambda n: _cone(_cycle(n), n, 1), _cycle_eta,
-        _construction(lambda n: _join_labeling(_cycle_labeling(n), 1)), _odd_cycle),
+        lambda n: _join_labeling(_cycle_labeling(n), 1), _odd_cycle),
     "windmill": _Family(
         _check_windmill, lambda n, m: (n - 1) * m + 1,
         lambda n, m: _cone(_disjoint_cliques(n - 1, m), (n - 1) * m, 1), lambda n, m: n - 1,
-        _construction(lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1)),
+        lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1),
         lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
     "thin-spider": _Family(
         _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=True), _spider_eta,
-        _construction(_thin_spider_labeling),
+        _thin_spider_labeling,
         lambda q: f"clique bound ceil((q+1)/2) on the clique of degree-{q} vertices"),
     "thick-spider": _Family(
         _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=False), _spider_eta,
-        _construction(_thick_spider_labeling),
+        _thick_spider_labeling,
         lambda q: "pigeonhole on the clique neighborhood sums"),
     "cycle-sun": _Family(
         _one(4), lambda m: 2 * m, lambda m: _cycle(m) + _sun_edges(m), lambda m: 2,
-        _construction(lambda m: Labeling(tuple(_cycle_sun_labels(m)))), _equal_degrees),
+        lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
     "wheel-sun": _Family(
         _one(4), lambda m: 2 * m + 1,
         lambda m: _cycle(m) + _sun_edges(m) + [(i, 2 * m) for i in range(m)], lambda m: 2,
-        _construction(_wheel_sun_labeling), _equal_degrees),
+        _wheel_sun_labeling, _equal_degrees),
     "complete-sun": _Family(
         _one(3), lambda m: 2 * m, lambda m: _complete(m) + _sun_edges(m),
-        lambda m: math.ceil((m + 2) / 3),
-        _construction(_complete_sun_labeling),
+        lambda m: math.ceil((m + 2) / 3), _complete_sun_labeling,
         lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
     "multipartite": _Family(
         _check_multipartite, lambda *p: sum(p), _multipartite,
-        lambda *p: _bounds.multipartite_eta(p), None,
+        lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling,
         lambda *p: "optimal monotone orientation of the multipartite digraph"),
     "regular-bipartite": _Family(
         _check_regular, lambda n, d: 2 * n, lambda n, d: _biregular(n, n, d),
         lambda n, d: _biregular_eta(n, n, d),
-        _construction(lambda n, d: _biregular_labeling(n, n, d)), _equal_degrees),
+        lambda n, d: _biregular_labeling(n, n, d), _equal_degrees),
     "biregular-bipartite": _Family(
         _check_biregular, lambda nu, nv, du: nu + nv, _biregular, _biregular_eta,
-        _construction(_biregular_labeling), _equal_degrees),
+        _biregular_labeling, _equal_degrees),
     "join-complete": _Family(
         _check_join, lambda q, inner: q + _vertex_count(inner),
         lambda q, inner: _cone(_edges(inner), _vertex_count(inner), q), _join_eta,
-        _join_certificate, _join_witness),
+        lambda q, inner: _join_labeling(_labeling(inner), q), _join_witness),
 }
 
 KINDS = tuple(_FAMILIES)
@@ -560,7 +546,6 @@ class EtaCertificate:
     spec: FamilySpec
     eta: int
     labeling: Labeling
-    provenance: str
     lower_bound_witness: str
     graph: Graph = field(compare=False, repr=False)
 
@@ -570,11 +555,11 @@ def certify(spec: FamilySpec) -> EtaCertificate:
     the graph they certify."""
     g = generate(spec)
     eta = eta_formula(spec)
-    labeling, provenance = _labeled(spec, g)
+    labeling = _labeling(spec)
     if labeling.k != eta or not verify_additive_coloring(g, labeling):
         raise AssertionError(f"certificate failed verification for {spec.text()}")
     if eta == 1:
         witness = "every edge joins vertices of different degree (eta = 1)"
     else:
         witness = _FAMILIES[spec.kind].witness(*_args(spec))
-    return EtaCertificate(spec, eta, labeling, provenance, witness, g)
+    return EtaCertificate(spec, eta, labeling, witness, g)

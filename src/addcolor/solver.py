@@ -169,6 +169,7 @@ UB_EXCEEDED = "ub_exceeded"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_CHI_LIMIT = 16
 
 # the clique-sum check is armed once a call has spent this many nodes: most
 # searches end sooner, and on small graphs building the clique terms costs
@@ -585,7 +586,7 @@ def verify_proper_coloring(g: Graph, colors: tuple[int, ...]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def chromatic_exact(g: Graph, limit: int = 16) -> SolveResult:
+def chromatic_exact(g: Graph, limit: int = DEFAULT_CHI_LIMIT) -> SolveResult:
     """Exact chromatic number with a verifying proper coloring (n <= limit)."""
     if g.n > limit:
         raise ResourceLimitError(

