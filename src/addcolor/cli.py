@@ -2,8 +2,8 @@
 export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, 2 conjecture violation found
-(sweep), 3 budget or resource limit hit, 4 an audited bounds pinch disagreed
-with the exact solver (sweep; an internal fault, checked before 2 and 3).
+(sweep), 3 a node budget ran out, 4 an audited bounds pinch disagreed with
+the exact solver (sweep; an internal fault, checked before 2 and 3).
 """
 
 from __future__ import annotations
@@ -193,9 +193,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_record(
-    item: tuple[int, str], budget: int, chi_limit: int, max_n: int | None
-) -> dict | None:
+def _solve_record(item: tuple[int, str], budget: int, max_n: int | None) -> dict | None:
     """Solve one corpus line; pure function of the line, so worker count
     cannot change any record. None marks a graph skipped for having more
     than `max_n` vertices."""
@@ -225,12 +223,11 @@ def _solve_record(
         eta, eta_source, eta_cert = result.value, "solver", result.certificate
     record["eta"] = eta
     record["eta_source"] = eta_source
-    if g.n > chi_limit:
-        record["status"] = "budget-exceeded"
-        record["chi_source"] = "dsatur-only"
-        record["chi"] = _solver.dsatur(g)[0]
+    chi_result = _solver.chromatic_exact(g, node_budget=budget)
+    if not chi_result.ok:
+        chi = _solver.dsatur(g)[0]
+        record.update(chi=chi, chi_source="dsatur-only", status="budget-exceeded")
         return record
-    chi_result = _solver.chromatic_exact(g, limit=chi_limit)
     chi = chi_result.value
     record.update(chi=chi, chi_source="exact")
     # re-solve a formula short-circuit for a deterministic ~1% audit sample,
@@ -304,9 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    worker = functools.partial(
-        _solve_record, budget=args.budget, chi_limit=args.chi_limit, max_n=args.max_n
-    )
+    worker = functools.partial(_solve_record, budget=args.budget, max_n=args.max_n)
     skipped = 0
     counts = {
         "holds": 0, "VIOLATION": 0, "budget-exceeded": 0, "parse-error": 0,
@@ -394,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip graphs with more vertices")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--budget", type=int, default=_solver.DEFAULT_NODE_BUDGET,
-                         help="per-graph search node budget")
-    p_sweep.add_argument("--chi-limit", type=int, default=_solver.DEFAULT_CHI_LIMIT,
-                         help="largest n for exact chromatic number")
+                         help="node budget of each eta, audit and chi search")
     p_sweep.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

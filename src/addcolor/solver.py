@@ -149,11 +149,13 @@ searches nothing measurable.
 
 `chromatic_exact` computes the chromatic number with a DSATUR upper bound, a
 greedy clique lower bound (the largest of the graph's cached greedy
-cliques), and backtracking k-colorability in between. DSATUR keeps each
-vertex's neighbor colors as a bitmask: the saturation is its popcount and
-the least free color its lowest zero bit. It scans the uncolored vertices
-in ascending id order and keeps the first maximum of (saturation, uncolored
-degree), so ties go to the smallest id.
+cliques), and backtracking k-colorability from the lower bound up, which
+counts one node per color placed over all k against the node budget, as
+`eta_exact` counts labels; when the bounds meet it searches nothing, at any
+n. DSATUR keeps each vertex's neighbor colors as a bitmask: the saturation
+is its popcount and the least free color its lowest zero bit. It scans the
+uncolored vertices in ascending id order and keeps the first maximum of
+(saturation, uncolored degree), so ties go to the smallest id.
 """
 
 from __future__ import annotations
@@ -169,7 +171,6 @@ UB_EXCEEDED = "ub_exceeded"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_CHI_LIMIT = 16
 
 # the clique-sum check is armed once a call has spent this many nodes: most
 # searches end sooner, and on small graphs building the clique terms costs
@@ -192,10 +193,6 @@ NOGOOD_WIDTH = 1.5
 # later; where keys rarely repeat, it would cost the search several times
 # over (measured in the module docstring)
 NOGOOD_MISSES = 16
-
-
-class ResourceLimitError(RuntimeError):
-    """Exact chromatic solve refused; use dsatur for an upper bound instead."""
 
 
 @dataclass
@@ -543,12 +540,13 @@ def greedy_clique_lower_bound(g: Graph) -> int:
     return max(map(len, g.greedy_cliques), default=0)
 
 
-def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
+def _k_colorable(g: Graph, k: int, node_budget: int) -> tuple[tuple[int, ...] | None, int]:
     """Backtracking k-colorability; colors restricted to 1 + max used so far.
 
-    An index over the search order moves forward and back, as in
-    `eta_exact`. Bit c of taken[i] is set when a neighbor earlier in the
-    order has color c, and used[i] is the largest color before position i.
+    Returns (coloring or None, colors placed), and gives up with None past
+    `node_budget` of them. An index over the search order moves forward and
+    back, as in `eta_exact`. Bit c of taken[i] is set when a neighbor earlier
+    in the order has color c, and used[i] is the largest color before i.
     """
     n = g.n
     order = g.search_order
@@ -559,6 +557,7 @@ def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
     colors = [0] * n
     taken = [0] * n
     used = [0] * (n + 1)
+    nodes = 0
     i = 0
     while 0 <= i < n:
         c = colors[i]
@@ -571,13 +570,16 @@ def _k_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
         free = ~taken[i] & (-1 << (c + 1))
         c = (free & -free).bit_length() - 1
         if c <= min(k, used[i] + 1):
+            nodes += 1
+            if nodes > node_budget:
+                return None, nodes
             colors[i] = c
             used[i + 1] = max(used[i], c)
             i += 1
         else:
             colors[i] = 0
             i -= 1
-    return tuple(colors[p] for p in pos) if i == n else None
+    return (tuple(colors[p] for p in pos) if i == n else None), nodes
 
 
 def verify_proper_coloring(g: Graph, colors: tuple[int, ...]) -> bool:
@@ -586,21 +588,22 @@ def verify_proper_coloring(g: Graph, colors: tuple[int, ...]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-def chromatic_exact(g: Graph, limit: int = DEFAULT_CHI_LIMIT) -> SolveResult:
-    """Exact chromatic number with a verifying proper coloring (n <= limit)."""
-    if g.n > limit:
-        raise ResourceLimitError(
-            f"exact chromatic solve limited to n <= {limit} (got n={g.n}); use dsatur"
-        )
+def chromatic_exact(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    """Exact chromatic number with a verifying proper coloring; status
+    "budget_exceeded" once the search has placed over `node_budget` colors."""
     if g.n == 0:
         return SolveResult(OPTIMAL, 0, (), SolveStats(0))
     lb = greedy_clique_lower_bound(g)
     ub, coloring = dsatur(g)
     value, cert = ub, coloring
+    nodes = 0
     for k in range(lb, ub):
-        attempt = _k_colorable(g, k)
+        attempt, spent = _k_colorable(g, k, node_budget - nodes)
+        nodes += spent
+        if nodes > node_budget:
+            return SolveResult(BUDGET_EXCEEDED, None, None, SolveStats(nodes))
         if attempt is not None:
             value, cert = k, attempt
             break
     assert verify_proper_coloring(g, cert) and max(cert) == value
-    return SolveResult(OPTIMAL, value, cert, SolveStats(0))
+    return SolveResult(OPTIMAL, value, cert, SolveStats(nodes))

@@ -4,12 +4,13 @@ import zlib
 
 import pytest
 
-from addcolor.cli import main
+from addcolor.cli import AUDIT_RATE, main
 from addcolor.families import eta_formula, generate, parse_spec
 from addcolor.graph import Graph, Labeling, verify_additive_coloring
 from addcolor.graph6 import write_graph6
 
 from oracles import is_additive
+from test_solver import CHI_ABOVE_16
 
 
 def run(capsys, *argv):
@@ -425,12 +426,28 @@ def test_violation_record_carries_both_certificates():
     assert "eta_cert=1,2,3" in line and "chi_cert=1,2,3" in line
 
 
-def test_sweep_chi_limit_reports_dsatur_only(tmp_path, capsys):
-    corpus = tmp_path / "k3.g6"
-    corpus.write_text("Bw\n")
-    code, out, _ = run(capsys, "sweep", str(corpus), "--chi-limit", "2")
+def test_sweep_chi_budget_reports_dsatur_only(tmp_path, capsys):
+    # the bounds decide eta = 1, the line is outside the audit sample, and
+    # the chi search places 12 colors before it refutes k = 2
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("G?bvbo\n")
+    assert zlib.crc32(b"G?bvbo") % AUDIT_RATE
+    code, out, _ = run(capsys, "sweep", str(corpus), "--budget", "11")
     assert code == 3
-    assert "dsatur-only" in out and "budget-exceeded" in out
+    assert out.startswith("G?bvbo\t8\t13\t1\t3\tformula\tdsatur-only\tbudget-exceeded\n")
+    code, out, _ = run(capsys, "sweep", str(corpus), "--budget", "12")
+    assert code == 0
+    assert out.startswith("G?bvbo\t8\t13\t1\t3\tformula\texact\tholds\n")
+
+
+def test_sweep_past_sixteen_vertices(tmp_path, capsys):
+    corpus = tmp_path / "big.g6"
+    corpus.write_text("".join(write_graph6(make()) + "\n" for _, make, _ in CHI_ABOVE_16))
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == 0
+    records = [line.split("\t") for line in out.splitlines() if not line.startswith("#")]
+    assert [int(r[4]) for r in records] == [chi for _, _, chi in CHI_ABOVE_16]
+    assert all(int(r[1]) > 16 and r[6:] == ["exact", "holds"] for r in records)
 
 
 def test_sweep_max_n_filter(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -15,7 +16,6 @@ from addcolor.solver import (
     HALL_AFTER,
     OPTIMAL,
     UB_EXCEEDED,
-    ResourceLimitError,
     chromatic_exact,
     dsatur,
     eta_exact,
@@ -53,6 +53,31 @@ GOLDEN_ARMING = "96e2030e8d029f73d462ecfd3a21b3440eea4ec521f73934a899e6dc296f9e7
 # k-colorability search, which the index loop must match labeling for
 # labeling.
 GOLDEN_CHI = "5ce102668fd9edaaa2fc766d498e2bbd2a039c0c799b04983bce54163584af79"
+
+
+def planted_coloring(n, k, seed):
+    """Seeded graph with chi = k: vertices 0..k-1 form a clique, one per
+    class of a random k-coloring, and each other pair of differently
+    colored vertices is an edge with probability 1/2."""
+    rng = random.Random(seed)
+    cls = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    edges = [
+        (u, v) for v in range(n) for u in range(v)
+        if cls[u] != cls[v] and (v < k or rng.random() < 0.5)
+    ]
+    return Graph.from_edges(n, edges)
+
+
+# (id, graph builder, chi) on more than 16 vertices, chi known by
+# construction: a complete multipartite graph, wheels with an odd and an
+# even rim, and planted colorings
+CHI_ABOVE_16 = [
+    (text, functools.partial(g_of, text), chi)
+    for text, chi in [("multipartite:6,5,4,3", 4), ("wheel:19", 4), ("wheel:20", 3)]
+] + [
+    (f"planted:{n},{k},{seed}", functools.partial(planted_coloring, n, k, seed), k)
+    for n, k, seed in [(20, 3, 1), (22, 3, 5), (24, 4, 2), (26, 4, 6), (27, 5, 3), (30, 6, 4)]
+]
 
 ARMING_SPECS = (
     [f"thick-spider:{q}" for q in range(7, 13)]
@@ -389,9 +414,34 @@ class TestChromatic:
     def test_odd_wheel(self):
         assert chromatic_exact(g_of("wheel:5")).value == 4
 
-    def test_limit(self):
-        with pytest.raises(ResourceLimitError):
-            chromatic_exact(Graph.from_edges(17, []), limit=16)
+    def test_budget_exceeded(self):
+        # DSATUR colors G?bvbo with 3, the clique bound is 2, and refuting
+        # k = 2 places 12 colors
+        g = parse_graph6("G?bvbo")
+        assert chromatic_exact(g).stats.nodes == 12
+        for budget in (0, 11):
+            result = chromatic_exact(g, node_budget=budget)
+            assert result.status == BUDGET_EXCEEDED and result.value is None
+            assert result.certificate is None and result.stats.nodes > budget
+        assert chromatic_exact(g, node_budget=12).value == 3
+
+    def test_bounds_that_meet_decide_without_search(self):
+        result = chromatic_exact(Graph.from_edges(17, []), node_budget=0)
+        assert result.ok and result.value == 1 and result.stats.nodes == 0
+
+    @pytest.mark.parametrize(
+        "make,chi", [pytest.param(make, chi, id=name) for name, make, chi in CHI_ABOVE_16]
+    )
+    def test_above_sixteen_vertices(self, make, chi):
+        g = make()
+        assert g.n > 16
+        result = chromatic_exact(g)
+        assert result.ok and result.value == chi
+        assert verify_proper_coloring(g, result.certificate) and max(result.certificate) == chi
+        if dsatur(g)[0] == greedy_clique_lower_bound(g):
+            assert result.stats.nodes == 0
+        else:
+            assert result.stats.nodes > 0
 
     def test_certificate(self):
         g = g_of("wheel:6")
