@@ -30,7 +30,11 @@ def is_eta_one(g: Graph) -> bool:
     """Exact characterization: eta = 1 iff every edge joins vertices of
     different degree (vacuously true for edgeless graphs)."""
     deg = g.degrees()
-    return all(deg[u] != deg[v] for u, v in g.edges())
+    for d, nbrs in zip(deg, g.neighbors):
+        for v in nbrs:
+            if deg[v] == d:
+                return False
+    return True
 
 
 def largest_true_twin_class(g: Graph) -> tuple[int, ...]:

@@ -108,10 +108,9 @@ class Graph:
         neighbors, ties going to the smallest id. Every prefix is a clique
         too.
 
-        Once every candidate keeps all the others, the candidates are a
-        clique themselves: each later step would be a tie, so they are
-        appended in ascending order at once, as the step-by-step rule would
-        add them.
+        No candidate keeps more than the |cand| - 1 others, so the ascending
+        scan for the best one stops at the first candidate that keeps them
+        all: a later one could only tie it.
         """
         masks = self.masks
         cliques = []
@@ -119,9 +118,7 @@ class Graph:
             clique = [v]
             cand = masks[v]
             while cand:
-                # one scan finds the best (count, smallest id) and the lowest
-                # count; no count exceeds |cand| - 1
-                full = low = cand.bit_count() - 1
+                full = cand.bit_count() - 1
                 best_count = -1
                 rest = cand
                 while rest:
@@ -131,11 +128,8 @@ class Graph:
                     count = (cand & masks[u]).bit_count()
                     if count > best_count:
                         best, best_count = u, count
-                    if count < low:
-                        low = count
-                if low == full:
-                    clique.extend(iter_bits(cand))
-                    break
+                        if count == full:
+                            break
                 clique.append(best)
                 cand &= masks[best]
             cliques.append(tuple(clique))
@@ -195,7 +189,11 @@ def verify_additive_coloring(g: Graph, f: Labeling) -> bool:
     _check_cover(g, f)
     labels = f.labels
     sums = [sum(labels[u] for u in g.neighbors[v]) for v in range(g.n)]
-    return all(sums[u] != sums[v] for u, v in g.edges())
+    for s, nbrs in zip(sums, g.neighbors):
+        for v in nbrs:
+            if sums[v] == s:
+                return False
+    return True
 
 
 def _check_cover(g: Graph, f: Labeling) -> None:

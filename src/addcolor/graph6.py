@@ -7,6 +7,9 @@ byte offset by 63. Headers: one byte 63+n for n <= 62; byte 126 plus three
 6-bit bytes for n <= 258047; two bytes 126 plus six 6-bit bytes for larger n
 (up to 2^36 - 1). Only graph6 is handled here; sparse6 and digraph6 lines are
 rejected with a format error.
+
+Both directions go column by column through the bits as a '0'/'1' string
+built with bin(); the parser visits only the set bits.
 """
 
 from __future__ import annotations
@@ -56,28 +59,29 @@ def parse_graph6(line: str) -> Graph:
     if len(values) - pos > nbytes:
         raise Graph6FormatError(f"trailing bytes after bit section for n={n}")
 
-    # the indices below are in range and distinct by construction, so the
-    # graph is built directly, without the checks of Graph.from_edges; each
-    # neighbor list comes out sorted (the i < j of vertex j are appended at
-    # step j, the j > i of vertex i at later steps)
+    # a guard bit 64 keeps each byte's leading zeros through bin(); before
+    # each set bit, `start` steps over whole columns (column j holds the
+    # (i, j), i < j). The graph is built directly, as every index is in range
+    # and distinct; each neighbor list comes out sorted
+    bits = "".join([bin(v | 64)[3:] for v in values[pos:]])
+    if "1" in bits[nbits:]:
+        raise Graph6FormatError("nonzero padding bits")
     masks = [0] * n
     neighbors: list[list[int]] = [[] for _ in range(n)]
     m = 0
-    bit = 0
-    chunk = values[pos:]
-    for j in range(1, n):
-        for i in range(j):
-            if chunk[bit // 6] >> (5 - bit % 6) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-                m += 1
-            bit += 1
-    # padding bits must be zero
-    for pad in range(nbits, nbytes * 6):
-        if chunk[pad // 6] >> (5 - pad % 6) & 1:
-            raise Graph6FormatError("nonzero padding bits")
+    j = start = 0
+    k = bits.find("1")
+    while k >= 0:
+        while k >= start + j:
+            start += j
+            j += 1
+        i = k - start
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+        m += 1
+        k = bits.find("1", k + 1)
     return Graph(n, tuple(map(tuple, neighbors)), tuple(masks), m)
 
 
@@ -111,13 +115,10 @@ def write_graph6(g: Graph) -> str:
         )
     else:
         raise ValueError(f"writer supports n <= {WRITER_MAX_N}, got {n}")
-    nbits = n * (n - 1) // 2
-    chunk = [0] * ((nbits + 5) // 6)
-    bit = 0
-    for j in range(1, n):
-        mask_j = g.masks[j]
-        for i in range(j):
-            if mask_j >> i & 1:
-                chunk[bit // 6] |= 1 << (5 - bit % 6)
-            bit += 1
-    return header + "".join(chr(_MIN_BYTE + v) for v in chunk)
+    # column j is bits 0..j-1 of masks[j] read upward; a guard bit j keeps
+    # their leading zeros
+    bits = "".join([bin(mask & ~(-1 << j) | 1 << j)[:2:-1] for j, mask in enumerate(g.masks)])
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join(
+        [chr(_MIN_BYTE + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)]
+    )

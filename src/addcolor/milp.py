@@ -18,18 +18,17 @@ variables that the twin chains make redundant are decided first, and
 neither they nor any row mentioning them is ever emitted; the model lists
 them in `eliminated_variables` for reporting only. Row order: the z and
 pairing rows per edge, the k links, the valid inequalities, the chains.
-The f terms of the z rows come from two per-model tables, one (+1, f_v{w})
-and one (-1, f_v{w}) per vertex, shared by every row: a row filters the
-sorted neighbor tuples of its edge by a mask bit test and reuses the
-table entries, so no f term or f name is built per row. Likewise each live
-z name is formatted once, in a table keyed by its ordered edge that the
-variables, the z and pairing rows and the valid inequalities all read.
+Each live edge lists N(u)\\N(v) and N(v)\\N(u) once, from the set bits of
+the masks, and builds both z rows from them. Their f terms come from two
+per-model tables, one (+1, f_v{w}) and one (-1, f_v{w}) per vertex, shared
+by every row; each live z name is formatted once, in a table keyed by its
+ordered edge. `write_lp` formats each distinct term once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, iter_bits, twin_refined_partition
 
@@ -39,16 +38,14 @@ BINARY = "binary"
 _WRAP_TERMS = 20
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str
     lower: int
     upper: int | None
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[int, str], ...]
     relation: str  # "<=", "=" or ">="
@@ -136,13 +133,12 @@ def build_model(
     minus = [(-1, f_name(w)) for w in range(g.n)]
     constraints: list[Constraint] = []
     for u, v in live_edges:
-        for a, b in ((u, v), (v, u)):
-            # f(N(a)) - f(N(b)) with the common neighbors cancelled
-            ma, mb = masks[a], masks[b]
-            pos = [plus[w] for w in neighbors[a] if not mb >> w & 1]
-            neg = [minus[w] for w in neighbors[b] if not ma >> w & 1]
+        # f(N(a)) - f(N(b)) with the common neighbors cancelled
+        only_u = [*iter_bits(masks[u] & ~masks[v])]
+        only_v = [*iter_bits(masks[v] & ~masks[u])]
+        for a, b, pos, neg in ((u, v, only_u, only_v), (v, u, only_v, only_u)):
             m = _big_m(len(pos), len(neg), ub)
-            terms = (*pos, *neg, (m, z[a, b]))
+            terms = (*map(plus.__getitem__, pos), *map(minus.__getitem__, neg), (m, z[a, b]))
             constraints.append(Constraint(f"c_z_{a}_{b}", terms, "<=", m - 1))
         constraints.append(
             Constraint(f"c_pair_{u}_{v}", ((1, z[u, v]), (1, z[v, u])), "=", 1)
@@ -184,17 +180,20 @@ def build_model(
 # LP text output
 
 
-def _format_terms(terms: Sequence[tuple[int, str]]) -> list[str]:
-    # one rule, "+ var", "- var", "+ 3 var" or "- 3 var"; the first term
-    # drops a leading "+ "
-    parts = []
-    for coef, var in terms:
-        if coef == 1:
-            parts.append("+ " + var)
-        elif coef == -1:
-            parts.append("- " + var)
-        else:
-            parts.append(f"- {-coef} {var}" if coef < 0 else f"+ {coef} {var}")
+class _TermText(dict):
+    """Each distinct (coef, var) term as "+ var", "- var", "+ 3 var" or
+    "- 3 var", formatted on first use."""
+
+    def __missing__(self, term: tuple[int, str]) -> str:
+        coef, var = term
+        sign = "- " if coef < 0 else "+ "
+        text = self[term] = sign + var if abs(coef) == 1 else f"{sign}{abs(coef)} {var}"
+        return text
+
+
+def _format_terms(terms: Sequence[tuple[int, str]], text: _TermText) -> list[str]:
+    # the first term drops a leading "+ "
+    parts = [*map(text.__getitem__, terms)]
     parts[0] = parts[0].removeprefix("+ ")
     return parts
 
@@ -211,13 +210,15 @@ def _wrap(items: Sequence[str], head: str, indent: str) -> list[str]:
 def write_lp(model: MilpModel) -> str:
     """Serialize to CPLEX LP format (Minimize / Subject To / Bounds /
     Generals / Binaries / End); deterministic, one model per file."""
-    lines = ["Minimize"]
-    lines.append(" obj: " + " ".join(_format_terms(model.objective)))
-    lines.append("Subject To")
+    text = _TermText()
+    lines = ["Minimize", " obj: " + " ".join(_format_terms(model.objective, text)), "Subject To"]
     for c in model.constraints:
-        parts = _format_terms(c.terms)
+        parts = _format_terms(c.terms, text)
         parts.append(f"{c.relation} {c.rhs}")
-        lines += _wrap(parts, f" {c.name}: ", "    ")
+        if len(parts) <= _WRAP_TERMS:
+            lines.append(f" {c.name}: " + " ".join(parts))
+        else:
+            lines += _wrap(parts, f" {c.name}: ", "    ")
     lines.append("Bounds")
     for var in model.variables:
         if var.kind != INTEGER:
@@ -231,8 +232,8 @@ def write_lp(model: MilpModel) -> str:
         if names:
             lines.append(header)
             lines += _wrap(names, " ", " ")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines.append("End\n")
+    return "\n".join(lines)
 
 
 def model_counts(model: MilpModel) -> dict[str, int]:

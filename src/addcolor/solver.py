@@ -585,7 +585,11 @@ def _k_colorable(g: Graph, k: int, node_budget: int) -> tuple[tuple[int, ...] | 
 def verify_proper_coloring(g: Graph, colors: tuple[int, ...]) -> bool:
     if len(colors) != g.n:
         return False
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    for c, nbrs in zip(colors, g.neighbors):
+        for v in nbrs:
+            if colors[v] == c:
+                return False
+    return True
 
 
 def chromatic_exact(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:

@@ -204,3 +204,49 @@ def twin_classes_naive(g: Graph):
     false = [tuple(u for u in rest if nbr[u] == nbr[v]) for v in rest]
     classes = {(1, c) for c in true if len(c) >= 2} | {(0, c) for c in false if len(c) >= 2}
     return tuple(sorted(classes, key=lambda c: c[1]))
+
+
+def parse_graph6_naive(line: str) -> Graph:
+    """Bit-by-bit graph6 decoder for valid lines: the size header, then the
+    upper triangle column by column, bit b of the section in byte b // 6,
+    MSB first, each bit tested on its own; the padding bits must be zero."""
+    values = [ord(ch) - 63 for ch in line.strip()]
+    if values[0] < 63:
+        n, pos = values[0], 1
+    elif values[1] < 63:
+        n, pos = values[1] << 12 | values[2] << 6 | values[3], 4
+    else:
+        n, pos = 0, 8
+        for v in values[2:8]:
+            n = n << 6 | v
+    chunk = values[pos:]
+    nbits = n * (n - 1) // 2
+    assert len(chunk) == (nbits + 5) // 6
+    edges = []
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            if chunk[bit // 6] >> (5 - bit % 6) & 1:
+                edges.append((i, j))
+            bit += 1
+    assert not any(chunk[b // 6] >> (5 - b % 6) & 1 for b in range(nbits, len(chunk) * 6))
+    return Graph.from_edges(n, edges)
+
+
+def write_graph6_naive(g: Graph) -> str:
+    """Bit-by-bit graph6 encoder: each bit of the upper triangle, column by
+    column, set on its own in byte b // 6, MSB first."""
+    n = g.n
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = chr(126) + "".join(chr(63 + (n >> shift & 0x3F)) for shift in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    chunk = [0] * ((nbits + 5) // 6)
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            if g.masks[j] >> i & 1:
+                chunk[bit // 6] |= 1 << (5 - bit % 6)
+            bit += 1
+    return header + "".join(chr(63 + v) for v in chunk)

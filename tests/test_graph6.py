@@ -1,10 +1,17 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from addcolor.cli import _iter_corpus
+from addcolor.families import generate, parse_spec
 from addcolor.graph import Graph
 from addcolor.graph6 import Graph6FormatError, parse_graph6, write_graph6
+
+from conftest import DATA
+from oracles import parse_graph6_naive, write_graph6_naive
+from test_families import small_specs
 
 
 def complete(n):
@@ -72,20 +79,26 @@ def test_byte_out_of_range():
 
 
 def test_truncated_bits():
-    with pytest.raises(Graph6FormatError):
+    message = r"^truncated bit section: need 1 bytes for n=3, got 0$"
+    with pytest.raises(Graph6FormatError, match=message):
         parse_graph6("B")
 
 
 def test_trailing_garbage():
-    with pytest.raises(Graph6FormatError):
+    with pytest.raises(Graph6FormatError, match=r"^trailing bytes after bit section for n=2$"):
         parse_graph6("A__")
 
 
 def test_nonzero_padding_strict():
     # n=2 needs one bit; 0b011111 sets only padding bits
     line = "A" + chr(63 + 0b011111)
-    with pytest.raises(Graph6FormatError):
+    with pytest.raises(Graph6FormatError, match=r"^nonzero padding bits$"):
         parse_graph6(line)
+    # the last padding bit past a long header: n=63 has 1953 bits, 3 of
+    # them padding
+    line = write_graph6(Graph.from_edges(63, []))
+    with pytest.raises(Graph6FormatError, match=r"^nonzero padding bits$"):
+        parse_graph6(line[:-1] + chr(63 + 1))
 
 
 def test_long_header_roundtrip():
@@ -147,3 +160,54 @@ def test_corpus_roundtrip_and_counts(conn_corpus_path):
             counts[g.n] += 1
     # connected graphs per order, published corpus metadata
     assert dict(counts) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+# the certify-export grid of the benchmark, n = 17..201
+EXPORT_SPECS = (
+    "multipartite:5,4,3,3,2", "cycle:201", "wheel:150", "thick-spider:40",
+    "complete-split:30,60", "complete:60", "regular-bipartite:60,7",
+    "join-complete:5:cycle:80", "fan:120", "path:150", "thin-spider:40",
+    "complete-sun:40", "cycle-sun:50", "wheel-sun:50", "windmill:6,20",
+    "join-complete:3:wheel-sun:20",
+)
+
+
+def assert_matches_reference(line, g):
+    """`line` and `g` encode each other, in the codec and in the bit-by-bit
+    reference alike."""
+    assert parse_graph6(line) == parse_graph6_naive(line) == g
+    assert write_graph6(g) == write_graph6_naive(g) == line
+
+
+@pytest.mark.parametrize(
+    "name", ["graphs_all_n1-6.g6", "graphs_conn_n1-7.g6", "graphs_conn_n8.g6"]
+)
+def test_corpus_lines_match_reference_codec(name):
+    lines = (DATA / name).read_text().split()
+    assert lines
+    for line in lines:
+        assert_matches_reference(line, parse_graph6_naive(line))
+
+
+@pytest.mark.parametrize("text", small_specs() + list(EXPORT_SPECS))
+def test_family_graphs_match_reference_codec(text):
+    g = generate(parse_spec(text))
+    assert_matches_reference(write_graph6_naive(g), g)
+
+
+# n = 62 / 63 straddle the switch to the 4-byte header
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 61, 62, 63, 64, 100])
+def test_random_graphs_match_reference_codec_and_networkx(n):
+    rng = random.Random(n)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for p in (0.1, 0.5, 0.9):
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+        line = write_graph6_naive(g)
+        assert_matches_reference(line, g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges())
+        assert line == nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        back = nx.from_graph6_bytes(line.encode())
+        assert back.number_of_nodes() == n
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == list(g.edges())

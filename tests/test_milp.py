@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -106,12 +107,21 @@ class TestBuildModel:
                 assert model_optimum(model, g, ub) == eta
 
 
+def seeded_gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
 class TestRowsByDefinition:
     def test_rows_match_definition(self, all_n6):
         # c_z rows: one per ordered edge whose z is live, +f_w for w in
         # N(a)\\N(b), -f_w for w in N(b)\\N(a), both ascending, then M z(a,b)
-        # with M from the two set sizes; c_vi rows: the O(n^2) triple scan
-        for g in all_n6:
+        # with M from the two set sizes; c_vi rows: the O(n^2) triple scan.
+        # Past n = 6: dense families, where a row keeps few of its edge's
+        # neighbors, and seeded G(14, 1/2)
+        dense = ("thick-spider:12", "complete-split:6,9", "complete:9", "complete-sun:8")
+        graphs = all_n6 + [g_of(t) for t in dense] + [seeded_gnp(14, 0.5, s) for s in range(20)]
+        for g in graphs:
             if g.edge_count == 0:
                 continue
             nbr = [set(g.neighbors[v]) for v in range(g.n)]
