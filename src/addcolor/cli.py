@@ -15,6 +15,7 @@ import re
 import sys
 import time
 import zlib
+from collections import Counter
 from multiprocessing import Pool
 
 from . import bounds as _bounds
@@ -290,6 +291,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     arrive, merged in input order; only the aggregates stay in memory."""
     started = time.perf_counter()
     try:
+        # opening the report truncates it, so it must not be the corpus
+        if args.output and os.path.exists(args.output) and os.path.samefile(
+            args.corpus, args.output
+        ):
+            raise OSError(f"report {args.output} is the corpus {args.corpus}")
         # a non-ASCII byte decodes to U+FFFD, which the parser rejects, so
         # the line becomes a parse-error record the UTF-8 report can hold
         fh = open(args.corpus, "r", encoding="ascii", errors="replace")
@@ -303,14 +309,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     worker = functools.partial(_solve_record, budget=args.budget, max_n=args.max_n)
     skipped = 0
-    counts = {
-        "holds": 0, "VIOLATION": 0, "budget-exceeded": 0, "parse-error": 0,
-        "audit-mismatch": 0,
-    }
-    by_n: dict[int, int] = {}
+    counts: Counter = Counter()  # records per status
+    by_n: Counter = Counter()
+    eta_by_n: Counter = Counter()  # (n, eta) of the records with exact eta and chi
     max_gap = None
-    total = 0
-    pool = Pool(args.workers) if args.workers > 1 else None
+    processes = min(args.workers, os.cpu_count() or 1)
+    pool = Pool(processes) if processes > 1 else None
     try:
         items = _iter_corpus(fh)
         results = pool.imap(worker, items, chunksize=16) if pool else map(worker, items)
@@ -319,21 +323,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             out.write(_record_line(record) + "\n")
-            total += 1
             counts[record["status"]] += 1
             if "n" in record:
-                by_n[record["n"]] = by_n.get(record["n"], 0) + 1
+                by_n[record["n"]] += 1
             if record["status"] in ("holds", "VIOLATION"):  # both values exact
+                eta_by_n[record["n"], record["eta"]] += 1
                 gap = record["eta"] - record["chi"]
                 max_gap = gap if max_gap is None else max(max_gap, gap)
         elapsed = time.perf_counter() - started
         out.write("# summary\n")
-        out.write(f"# graphs: {total} skipped_over_max_n: {skipped}\n")
-        out.write(
-            "# by_n: "
-            + " ".join(f"{n}:{c}" for n, c in sorted(by_n.items()))
-            + "\n"
-        )
+        out.write(f"# graphs: {counts.total()} skipped_over_max_n: {skipped}\n")
+        out.write("# by_n: " + " ".join(f"{n}:{c}" for n, c in sorted(by_n.items())) + "\n")
+        tally = " ".join(f"{n}:{eta}={c}" for (n, eta), c in sorted(eta_by_n.items()))
+        out.write(f"# eta_by_n: {tally}\n")
         out.write(
             f"# holds: {counts['holds']} violations: {counts['VIOLATION']} "
             f"budget_exceeded: {counts['budget-exceeded']} "
@@ -356,6 +358,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if counts["budget-exceeded"]:
         return EXIT_BUDGET
     return EXIT_OK
+
+
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("corpus", help="graph6 file, one graph per line")
     p_sweep.add_argument("--max-n", type=int, default=None,
                          help="skip graphs with more vertices")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+                         help="worker processes, at most the CPU count (default 1)")
     p_sweep.add_argument("--budget", type=int, default=_solver.DEFAULT_NODE_BUDGET,
                          help="node budget of each eta, audit and chi search")
     p_sweep.add_argument("-o", "--output", default=None, help="report path (default stdout)")

@@ -426,6 +426,32 @@ def test_violation_record_carries_both_certificates():
     assert "eta_cert=1,2,3" in line and "chi_cert=1,2,3" in line
 
 
+def test_sweep_violation_end_to_end(tmp_path, capsys, monkeypatch):
+    # chi reported one below the truth on K_3: eta = 3 > chi = 2, so the
+    # formula value is re-solved for its certificate and the sweep exits 2
+    import dataclasses
+
+    import addcolor.cli as cli
+
+    chromatic_exact = cli._solver.chromatic_exact
+
+    def chi_one_too_low(g, **kwargs):
+        result = chromatic_exact(g, **kwargs)
+        return dataclasses.replace(result, value=result.value - 1)
+
+    monkeypatch.setattr(cli._solver, "chromatic_exact", chi_one_too_low)
+    corpus = tmp_path / "k3.g6"
+    corpus.write_text("Bw\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_VIOLATION == 2
+    assert out.startswith(
+        "Bw\t3\t3\t3\t2\tformula\texact\tVIOLATION\teta_cert=1,2,3\tchi_cert=1,2,3\n"
+    )
+    assert "# eta_by_n: 3:3=1\n" in out
+    assert " violations: 1 " in out and "# max_eta_minus_chi: 1\n" in out
+    assert err == ""
+
+
 def test_sweep_chi_budget_reports_dsatur_only(tmp_path, capsys):
     # the bounds decide eta = 1, the line is outside the audit sample, and
     # the chi search places 12 colors before it refutes k = 2
@@ -460,6 +486,71 @@ def test_sweep_max_n_filter(tmp_path, capsys):
     assert "Dhc" not in out
 
 
+def test_sweep_empty_corpus_summary(tmp_path, capsys):
+    corpus = tmp_path / "empty.g6"
+    corpus.write_text("\n")
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == 0
+    assert out.startswith("# summary\n# graphs: 0 skipped_over_max_n: 0\n# by_n: \n# eta_by_n: \n")
+
+
+def test_sweep_refuses_to_overwrite_its_corpus(tmp_path, capsys, monkeypatch):
+    from conftest import DATA
+
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes((DATA / "graphs_conn_n1-7.g6").read_bytes())
+    link = tmp_path / "link.g6"
+    link.symlink_to(corpus)
+    monkeypatch.chdir(tmp_path)
+    for output in (str(corpus), "corpus.g6", str(link)):
+        code, out, err = run(capsys, "sweep", str(corpus), "-o", output)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "is the corpus" in err
+        assert corpus.read_bytes() == (DATA / "graphs_conn_n1-7.g6").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_rejects_bad_worker_count(tmp_path, capsys, workers):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Bw\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(corpus), f"--workers={workers}"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --workers:" in err
+
+
+@pytest.mark.parametrize("workers, cpus, started", [
+    ("100000", 3, [3]), ("2", 3, [2]), ("4", 1, []), ("4", None, []), ("1", 8, []),
+])
+def test_sweep_pool_is_capped_at_cpu_count(tmp_path, capsys, monkeypatch, workers, cpus, started):
+    # a fake Pool records its size and runs the records in this process
+    import addcolor.cli as cli
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("Bw\nDhc\n")
+    code, out, _ = run(capsys, "sweep", str(corpus), "--workers", workers)
+    assert code == 0 and "# holds: 2 violations: 0 " in out
+    assert asked == started
+
+
 def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
     r1 = tmp_path / "w1.txt"
     r2 = tmp_path / "w2.txt"
@@ -472,11 +563,12 @@ def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
     assert stable(r1) == stable(r2)
 
 
-# sha256 of each `acp sweep` report with its `# elapsed_seconds` line dropped,
-# computed at the commit before the derived graph data (degrees, search
-# order, twin classes, greedy cliques) was cached on `Graph`, and before any
-# source change that came with it. The digest pins every record line: eta,
-# chi, eta_source, chi_source and status, plus the summary.
+# sha256 of each `acp sweep` report with its `# elapsed_seconds` and
+# `# eta_by_n:` lines dropped, computed at the commit before the derived graph
+# data (degrees, search order, twin classes, greedy cliques) was cached on
+# `Graph`, and before any source change that came with it. The digest pins
+# every record line: eta, chi, eta_source, chi_source and status, plus the
+# summary.
 GOLDEN_SWEEPS = {
     "graphs_all_n1-6.g6": "9f6e73ad8cf1470b0f2c7372384f5ac7dd8bfcb29de370972e5f25b0dc567b4d",
     "graphs_conn_n1-7.g6": "bc0d6295dab59d107ef8776b5a5d94d0ad2877e746512cfa1c8c4da3c9bb564c",
@@ -492,5 +584,30 @@ def test_sweep_report_matches_golden_digest(tmp_path, capsys, corpus):
     report = tmp_path / "report.txt"
     assert run(capsys, "sweep", str(DATA / corpus), "-o", str(report))[0] == 0
     lines = report.read_text().splitlines(keepends=True)
-    kept = "".join(ln for ln in lines if not ln.startswith("# elapsed_seconds"))
+    kept = "".join(ln for ln in lines if not ln.startswith(("# elapsed_seconds", "# eta_by_n:")))
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_SWEEPS[corpus]
+    assert f"# eta_by_n: {ETA_BY_N[corpus]}\n" in lines
+
+
+# `<n>:<eta>=<count>` per order, as tallied from the record lines of the
+# reports that GOLDEN_SWEEPS pins, and of the n = 8 report
+ETA_BY_N = {
+    "graphs_all_n1-6.g6": (
+        "1:1=1 2:1=1 2:2=1 3:1=2 3:2=1 3:3=1 4:1=3 4:2=6 4:3=1 4:4=1 5:1=7 5:2=20 5:3=5 "
+        "5:4=1 5:5=1 6:1=21 6:2=106 6:3=23 6:4=4 6:5=1 6:6=1"
+    ),
+    "graphs_conn_n1-7.g6": (
+        "1:1=1 2:2=1 3:1=1 3:3=1 4:1=1 4:2=4 4:4=1 5:1=4 5:2=13 5:3=3 5:5=1 6:1=13 6:2=80 "
+        "6:3=16 6:4=2 6:6=1 7:1=64 7:2=670 7:3=108 7:4=8 7:5=2 7:7=1"
+    ),
+    "graphs_conn_n8.g6": "8:1=477 8:2=9499 8:3=1076 8:4=54 8:5=8 8:6=2 8:8=1",
+}
+
+
+def test_sweep_n8_eta_tally(capsys):
+    from conftest import DATA
+
+    code, out, _ = run(capsys, "sweep", str(DATA / "graphs_conn_n8.g6"), "--workers", "2")
+    assert code == 0
+    assert f"# eta_by_n: {ETA_BY_N['graphs_conn_n8.g6']}\n" in out
+    assert "# holds: 11117 violations: 0 " in out
