@@ -11,7 +11,8 @@ refinement (color-respecting orders suffice because refinement colors are
 isomorphism-invariant).
 
 Counts are checked against the published numbers of graphs per order, and
-optionally against the networkx atlas (n <= 7) when networkx is importable.
+the canonical keys against the networkx atlas (n <= 7) whenever networkx is
+importable.
 
 Outputs (under --out-dir):
     graphs_all_n1-6.g6     every graph on 1..6 vertices (208 lines)
@@ -133,13 +134,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--out-dir", default=str(Path(__file__).resolve().parent.parent / "data"))
-    parser.add_argument("--check-atlas", action="store_true",
-                        help="cross-check keys against the networkx atlas (n <= 7)")
     args = parser.parse_args()
 
     levels = enumerate_graphs(args.max_n)
-    if args.check_atlas:
-        check_against_atlas(levels)
+    check_against_atlas(levels)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,9 @@
 export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, 2 conjecture violation found
-(sweep), 3 a node budget ran out, 4 an audited bounds pinch disagreed with
-the exact solver (sweep; an internal fault, checked before 2 and 3).
+(sweep), 3 a node budget ran out, 4 an audited eta disagreed with its exact
+re-solve from lower bound 1 (sweep; an internal fault, checked before 2 and
+3).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_AUDIT = 4
 
-AUDIT_RATE = 100  # re-solve roughly 1 in 100 formula-decided graphs
+AUDIT_RATE = 100  # re-solve roughly 1 in 100 graphs, however eta was decided
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,10 +195,9 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_record(item: tuple[int, str], budget: int, max_n: int | None) -> dict | None:
+def _solve_record(item: tuple[int, str], budget: int) -> dict:
     """Solve one corpus line; pure function of the line, so worker count
-    cannot change any record. None marks a graph skipped for having more
-    than `max_n` vertices."""
+    cannot change any record."""
     _, line = item
     record: dict = {"g6": line}
     try:
@@ -206,8 +206,6 @@ def _solve_record(item: tuple[int, str], budget: int, max_n: int | None) -> dict
         record["status"] = "parse-error"
         record["error"] = str(exc)
         return record
-    if max_n is not None and g.n > max_n:
-        return None
     record["n"] = g.n
     record["m"] = g.edge_count
     report = _bounds.combined_bounds(g)
@@ -231,14 +229,12 @@ def _solve_record(item: tuple[int, str], budget: int, max_n: int | None) -> dict
         return record
     chi = chi_result.value
     record.update(chi=chi, chi_source="exact")
-    # re-solve a formula short-circuit for a deterministic ~1% audit sample,
-    # and whenever it exceeds chi (a violation needs the solver's
-    # certificate); the re-solve takes no bound from the report it checks. A
-    # mismatch is an internal bug, reported as its own status with both
-    # values so the evidence survives the sweep
-    if eta_source == "formula" and (
-        eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0
-    ):
+    # re-solve from lb = 1, whatever decided eta, for a deterministic ~1%
+    # audit sample and whenever eta exceeds chi: the bounds may have
+    # pinched eta or started its search, and a violation needs a value that
+    # owes nothing to them. A mismatch is an internal bug, reported as its
+    # own status with both values so the evidence survives the sweep
+    if eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         if not recheck.ok:
             record["status"] = "budget-exceeded"
@@ -307,8 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    worker = functools.partial(_solve_record, budget=args.budget, max_n=args.max_n)
-    skipped = 0
+    worker = functools.partial(_solve_record, budget=args.budget)
     counts: Counter = Counter()  # records per status
     by_n: Counter = Counter()
     eta_by_n: Counter = Counter()  # (n, eta) of the records with exact eta and chi
@@ -319,9 +314,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         items = _iter_corpus(fh)
         results = pool.imap(worker, items, chunksize=16) if pool else map(worker, items)
         for record in results:
-            if record is None:
-                skipped += 1
-                continue
             out.write(_record_line(record) + "\n")
             counts[record["status"]] += 1
             if "n" in record:
@@ -332,7 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 max_gap = gap if max_gap is None else max(max_gap, gap)
         elapsed = time.perf_counter() - started
         out.write("# summary\n")
-        out.write(f"# graphs: {counts.total()} skipped_over_max_n: {skipped}\n")
+        out.write(f"# graphs: {counts.total()}\n")
         out.write("# by_n: " + " ".join(f"{n}:{c}" for n, c in sorted(by_n.items())) + "\n")
         tally = " ".join(f"{n}:{eta}={c}" for (n, eta), c in sorted(eta_by_n.items()))
         out.write(f"# eta_by_n: {tally}\n")
@@ -360,11 +352,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exact additive chromatic number")
     p_solve.add_argument("graph", help="graph6 string, or path to an edge-list file")
-    p_solve.add_argument("--budget", type=int, default=_solver.DEFAULT_NODE_BUDGET,
-                         help="search node budget")
+    p_solve.add_argument("--budget", type=_int_at_least(0),
+                         default=_solver.DEFAULT_NODE_BUDGET, help="search node budget")
     p_solve.set_defaults(func=cmd_solve)
 
     p_export = sub.add_parser("export-lp", help="write the big-M model as an LP file")
@@ -394,11 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="check eta <= chi over a graph6 corpus")
     p_sweep.add_argument("corpus", help="graph6 file, one graph per line")
-    p_sweep.add_argument("--max-n", type=int, default=None,
-                         help="skip graphs with more vertices")
-    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+    p_sweep.add_argument("--workers", type=_int_at_least(1), default=1,
                          help="worker processes, at most the CPU count (default 1)")
-    p_sweep.add_argument("--budget", type=int, default=_solver.DEFAULT_NODE_BUDGET,
+    p_sweep.add_argument("--budget", type=_int_at_least(0),
+                         default=_solver.DEFAULT_NODE_BUDGET,
                          help="node budget of each eta, audit and chi search")
     p_sweep.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -191,6 +191,40 @@ def model_optimum(model: MilpModel, g: Graph, ub: int) -> int | None:
     return None
 
 
+def highs_input(model: MilpModel) -> dict:
+    """Keyword arguments of `scipy.optimize.milp` for the model: one column
+    per variable in model order, the constraints as sparse rows, the
+    variable bounds, and every variable integral. scipy is imported here so
+    that the other oracles do not need it."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.sparse import coo_array
+
+    column = {var.name: j for j, var in enumerate(model.variables)}
+    cost = np.zeros(len(column))
+    for coef, name in model.objective:
+        cost[column[name]] += coef
+    data, rows, cols, low, high = [], [], [], [], []
+    for i, c in enumerate(model.constraints):
+        for coef, name in c.terms:
+            data.append(coef)
+            rows.append(i)
+            cols.append(column[name])
+        low.append(-np.inf if c.relation == "<=" else c.rhs)
+        high.append(np.inf if c.relation == ">=" else c.rhs)
+    matrix = coo_array((data, (rows, cols)), shape=(len(model.constraints), len(column)))
+    bounds = Bounds(
+        [var.lower for var in model.variables],
+        [np.inf if var.upper is None else var.upper for var in model.variables],
+    )
+    return {
+        "c": cost,
+        "constraints": LinearConstraint(matrix, low, high),
+        "integrality": np.ones(len(column)),
+        "bounds": bounds,
+    }
+
+
 def twin_classes_naive(g: Graph):
     """Twin classes as (gap, members) pairs from pairwise comparison of
     neighborhoods: the classes of N[u] = N[v] with two or more vertices

@@ -225,6 +225,10 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             multipartite_eta(())
 
+    def test_empty_part_rejected(self):
+        with pytest.raises(ValueError, match="part sizes must be >= 1"):
+            multipartite_eta((2, 0))
+
     def test_bounded_by_part_count(self):
         for total in range(1, 13):
             for parts in partitions(total):

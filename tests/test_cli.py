@@ -199,8 +199,9 @@ def test_solve_edge_list_number_is_ascii_digits(tmp_path, capsys, field):
     "text,message",
     [("3\n0 1\n0 5\n", "3: edge (0,5) out of range for n=3"),
      ("3\n0 1\n# loop\n1 1\n", "4: self-loop at vertex 1"),
-     ("0 1\n2 2\n", "2: self-loop at vertex 2")],
-    ids=["out-of-range", "self-loop", "self-loop-undeclared-n"],
+     ("0 1\n2 2\n", "2: self-loop at vertex 2"),
+     ("0 1 2\n", "1: expected 'u v', got '0 1 2'")],
+    ids=["out-of-range", "self-loop", "self-loop-undeclared-n", "three-fields"],
 )
 def test_solve_edge_list_bad_edge_names_the_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.edges"
@@ -298,6 +299,7 @@ def test_export_lp_empty_graph_skipped(tmp_path, capsys):
     ("export-lp", "A_", "--ub", "0", "-o", "{tmp}/k2.lp"),
     ("export-lp", "A_", "-o", "{tmp}/missing/k2.lp"),
     ("sweep", "{corpus}", "-o", "{tmp}/missing/report.txt"),
+    ("export-lp", "B", "-o", "{tmp}/k3.lp"),
 ])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     corpus = tmp_path / "one.g6"
@@ -306,6 +308,7 @@ def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == [corpus]  # no output file
 
 
 def test_sweep_single_graph(tmp_path, capsys):
@@ -399,9 +402,57 @@ def test_sweep_formula_above_chi_is_rechecked(
     assert "VIOLATION" not in out and "Traceback" not in out + err
 
 
+def lower_bound_one_too_high(monkeypatch):
+    # combined_bounds starts the search one above its lower bound on every
+    # graph it does not pinch, so the search can only return too high
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport, combined_bounds
+
+    def lower_too_high(g):
+        report = combined_bounds(g)
+        if report.eta_lower == report.eta_upper:
+            return report
+        return BoundsReport(report.eta_lower + 1, report.eta_upper, report.witnesses)
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", lower_too_high)
+
+
+def test_sweep_searched_eta_above_chi_is_rechecked(tmp_path, capsys, monkeypatch):
+    # K_{3,3} has eta 2 = chi; a search started at 3 claims eta 3, and the
+    # re-solve from 1 must turn that into an audit mismatch, not a VIOLATION
+    import addcolor.cli as cli
+
+    assert zlib.crc32(b"EFz_") % cli.AUDIT_RATE
+    lower_bound_one_too_high(monkeypatch)
+    corpus = tmp_path / "k33.g6"
+    corpus.write_text("EFz_\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4
+    assert out.startswith("EFz_\t6\t9\t3\t2\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert "VIOLATION" not in out and " violations: 0 " in out and err == ""
+
+
+def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
+    # DQw has eta 2 and chi 3, so a search started at 3 still "holds"; only
+    # an audit sample that takes searched records catches it
+    import addcolor.cli as cli
+
+    assert zlib.crc32(b"DQw") % cli.AUDIT_RATE
+    lower_bound_one_too_high(monkeypatch)
+    corpus = tmp_path / "dqw.g6"
+    corpus.write_text("DQw\n")
+    assert run(capsys, "sweep", str(corpus))[1].startswith(
+        "DQw\t5\t5\t3\t3\tsolver\texact\tholds\n"
+    )
+    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT
+    assert out.startswith("DQw\t5\t5\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+
+
 def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
     corpus = tmp_path / "mixed.g6"
-    corpus.write_bytes(b"Bw\n\xc3\xa9\nA_\n")
+    corpus.write_bytes(b"Bw\n\xc3\xa9\nA_\n:corrupt\n")
     report = tmp_path / "report.txt"
     code, _, err = run(capsys, "sweep", str(corpus), "-o", str(report))
     assert code == 0 and err == ""
@@ -409,7 +460,9 @@ def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
     lines = text.splitlines()
     assert lines[0].startswith("Bw\t") and lines[2].startswith("A_\t")
     assert lines[1].startswith("\ufffd\ufffd\tparse-error\t")
-    assert "# holds: 2 violations: 0 budget_exceeded: 0 parse_errors: 1 " in text
+    assert lines[3].startswith(":corrupt\tparse-error\t")
+    assert "# graphs: 4\n" in text  # every non-blank line is one record
+    assert "# holds: 2 violations: 0 budget_exceeded: 0 parse_errors: 2 " in text
 
 
 def test_violation_record_carries_both_certificates():
@@ -476,22 +529,12 @@ def test_sweep_past_sixteen_vertices(tmp_path, capsys):
     assert all(int(r[1]) > 16 and r[6:] == ["exact", "holds"] for r in records)
 
 
-def test_sweep_max_n_filter(tmp_path, capsys):
-    corpus = tmp_path / "two.g6"
-    corpus.write_text("Bw\nDhc\n:corrupt\n")
-    code, out, _ = run(capsys, "sweep", str(corpus), "--max-n", "3")
-    assert code == 0
-    assert "# graphs: 2 skipped_over_max_n: 1" in out
-    assert ":corrupt\tparse-error" in out
-    assert "Dhc" not in out
-
-
 def test_sweep_empty_corpus_summary(tmp_path, capsys):
     corpus = tmp_path / "empty.g6"
     corpus.write_text("\n")
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == 0
-    assert out.startswith("# summary\n# graphs: 0 skipped_over_max_n: 0\n# by_n: \n# eta_by_n: \n")
+    assert out.startswith("# summary\n# graphs: 0\n# by_n: \n# eta_by_n: \n")
 
 
 def test_sweep_refuses_to_overwrite_its_corpus(tmp_path, capsys, monkeypatch):
@@ -518,6 +561,21 @@ def test_sweep_rejects_bad_worker_count(tmp_path, capsys, workers):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error: argument --workers:" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_budget_is_at_least_zero(tmp_path, capsys, command):
+    corpus = tmp_path / "c5.g6"
+    corpus.write_text("Dhc\n")
+    graph = "Dhc" if command == "solve" else str(corpus)
+    with pytest.raises(SystemExit) as exc:
+        main([command, graph, "--budget", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --budget: must be at least 0, got -1\n")
+    # 0 is a budget, and C_5 runs out of it
+    code, out, _ = run(capsys, command, graph, "--budget", "0")
+    assert code == 3 and "budget" in out
 
 
 @pytest.mark.parametrize("workers, cpus, started", [
@@ -568,10 +626,11 @@ def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
 # data (degrees, search order, twin classes, greedy cliques) was cached on
 # `Graph`, and before any source change that came with it. The digest pins
 # every record line: eta, chi, eta_source, chi_source and status, plus the
-# summary.
+# summary. Re-pinned once when `# graphs:` dropped its `skipped_over_max_n:`
+# field, after a diff of both reports showed no other changed line.
 GOLDEN_SWEEPS = {
-    "graphs_all_n1-6.g6": "9f6e73ad8cf1470b0f2c7372384f5ac7dd8bfcb29de370972e5f25b0dc567b4d",
-    "graphs_conn_n1-7.g6": "bc0d6295dab59d107ef8776b5a5d94d0ad2877e746512cfa1c8c4da3c9bb564c",
+    "graphs_all_n1-6.g6": "0541165f9bb8796954a506691a4c9bee32c1979cc6c3330479943bc3d29a811c",
+    "graphs_conn_n1-7.g6": "1a1aa76790336aa3e9bf8258af2630a174d949ceb5c20a95356926775ffb1701",
 }
 
 

@@ -54,6 +54,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            Graph.from_edges(-1, [])
+
     def test_parallel_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1

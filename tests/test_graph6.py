@@ -78,6 +78,17 @@ def test_byte_out_of_range():
         parse_graph6("A" + chr(30))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("", "empty line"),
+    ("~", "truncated size header"),
+    ("~?", "truncated 4-byte size header"),
+    ("~~", "truncated 8-byte size header"),
+])
+def test_short_line_rejected(line, message):
+    with pytest.raises(Graph6FormatError, match=f"^{message}$"):
+        parse_graph6(line)
+
+
 def test_truncated_bits():
     message = r"^truncated bit section: need 1 bytes for n=3, got 0$"
     with pytest.raises(Graph6FormatError, match=message):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from addcolor.bounds import eta_upper_bound
 from addcolor.families import generate, parse_spec
 from addcolor.graph import Graph
 from addcolor.milp import (
@@ -10,9 +11,9 @@ from addcolor.milp import (
     model_counts,
     write_lp,
 )
-from addcolor.solver import eta_exact
+from addcolor.solver import chromatic_exact, eta_exact
 
-from oracles import model_optimum, point_feasible
+from oracles import highs_input, model_optimum, point_feasible
 
 
 def g_of(text):
@@ -105,6 +106,26 @@ class TestBuildModel:
             for valid, symmetry in variants:
                 model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
                 assert model_optimum(model, g, ub) == eta
+
+
+@pytest.mark.parametrize("valid", [False, True])
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_highs_optimum_equals_eta(conn_small, conn_n8, valid, symmetry):
+    # the paper's integer program solved by HiGHS, past the n <= 6 reach of
+    # model_optimum: seeded n = 7 and n = 8 samples and small families, with
+    # UB from the bounds and UB = chi (eta <= chi holds on all of them)
+    pytest.importorskip("scipy")
+    from scipy.optimize import milp
+
+    rng = random.Random(19)
+    graphs = rng.sample([g for g in conn_small if g.n == 7], 4) + rng.sample(conn_n8, 6)
+    graphs += [g_of(t) for t in ("cycle:7", "wheel:6", "thick-spider:3", "multipartite:3,2,2")]
+    for g in graphs:
+        eta = eta_exact(g).value
+        for ub in {eta_upper_bound(g), chromatic_exact(g).value}:
+            model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+            result = milp(**highs_input(model))
+            assert result.status == 0 and round(result.fun) == eta
 
 
 def seeded_gnp(n, p, seed):

@@ -449,6 +449,12 @@ class TestChromatic:
         assert verify_proper_coloring(g, result.certificate)
         assert max(result.certificate) == result.value
 
+    def test_bad_coloring_rejected(self):
+        g = g_of("path:3")
+        assert verify_proper_coloring(g, (1, 2, 1))
+        assert not verify_proper_coloring(g, (1, 2))  # wrong length
+        assert not verify_proper_coloring(g, (1, 1, 2))  # 0 and 1 share a color
+
     def test_matches_oracle_small(self, conn_small):
         for g in conn_small:
             if g.n > 5:
