@@ -3,8 +3,8 @@ export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, 2 conjecture violation found
 (sweep), 3 a node budget ran out, 4 an audited eta disagreed with its exact
-re-solve from lower bound 1 (sweep; an internal fault, checked before 2 and
-3).
+re-solve from lower bound 1, or no eta up to the bounds' upper bound worked
+(sweep; an internal fault, checked before 2 and 3).
 """
 
 from __future__ import annotations
@@ -195,83 +195,61 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_record(item: tuple[int, str], budget: int) -> dict:
-    """Solve one corpus line; pure function of the line, so worker count
-    cannot change any record."""
+def _solve_record(item: tuple[int, str], budget: int) -> tuple:
+    """Solve one corpus line into (report line, status, n, eta, chi) for the
+    parent to write and tally: n is None for a parse error, and eta and chi
+    are None unless both are exact. A pure function of the line, so worker
+    count cannot change any record."""
     _, line = item
-    record: dict = {"g6": line}
     try:
         g = parse_graph6(line)
     except Graph6FormatError as exc:
-        record["status"] = "parse-error"
-        record["error"] = str(exc)
-        return record
-    record["n"] = g.n
-    record["m"] = g.edge_count
+        return f"{line}\tparse-error\t{exc}", "parse-error", None, None, None
+    eta = chi = None
+    eta_source, chi_source = "solver", ""
+
+    def record(status: str, *extra: str) -> tuple:
+        # formats the fields as they stand when a branch below settles
+        fields = (line, g.n, g.edge_count, eta, chi, eta_source, chi_source, status, *extra)
+        text = "\t".join("" if f is None else str(f) for f in fields)
+        if status in ("holds", "VIOLATION"):
+            return text, status, g.n, eta, chi
+        return text, status, g.n, None, None
+
     report = _bounds.combined_bounds(g)
     if report.eta_lower == report.eta_upper:
-        eta, eta_source, eta_cert = report.eta_lower, "formula", None
+        eta, eta_source = report.eta_lower, "formula"
     else:
         result = _solver.eta_exact(
             g, report.eta_lower, report.eta_upper, node_budget=budget
         )
-        if result.status != _solver.OPTIMAL:
-            record["status"] = "budget-exceeded"
-            record["eta_source"] = "solver"
-            return record
-        eta, eta_source, eta_cert = result.value, "solver", result.certificate
-    record["eta"] = eta
-    record["eta_source"] = eta_source
-    chi_result = _solver.chromatic_exact(g, node_budget=budget)
-    if not chi_result.ok:
-        chi = _solver.dsatur(g)[0]
-        record.update(chi=chi, chi_source="dsatur-only", status="budget-exceeded")
-        return record
-    chi = chi_result.value
-    record.update(chi=chi, chi_source="exact")
+        if result.status == _solver.BUDGET_EXCEEDED:
+            return record("budget-exceeded")
+        eta = result.value  # None if no k up to the upper bound works
+    if eta is not None:
+        chi_result = _solver.chromatic_exact(g, node_budget=budget)
+        if not chi_result.ok:
+            chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
+            return record("budget-exceeded")
+        chi, chi_source = chi_result.value, "exact"
     # re-solve from lb = 1, whatever decided eta, for a deterministic ~1%
-    # audit sample and whenever eta exceeds chi: the bounds may have
-    # pinched eta or started its search, and a violation needs a value that
-    # owes nothing to them. A mismatch is an internal bug, reported as its
-    # own status with both values so the evidence survives the sweep
-    if eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
+    # audit sample, when eta exceeds chi and when the search refuted the
+    # upper bound: a violation needs a value that owes nothing to the bounds,
+    # and a mismatch is an internal bug, kept as its own status with both
+    # values so the evidence survives the sweep
+    if eta is None or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         if not recheck.ok:
-            record["status"] = "budget-exceeded"
-            return record
+            return record("budget-exceeded")
         if recheck.value != eta:
-            record["status"] = "audit-mismatch"
-            record["eta_solver"] = recheck.value
-            return record
-        eta_cert = recheck.certificate
+            return record("audit-mismatch", f"eta_solver={recheck.value}")
     if eta <= chi:
-        record["status"] = "holds"
-    else:
-        record["status"] = "VIOLATION"
-        record["eta_cert"] = ",".join(str(x) for x in eta_cert.labels)
-        record["chi_cert"] = ",".join(str(x) for x in chi_result.certificate)
-    return record
-
-
-def _record_line(record: dict) -> str:
-    if record["status"] == "parse-error":
-        return f"{record['g6']}\tparse-error\t{record.get('error', '')}"
-    fields = [
-        record["g6"],
-        str(record.get("n", "")),
-        str(record.get("m", "")),
-        str(record.get("eta", "")),
-        str(record.get("chi", "")),
-        record.get("eta_source", ""),
-        record.get("chi_source", ""),
-        record["status"],
-    ]
-    if record["status"] == "VIOLATION":
-        fields.append(f"eta_cert={record['eta_cert']}")
-        fields.append(f"chi_cert={record['chi_cert']}")
-    elif record["status"] == "audit-mismatch":
-        fields.append(f"eta_solver={record['eta_solver']}")
-    return "\t".join(fields)
+        return record("holds")
+    return record(
+        "VIOLATION",
+        "eta_cert=" + ",".join(str(x) for x in recheck.certificate.labels),
+        "chi_cert=" + ",".join(str(x) for x in chi_result.certificate),
+    )
 
 
 def _iter_corpus(fh):
@@ -313,15 +291,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         items = _iter_corpus(fh)
         results = pool.imap(worker, items, chunksize=16) if pool else map(worker, items)
-        for record in results:
-            out.write(_record_line(record) + "\n")
-            counts[record["status"]] += 1
-            if "n" in record:
-                by_n[record["n"]] += 1
-            if record["status"] in ("holds", "VIOLATION"):  # both values exact
-                eta_by_n[record["n"], record["eta"]] += 1
-                gap = record["eta"] - record["chi"]
-                max_gap = gap if max_gap is None else max(max_gap, gap)
+        for text, status, n, eta, chi in results:
+            out.write(text + "\n")
+            counts[status] += 1
+            if n is not None:
+                by_n[n] += 1
+            if eta is not None:
+                eta_by_n[n, eta] += 1
+                max_gap = eta - chi if max_gap is None else max(max_gap, eta - chi)
         elapsed = time.perf_counter() - started
         out.write("# summary\n")
         out.write(f"# graphs: {counts.total()}\n")
@@ -337,9 +314,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out.write(f"# max_eta_minus_chi: {max_gap if max_gap is not None else 'n/a'}\n")
         out.write(f"# elapsed_seconds: {elapsed:.2f}\n")
     finally:
+        # every result is in, or an error ends the sweep: either way the
+        # workers must not go on through the lines imap has queued
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
         fh.close()
         if out is not sys.stdout:
             out.close()

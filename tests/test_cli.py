@@ -402,6 +402,31 @@ def test_sweep_formula_above_chi_is_rechecked(
     assert "VIOLATION" not in out and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("argv, exit_code, status", [
+    ((), 4, "audit-mismatch\teta_solver=3"),
+    # 60 nodes refute k <= 2 but do not reach k = 3 from lb = 1
+    (("--budget", "60"), 3, "budget-exceeded"),
+])
+def test_sweep_refuted_upper_bound_is_rechecked(
+    tmp_path, capsys, monkeypatch, argv, exit_code, status
+):
+    # an upper bound one below eta on C_5 (eta 3): the search refutes every
+    # k it may try, which is a wrong bound, not a budget that ran out
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport
+
+    monkeypatch.setattr(
+        cli._bounds, "combined_bounds", lambda g: BoundsReport(1, 2, ())
+    )
+    corpus = tmp_path / "c5.g6"
+    corpus.write_text("Dhc\n")
+    code, out, err = run(capsys, "sweep", str(corpus), *argv)
+    assert code == exit_code
+    assert out.startswith(f"Dhc\t5\t5\t\t\tsolver\t\t{status}\n")
+    assert "# eta_by_n: \n" in out and "# max_eta_minus_chi: n/a\n" in out
+    assert err == ""
+
+
 def lower_bound_one_too_high(monkeypatch):
     # combined_bounds starts the search one above its lower bound on every
     # graph it does not pinch, so the search can only return too high
@@ -463,20 +488,6 @@ def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
     assert lines[3].startswith(":corrupt\tparse-error\t")
     assert "# graphs: 4\n" in text  # every non-blank line is one record
     assert "# holds: 2 violations: 0 budget_exceeded: 0 parse_errors: 2 " in text
-
-
-def test_violation_record_carries_both_certificates():
-    # serializer contract for the (never yet observed) violation case
-    from addcolor.cli import _record_line
-
-    record = {
-        "g6": "Bw", "n": 3, "m": 3, "eta": 4, "chi": 3,
-        "eta_source": "solver", "chi_source": "exact", "status": "VIOLATION",
-        "eta_cert": "1,2,3", "chi_cert": "1,2,3",
-    }
-    line = _record_line(record)
-    assert "VIOLATION" in line
-    assert "eta_cert=1,2,3" in line and "chi_cert=1,2,3" in line
 
 
 def test_sweep_violation_end_to_end(tmp_path, capsys, monkeypatch):
@@ -594,10 +605,7 @@ def test_sweep_pool_is_capped_at_cpu_count(tmp_path, capsys, monkeypatch, worker
         def imap(self, fn, items, chunksize=1):
             return map(fn, items)
 
-        def close(self):
-            pass
-
-        def join(self):
+        def terminate(self):
             pass
 
     monkeypatch.setattr(cli, "Pool", FakePool)
@@ -609,11 +617,55 @@ def test_sweep_pool_is_capped_at_cpu_count(tmp_path, capsys, monkeypatch, worker
     assert asked == started
 
 
-def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path):
+def test_sweep_error_terminates_the_pool(tmp_path, capsys, monkeypatch):
+    # imap has queued every line, so a pool that is closed and joined after
+    # an error first lets its workers finish the whole corpus
+    import addcolor.cli as cli
+
+    calls = []
+
+    class FailingPool:
+        def __init__(self, processes):
+            pass
+
+        def imap(self, fn, items, chunksize=1):
+            yield fn(next(items))
+            raise RuntimeError("a worker failed")
+
+        def close(self):
+            calls.append("close")
+
+        def join(self):
+            calls.append("join")
+
+        def terminate(self):
+            calls.append("terminate")
+
+    monkeypatch.setattr(cli, "Pool", FailingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    corpus = tmp_path / "two.g6"
+    corpus.write_text("Bw\nDhc\n")
+    with pytest.raises(RuntimeError, match="a worker failed"):
+        main(["sweep", str(corpus), "--workers", "2"])
+    assert capsys.readouterr().out == "Bw\t3\t3\t3\t3\tformula\texact\tholds\n"
+    assert calls == ["terminate"]
+
+
+@pytest.mark.parametrize("text, argv, exit_code", [
+    pytest.param(None, (), 0, id="all_n6"),
+    # holds, budget-exceeded in the eta search, a parse error, dsatur-only,
+    # and holds again, around a blank line
+    pytest.param("Bw\n\nDhc\n:corrupt\nG?bvbo\nEFz_\n", ("--budget", "11"), 3, id="mixed"),
+])
+def test_sweep_worker_determinism(tmp_path, capsys, all_n6_corpus_path, text, argv, exit_code):
+    corpus = all_n6_corpus_path
+    if text is not None:
+        corpus = tmp_path / "mixed.g6"
+        corpus.write_text(text)
     r1 = tmp_path / "w1.txt"
     r2 = tmp_path / "w2.txt"
-    assert run(capsys, "sweep", str(all_n6_corpus_path), "-o", str(r1))[0] == 0
-    assert run(capsys, "sweep", str(all_n6_corpus_path), "--workers", "4", "-o", str(r2))[0] == 0
+    assert run(capsys, "sweep", str(corpus), *argv, "-o", str(r1))[0] == exit_code
+    assert run(capsys, "sweep", str(corpus), *argv, "--workers", "4", "-o", str(r2))[0] == exit_code
 
     def stable(path):
         return [ln for ln in path.read_text().splitlines() if not ln.startswith("# elapsed")]
