@@ -249,11 +249,14 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on `vertices`, relabeled 0..len-1 in the given order."""
+    """Subgraph induced on `vertices`, relabeled 0..len-1 in the given order.
+    It reads only the neighborhoods of `vertices`, so splitting a graph into
+    its components costs O(n + m) in all."""
     index = {v: i for i, v in enumerate(vertices)}
     edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
+        (i, index[w])
+        for i, v in enumerate(vertices)
+        for w in g.neighbors[v]
+        if index.get(w, -1) > i
     ]
     return Graph.from_edges(len(vertices), edges)

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import os
 import re
+import subprocess
 import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addcolor.cli import AUDIT_RATE, main
 from addcolor.families import eta_formula, generate, parse_spec
@@ -209,6 +214,32 @@ def test_solve_edge_list_bad_edge_names_the_line(tmp_path, capsys, text, message
     code, out, err = run(capsys, "solve", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}:{message}\n"
+
+
+# small vertex ids, the first id past the cap, numbers that int() takes but
+# the reader must refuse, comments and odd whitespace
+EDGE_TOKENS = st.sampled_from([
+    "0", "1", "2", "3", "7", "00", "258048", "10000000000000", "-1", "+1", "1_0",
+    "\u0663", "x", "#", "#0 1", "", " ", "\t", "\x0c", "\r", "\x1c", "\u2028",
+])
+EDGE_LISTS = st.lists(st.lists(EDGE_TOKENS, max_size=4).map(" ".join), max_size=6).map("\n".join)
+
+
+@given(st.one_of(EDGE_LISTS.map(str.encode), st.text(max_size=30).map(str.encode),
+                 st.binary(max_size=30)))
+@settings(max_examples=300, deadline=None)
+def test_solve_arbitrary_edge_list(tmp_path_factory, data):
+    # exit 0 with an answer, or exit 1 with one error line: never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / "g.edges"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)])
+    if code == 0:
+        assert err.getvalue() == "" and "eta = " in out.getvalue()
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_solve_parse_failure(capsys):
@@ -649,6 +680,27 @@ def test_sweep_error_terminates_the_pool(tmp_path, capsys, monkeypatch):
         main(["sweep", str(corpus), "--workers", "2"])
     assert capsys.readouterr().out == "Bw\t3\t3\t3\t3\tformula\texact\tholds\n"
     assert calls == ["terminate"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_closed_stdout_ends_quietly(workers):
+    # a reader that stops after one line, as `acp sweep ... | head -1` does;
+    # the n = 8 report is far larger than a pipe buffer, so the sweep cannot
+    # finish before the pipe closes
+    from conftest import DATA, ROOT
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "addcolor", "sweep", str(DATA / "graphs_conn_n8.g6"),
+         "--workers", workers],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().endswith(b"\tholds\n")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize("text, argv, exit_code", [

@@ -244,6 +244,13 @@ class TestComponents:
         sub = induced_subgraph(g, [3, 4])
         assert sub.n == 2 and sub.edge_count == 1
 
+    @given(graphs(max_n=8), st.randoms(use_true_random=False))
+    def test_induced_subgraph_matches_definition(self, g, rng):
+        vertices = rng.sample(range(g.n), rng.randint(0, g.n))
+        index = {v: i for i, v in enumerate(vertices)}
+        edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+        assert induced_subgraph(g, vertices) == Graph.from_edges(len(vertices), edges)
+
     def test_connected_cycle(self):
         assert len(connected_components(cycle(6))) == 1
 

@@ -147,6 +147,26 @@ def test_matches_networkx_encoding(g):
     assert write_graph6(g) == nx.to_graph6_bytes(nxg, header=False).decode().strip()
 
 
+# graph6 bytes, size headers, prefixes and line ends, so that random lines
+# reach the parser's branches and not only its byte-range check
+G6_PIECES = st.one_of(
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=12),
+    st.sampled_from([">>graph6<<", ">>sparse6<<", ">>digraph6<<", ":", "&", "~", "~~", "\r\n"]),
+    st.text(max_size=3),
+)
+
+
+@given(st.one_of(st.text(max_size=40), st.lists(G6_PIECES, max_size=4).map("".join)))
+@settings(max_examples=500)
+def test_parse_arbitrary_text(text):
+    # a Graph, or the documented error: never another exception
+    try:
+        g = parse_graph6(text)
+    except Graph6FormatError:
+        return
+    assert parse_graph6(write_graph6(g)) == g
+
+
 def test_record_iterator(tmp_path):
     # the sweep's corpus reader skips blank lines and strips the rest
     path = tmp_path / "corpus.g6"
