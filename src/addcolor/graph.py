@@ -6,8 +6,11 @@ neighbor tuples and as bitmask rows; the bitmasks make twin detection and
 small-n set algebra cheap. Each row is an int as long as its highest
 neighbor id, so memory grows as n^2: under tracemalloc, cycle:5000, 10000
 and 20000 hold 2.5, 8.0 and 28.6 MiB once built. The 258 047-vertex cap of
-the graph6 writer does not bound this: by the same growth, a cycle at the
-cap would take about 5 GiB.
+the graph6 writer does not bound this (a cycle at the cap would need about
+4 GiB), so `Graph.from_edges` sums the row lengths from the edges first and
+raises ValueError when they exceed `MASK_BITS_LIMIT` bits (256 MiB); the CLI
+reports that as exit 1 with one `error:` line. `parse_graph6` needs no such
+check, as its input already holds a bit per vertex pair.
 
 A graph also caches the data that bounds, the eta search and the chi solve
 all derive from it: the degree tuple, the search order (descending degree,
@@ -24,6 +27,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+# Bits of adjacency bitmask that `Graph.from_edges` allocates at most
+# (256 MiB); a larger graph is refused before any mask is built.
+MASK_BITS_LIMIT = 1 << 31
 
 
 class _cached:
@@ -64,17 +71,25 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        masks = [0] * n
+        adjacent: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        neighbors = tuple(tuple(iter_bits(m)) for m in masks)
-        m = sum(len(nb) for nb in neighbors) // 2
-        return Graph(n, neighbors, tuple(masks), m)
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        neighbors = tuple(tuple(sorted(nb)) for nb in adjacent)
+        # a mask is an int of (highest neighbor id + 1) bits
+        bits = sum(nb[-1] + 1 for nb in neighbors if nb)
+        if bits > MASK_BITS_LIMIT:
+            raise ValueError(
+                f"graph on {n} vertices needs {bits >> 23} MiB of adjacency bitmasks, "
+                f"over the {MASK_BITS_LIMIT >> 23} MiB limit"
+            )
+        masks = tuple(sum(map((1).__lshift__, nb)) for nb in neighbors)
+        m = sum(map(len, neighbors)) // 2
+        return Graph(n, neighbors, masks, m)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

@@ -18,11 +18,13 @@ variables that the twin chains make redundant are decided first, and
 neither they nor any row mentioning them is ever emitted; the model lists
 them in `eliminated_variables` for reporting only. Row order: the z and
 pairing rows per edge, the k links, the valid inequalities, the chains.
-Each live edge lists N(u)\\N(v) and N(v)\\N(u) once, from the set bits of
-the masks, and builds both z rows from them. Their f terms come from two
-per-model tables, one (+1, f_v{w}) and one (-1, f_v{w}) per vertex, shared
-by every row; each live z name is formatted once, in a table keyed by its
-ordered edge. `write_lp` formats each distinct term once.
+Each live edge lists N(u)\\N(v) and N(v)\\N(u) once, as sorted set
+differences of per-model frozensets of the neighbor tuples, and builds both
+z rows from them. Their f terms come from two per-model tables, one
+(+1, f_v{w}) and one (-1, f_v{w}) per vertex, shared by every row; each live
+z name is formatted once, in a table keyed by its ordered edge. `write_lp`
+formats each distinct term once and writes the objective and every row in
+one loop.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ def f_name(v: int) -> str:
 
 def z_name(u: int, v: int) -> str:
     return f"z_{u}_{v}"
-
-
-def _big_m(only_u: int, only_v: int, ub: int) -> int:
-    # M_uv from the sizes of N(u)\N(v) and N(v)\N(u)
-    return 1 + only_u * ub - only_v
 
 
 def _twin_chains(g: Graph) -> tuple[list[Constraint], set[tuple[int, int]]]:
@@ -128,17 +125,19 @@ def build_model(
         variables.append(Variable(z[u, v], BINARY, 0, 1))
         variables.append(Variable(z[v, u], BINARY, 0, 1))
     masks, neighbors = g.masks, g.neighbors
+    nbr = [*map(frozenset, neighbors)]
     # one shared term per vertex and sign, reused by every row
-    plus = [(1, f_name(w)) for w in range(g.n)]
-    minus = [(-1, f_name(w)) for w in range(g.n)]
+    plus = [(1, f_name(w)) for w in range(g.n)].__getitem__
+    minus = [(-1, f_name(w)) for w in range(g.n)].__getitem__
     constraints: list[Constraint] = []
     for u, v in live_edges:
         # f(N(a)) - f(N(b)) with the common neighbors cancelled
-        only_u = [*iter_bits(masks[u] & ~masks[v])]
-        only_v = [*iter_bits(masks[v] & ~masks[u])]
+        nu, nv = nbr[u], nbr[v]
+        only_u = sorted(nu - nv)
+        only_v = sorted(nv - nu)
         for a, b, pos, neg in ((u, v, only_u, only_v), (v, u, only_v, only_u)):
-            m = _big_m(len(pos), len(neg), ub)
-            terms = (*map(plus.__getitem__, pos), *map(minus.__getitem__, neg), (m, z[a, b]))
+            m = 1 + len(pos) * ub - len(neg)  # M_ab
+            terms = (*map(plus, pos), *map(minus, neg), (m, z[a, b]))
             constraints.append(Constraint(f"c_z_{a}_{b}", terms, "<=", m - 1))
         constraints.append(
             Constraint(f"c_pair_{u}_{v}", ((1, z[u, v]), (1, z[v, u])), "=", 1)
@@ -191,13 +190,6 @@ class _TermText(dict):
         return text
 
 
-def _format_terms(terms: Sequence[tuple[int, str]], text: _TermText) -> list[str]:
-    # the first term drops a leading "+ "
-    parts = [*map(text.__getitem__, terms)]
-    parts[0] = parts[0].removeprefix("+ ")
-    return parts
-
-
 def _wrap(items: Sequence[str], head: str, indent: str) -> list[str]:
     """Lines of _WRAP_TERMS items each, the first after `head` and the rest
     after `indent`."""
@@ -210,15 +202,21 @@ def _wrap(items: Sequence[str], head: str, indent: str) -> list[str]:
 def write_lp(model: MilpModel) -> str:
     """Serialize to CPLEX LP format (Minimize / Subject To / Bounds /
     Generals / Binaries / End); deterministic, one model per file."""
-    text = _TermText()
-    lines = ["Minimize", " obj: " + " ".join(_format_terms(model.objective, text)), "Subject To"]
-    for c in model.constraints:
-        parts = _format_terms(c.terms, text)
-        parts.append(f"{c.relation} {c.rhs}")
-        if len(parts) <= _WRAP_TERMS:
-            lines.append(f" {c.name}: " + " ".join(parts))
-        else:
-            lines += _wrap(parts, f" {c.name}: ", "    ")
+    term = _TermText().__getitem__
+    lines = []
+    objective = Constraint("obj", model.objective, "", 0)
+    for header, rows in (("Minimize", (objective,)), ("Subject To", model.constraints)):
+        lines.append(header)
+        for name, terms, relation, rhs in rows:
+            # the objective has no relation; the first term drops a leading "+ "
+            parts = [*map(term, terms)]
+            if relation:
+                parts.append(f"{relation} {rhs}")
+            if len(parts) <= _WRAP_TERMS:
+                lines.append(f" {name}: " + " ".join(parts).removeprefix("+ "))
+            else:
+                parts[0] = parts[0].removeprefix("+ ")
+                lines += _wrap(parts, f" {name}: ", "    ")
     lines.append("Bounds")
     for var in model.variables:
         if var.kind != INTEGER:

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 from addcolor.graph import Graph, iter_bits
-from addcolor.milp import BINARY, MilpModel
+from addcolor.milp import BINARY, INTEGER, Constraint, MilpModel, Variable
 
 
 def neighborhood_sums(g: Graph, labels) -> list[int]:
@@ -284,3 +285,55 @@ def write_graph6_naive(g: Graph) -> str:
                 chunk[bit // 6] |= 1 << (5 - bit % 6)
             bit += 1
     return header + "".join(chr(63 + v) for v in chunk)
+
+
+def read_lp(text: str) -> MilpModel:
+    """The model an LP file written by `write_lp` describes, read back token
+    by token: the objective, each row with its wrapped continuation lines
+    joined, the bounds of the `Generals` and the `Binaries` (0..1). Variables
+    come in file order, integers first; the eliminated set is not in the
+    file and reads as empty."""
+    sections: dict[str, list[str]] = {}
+    lines = text.split("\n")
+    assert lines[-2:] == ["End", ""], lines[-2:]
+    for line in lines[:-2]:
+        if line in ("Minimize", "Subject To", "Bounds", "Generals", "Binaries"):
+            current = sections.setdefault(line, [])
+        elif re.match(r" \w+: ", line) or not line.startswith("    "):
+            current.append(line)
+        else:
+            current[-1] += line
+
+    def row(line: str) -> tuple[str, list[tuple[int, str]], list[str]]:
+        name, body = line.split(":", 1)
+        terms, sign, coef = [], 1, None
+        tokens = body.split()
+        while tokens and tokens[0] not in ("<=", ">=", "="):
+            token = tokens.pop(0)
+            if token in ("+", "-"):
+                sign = -1 if token == "-" else 1
+            elif token.isdigit():
+                coef = int(token)
+            else:
+                terms.append((sign * (1 if coef is None else coef), token))
+                sign, coef = 1, None
+        return name.strip(), terms, tokens
+
+    (objective,) = sections["Minimize"]
+    name, objective_terms, rest = row(objective)
+    assert name == "obj" and not rest
+    constraints = []
+    for line in sections["Subject To"]:
+        name, terms, (relation, rhs) = row(line)
+        constraints.append(Constraint(name, tuple(terms), relation, int(rhs)))
+    bounds = {}
+    for line in sections["Bounds"]:
+        parts = line.split()
+        lower, var = int(parts[0]), parts[2]
+        bounds[var] = (lower, int(parts[4]) if len(parts) == 5 else None)
+    generals = " ".join(sections.get("Generals", [])).split()
+    binaries = " ".join(sections.get("Binaries", [])).split()
+    assert sorted(bounds) == sorted(generals)
+    variables = [Variable(var, INTEGER, *bounds[var]) for var in generals]
+    variables += [Variable(var, BINARY, 0, 1) for var in binaries]
+    return MilpModel(variables, tuple(objective_terms), constraints, frozenset())

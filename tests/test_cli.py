@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import addcolor.graph as graph_module
 from addcolor.cli import AUDIT_RATE, main
 from addcolor.families import eta_formula, generate, parse_spec
 from addcolor.graph import Graph, Labeling, verify_additive_coloring
@@ -169,6 +171,34 @@ def test_solve_deep_path_edge_list(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 0
     assert "eta = 2" in out
+
+
+@pytest.mark.parametrize("command", ["family", "solve", "export-lp"])
+def test_graph_over_mask_limit_exits_1(tmp_path, capsys, monkeypatch, command):
+    # C_50 needs 1371 bits of adjacency bitmasks
+    monkeypatch.setattr(graph_module, "MASK_BITS_LIMIT", 1000)
+    path = tmp_path / "c50.edges"
+    path.write_text("".join(f"{v} {(v + 1) % 50}\n" for v in range(50)))
+    argv = {
+        "family": ["cycle:50"],
+        "solve": [str(path)],
+        "export-lp": [str(path), "-o", str(tmp_path / "c50.lp")],
+    }[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "adjacency bitmasks" in err and out == ""
+
+
+def test_cycle_at_writer_cap_exits_1_quickly(capsys):
+    # C_258047 passes the spec's size check, but its bitmasks would need
+    # about 4 GiB; it is refused before any mask is allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "cycle:258047")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MiB of adjacency bitmasks" in err
 
 
 @pytest.mark.parametrize("text", ["1000000000000\n0 1\n", "0 1000000000000\n"])

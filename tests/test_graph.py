@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import addcolor.graph as graph_module
 from addcolor.graph import (
     Graph,
     Labeling,
@@ -61,6 +63,34 @@ class TestConstruction:
     def test_parallel_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
+
+    def test_neighbors_are_the_mask_bits(self):
+        # repeated and reversed edges collapse, isolated vertices stay empty
+        rng = random.Random(22)
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            distinct = rng.sample(pairs, rng.randint(0, len(pairs)))
+            edges = [
+                rng.choice([(u, v), (v, u)])
+                for u, v in distinct for _ in range(rng.randint(1, 3))
+            ]
+            rng.shuffle(edges)
+            g = Graph.from_edges(n, edges)
+            assert g.edge_count == len({frozenset(e) for e in edges}) == len(distinct)
+            for v in range(n):
+                assert g.neighbors[v] == tuple(w for w in range(n) if g.masks[v] >> w & 1)
+                assert set(g.neighbors[v]) == {w for e in edges if v in e for w in e if w != v}
+
+    def test_mask_memory_limit(self, monkeypatch):
+        # a mask holds (highest neighbor id + 1) bits; the limit is inclusive
+        g = cycle(50)
+        bits = sum(max(nb) + 1 for nb in g.neighbors)
+        monkeypatch.setattr(graph_module, "MASK_BITS_LIMIT", bits)
+        assert cycle(50) == g
+        monkeypatch.setattr(graph_module, "MASK_BITS_LIMIT", bits - 1)
+        with pytest.raises(ValueError, match="adjacency bitmasks"):
+            cycle(50)
 
     def test_adjacency_symmetric(self):
         g = cycle(5)
