@@ -38,37 +38,52 @@ single-point members have every term labeled, and their symmetric
 difference lies in those terms, so the edge check has already compared
 them.
 
+Once positions 0..p are labeled, each member's a and b depend on p alone,
+so the check reads them from per-position tables that the root builds once
+per k. For each clique that position p touches, p's table holds the
+points, the members with no unlabeled term, whose value is sums[v] itself,
+and (v, k*a - b, a - k*b) for each other member: its interval's offsets
+from sums[v]. `_fits` takes the points' values first and fails if two
+coincide; it then sorts the other intervals by upper end and gives each the
+least value at or above its lower end that nothing took. A clique whose
+members are all points at p is left out of p's table: by the argument
+above, the edge checks have already told every pair of them apart.
+`_hall_ok` splits a clique's terms at any position and calls `_fits`, so the
+root check and the search's checks share one implementation.
+
 The check is armed on demand. A call builds the clique terms only once it
 has spent `HALL_AFTER` search nodes. It then checks the current k at the
 root, where nothing is labeled, over every distinct greedy clique with more
 than k members, and abandons k at once if one fails. Every later k gets the
 same root check before its search, so a k the check rules out costs no
 nodes: on thick-spider:q it refutes k = 2, whose search tree alone has
-2^(q+4) - 2 nodes. From k = 3 on (`HALL_MIN_K`) the search also re-runs the
-check after the edge checks at position i pass, on the tight cliques: those
-that fail the root check with k - 1 labels and have i as a member or an
-outside neighbor. At k = 2 nearly every clique is tight (with one label
-every interval is a single point), and re-checking them there cut 12 % of
-the panel nodes below but made it 2.6 times slower (at HALL_AFTER = 64).
-The check only cuts subtrees without an additive labeling, so the value
-and the first labeling found are those of the plain search. The node count
-can rise a little over an eager check: by the nodes spent before arming
-that it would have cut (at most 145 on every graph of data/ and the tested
-families).
+2^(q+4) - 2 nodes. Intervals widen with k, so a clique that passes the root
+check at k passes it at every larger k: each later k re-checks only the
+cliques that failed at the k before, and none once a k has passed. From
+k = 3 on (`HALL_MIN_K`) the search also re-runs the check after the edge
+checks at position i pass, on the tight cliques: those that fail the root
+check with k - 1 labels and have i as a member or an outside neighbor. At
+k = 2 nearly every clique is tight (with one label every interval is a
+single point), and re-checking them there cut 12 % of the panel nodes
+below but made it 2.6 times slower (at HALL_AFTER = 64). The check only
+cuts subtrees without an additive labeling, so the value and the first
+labeling found are those of the plain search. The node count can rise a
+little over an eager check: by the nodes spent before arming that it would
+have cut (at most 145 on every graph of data/ and the tested families).
 
 Times below are CPython 3.11.7 on a 2-vCPU virtual machine. Building the
-terms and the root check cost about 33 search nodes on connected 8-vertex
-graphs (23-29 us at 0.71-0.83 us per node, two runs) and about 80-90 on
-G(16, 1/2) (77-110 us). Yet the check cuts only 3 % of the nodes of the
-8-vertex searches that reach k = 3, so arming there rarely pays back: of
-the 10 493 searched 8-vertex graphs, 926 reach 64 nodes, 347 reach 128
-and 108 reach 256; 9 380 end at k = 2 after about 21 nodes. HALL_AFTER
-against the eager check it replaced (from k = 3, at the root and inside),
-each instance timed under every setting in turn, the sum of per-instance
-minima over 7 (panel) or 5 (n = 8) passes. Panel: the 11 solve-panel
-family instances and 32 seeded G(16, 1/2) under a 300 000-node budget;
-n = 8: the 10 493 graphs of graphs_conn_n8.g6 whose bounds do not meet;
-lb and ub from the bounds:
+terms and the root check at the node that arms them, tables included, cost
+about 30 search nodes on connected 8-vertex graphs (32 us at a median
+1.05 us per node) and about 80 on G(16, 1/2) (96 us at 1.2 us). Yet the
+check cuts only 3 % of the nodes of the 8-vertex searches that reach
+k = 3, so arming there rarely pays back: of the 10 493 searched 8-vertex
+graphs, 926 reach 64 nodes, 347 reach 128 and 108 reach 256; 9 380 end
+at k = 2 after about 21 nodes. HALL_AFTER against the eager check it
+replaced (from k = 3, at the root and inside), each instance timed under
+every setting in turn, the sum of per-instance minima over 7 (panel) or 5
+(n = 8) passes. Panel: the 11 solve-panel family instances and 32 seeded
+G(16, 1/2) under a 300 000-node budget; n = 8: the 10 493 graphs of
+graphs_conn_n8.g6 whose bounds do not meet; lb and ub from the bounds:
 
     HALL_AFTER       panel nodes  panel s  n = 8 nodes  n = 8 eta s
     eager, k >= 3        125 872    0.100      297 574     0.537
@@ -82,6 +97,15 @@ what the eager check cost them; 128 takes back most of that (a search
 that never arms ran 0.457 s against the eager 0.494 s in a separate run
 of the same kind) while keeping the rise in any call's node count near
 HALL_AFTER.
+
+The tables make a check in the search a third cheaper than working out
+every member's interval at each node: over the 4 045 checks of one
+solve-panel pass (seed 1), 2.5 us against 3.8 us each (best of 9 passes,
+the two versions in alternate rounds of one process). Building them costs
+about one check per table, so a search that re-checks each table about
+once pays more: thick-spider:7-10 take 20-28 % longer (0.1-0.4 ms each),
+while complete-sun:10-12 take 23-26 % less (1.4-1.9 ms each), from the
+bounds, best of 9 in the same way.
 
 The search also records failed states (nogood recording; Dechter,
 *Enhancement schemes for constraint processing*, Artificial Intelligence
@@ -237,6 +261,8 @@ def eta_exact(
         raise ValueError(f"need 1 <= lb <= ub, got lb={lb}, ub={ub}")
     n = g.n
     pos, neighbors, masks, checks, pred, step = _positions(g)
+    # once armed, cliques holds the clique terms that can still fail the
+    # root check
     cliques = cuts = None
     nodes = 0
     # the next node count that needs a look: arming, then the budget
@@ -244,10 +270,11 @@ def eta_exact(
     for k in range(lb, ub + 1):
         labels = [0] * n
         sums = [0] * n
-        # hall[i]: the clique terms to re-check once position i is labeled
+        # hall[i]: the (points, spans) tables of the cliques to re-check once
+        # position i is labeled
         hall: list = [()] * n
         if cliques is not None:
-            hall = _hall_root(cliques, k, n)
+            cliques, hall = _hall_root(cliques, k, n)
             if hall is None:
                 continue
         # nogood cache: cut[i] the key terms at position i, failed[i] the
@@ -288,7 +315,7 @@ def eta_exact(
                     if cuts is not None:
                         cut, failed, keys = _nogoods(cuts, k, n)
                         credit = n + NOGOOD_MISSES
-                    hall = _hall_root(cliques, k, n)
+                    cliques, hall = _hall_root(cliques, k, n)
                     if hall is None:
                         # k fails at the root: end its search as if
                         # position 0 had run out of labels
@@ -301,8 +328,8 @@ def eta_exact(
                         break
                 else:
                     # the edges hold; the label stands if the cliques do too
-                    for terms in hall[i]:
-                        if not _hall_ok(terms, sums, i + 1, k):
+                    for points, spans in hall[i]:
+                        if not _fits(points, spans, sums):
                             break
                     else:
                         break
@@ -459,41 +486,78 @@ def _clique_terms(
 
 def _hall_root(
     cliques: list[tuple[int, tuple[tuple[int, int, int], ...]]], k: int, n: int
-) -> list | None:
-    """The clique-sum check at the root for k labels: None when a clique
-    with more than k members fails it, else hall[i] for each position i,
-    the clique terms the search re-checks once i is labeled."""
+) -> tuple[list, list | None]:
+    """The clique-sum check at the root for k labels, over the (touch,
+    terms) pairs of `cliques`. Returns the cliques that fail it, the only
+    ones that can fail it at k + 1, and hall: None when some clique fails,
+    else hall[p] for each position p, the (points, spans) tables, split at
+    free = p + 1 by `_split`, that the search re-checks once p is labeled."""
     zeros = [0] * n
-    # the tight cliques fail the root check with one label fewer; intervals
-    # widen with k, so only a tight clique can fail it at k, and only the
-    # tight ones are worth re-checking in the search
-    tight = [
+    if k >= HALL_MIN_K:
+        # the tight cliques fail the root check with one label fewer;
+        # intervals widen with k, so only a tight clique can fail it at k,
+        # and only the tight ones are worth re-checking in the search
+        cliques = [
+            (touch, terms) for touch, terms in cliques
+            if len(terms) > k and not _hall_ok(terms, zeros, 0, k - 1)
+        ]
+    failed = [
         (touch, terms) for touch, terms in cliques
-        if len(terms) > k and not _hall_ok(terms, zeros, 0, k - 1)
+        if len(terms) > k and not _hall_ok(terms, zeros, 0, k)
     ]
-    if not all(_hall_ok(terms, zeros, 0, k) for _, terms in tight):
-        return None
-    if k < HALL_MIN_K:
-        return [()] * n
-    return [[terms for touch, terms in tight if touch >> p & 1] for p in range(n)]
+    if failed:
+        return failed, None
+    if k < HALL_MIN_K or not cliques:
+        return [], [()] * n
+    hall: list = [[] for _ in range(n)]
+    for touch, terms in cliques:
+        for p in iter_bits(touch):
+            points, spans = _split(terms, p + 1, k)
+            # the neighborhoods of two points differ only on labeled terms,
+            # so the edge checks have told them apart: a clique of points
+            # passes
+            if spans:
+                hall[p].append((points, spans))
+    return [], hall
+
+
+def _split(
+    terms: tuple[tuple[int, int, int], ...], free: int, k: int
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The members once positions >= free are unlabeled: the points, whose
+    terms are all labeled, and (v, k*a - b, a - k*b) for each other member
+    v, with a and b its unlabeled plus and minus terms."""
+    points, spans = [], []
+    for v, plus, minus in terms:
+        a = (plus >> free).bit_count()
+        b = (minus >> free).bit_count()
+        if a or b:
+            spans.append((v, k * a - b, a - k * b))
+        else:
+            points.append(v)
+    return points, spans
 
 
 def _hall_ok(terms: tuple[tuple[int, int, int], ...], sums: list[int], free: int, k: int) -> bool:
-    """Can the members' sums still be pairwise distinct? Positions >= free
-    are unlabeled; each member's sum lies in [sums[v] + a - k*b,
-    sums[v] + k*a - b] up to a shift all members share, with a and b its
-    unlabeled plus and minus terms. Sorted by upper end, each interval takes
-    the least value at or above its lower end that no earlier one took; the
-    sums can be distinct iff every interval gets a value."""
-    spans = []
-    for v, plus, minus in terms:
-        s = sums[v]
-        a = (plus >> free).bit_count()
-        b = (minus >> free).bit_count()
-        spans.append((s + k * a - b, s + a - k * b))
-    spans.sort()
+    """Can the members' sums still be pairwise distinct, with positions >=
+    free unlabeled and labels in 1..k? See `_fits`."""
+    points, spans = _split(terms, free, k)
+    return _fits(points, spans, sums)
+
+
+def _fits(points: list[int], spans: list[tuple[int, int, int]], sums: list[int]) -> bool:
+    """Can the members' sums be pairwise distinct? Up to a shift all
+    members share, a point v's sum is sums[v], and a span (v, hi, lo) lies
+    in [sums[v] + lo, sums[v] + hi]. The points take their values first;
+    then, sorted by upper end, each span takes the least value at or above
+    its lower end that nothing took before. The sums can be distinct iff the
+    points differ and every span gets a value."""
     taken = set()
-    for hi, lo in spans:
+    for v in points:
+        if sums[v] in taken:
+            return False
+        taken.add(sums[v])
+    for hi, lo in sorted([(sums[v] + hi, sums[v] + lo) for v, hi, lo in spans]):
         while lo in taken:
             lo += 1
         if lo > hi:

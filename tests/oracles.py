@@ -144,6 +144,25 @@ def dsatur_naive(g: Graph) -> tuple[int, tuple[int, ...]]:
     return max(colors, default=0), tuple(colors)
 
 
+def distinct_representatives_naive(intervals) -> bool:
+    """Whether integer intervals (lo, hi) admit pairwise distinct integers,
+    one inside each: a matching of every interval to an integer it holds,
+    grown one interval at a time along augmenting paths."""
+    owner: dict[int, int] = {}
+
+    def augment(i, seen):
+        lo, hi = intervals[i]
+        for x in range(lo, hi + 1):
+            if x not in seen:
+                seen.add(x)
+                if x not in owner or augment(owner[x], seen):
+                    owner[x] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(intervals)))
+
+
 def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
     """The only candidate completion of a labeling: z(u,v) = 1 iff the sum at
     u is smaller, k = max label."""

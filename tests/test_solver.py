@@ -26,7 +26,13 @@ from addcolor.solver import (
 )
 
 from conftest import DATA
-from oracles import additive_labelings, chi_naive, dsatur_naive, eta_naive
+from oracles import (
+    additive_labelings,
+    chi_naive,
+    distinct_representatives_naive,
+    dsatur_naive,
+    eta_naive,
+)
 from test_families import small_specs
 
 
@@ -85,6 +91,19 @@ ARMING_SPECS = (
     + ["wheel:15"]
     + [f"cycle:{n}" for n in range(13, 18)]
 )
+
+# the family instances of the benchmark's solve-panel workload
+PANEL_SPECS = (
+    "windmill:5,3", "wheel:15", "cycle:25", "thin-spider:8",
+    "complete-sun:10", "complete-sun:11", "complete-sun:12",
+    "thick-spider:7", "thick-spider:8", "thick-spider:9", "thick-spider:10",
+)
+
+# sha256 over (status, value, node count) of eta_exact(g) and of
+# eta_exact(g, 1, degree bound) on ARMING_SPECS, PANEL_SPECS and 8 seeded
+# G(16, 1/2); computed before the clique-sum check read its members from
+# per-position tables, which must prune exactly as the per-call check did.
+GOLDEN_NODES = "f828e1c91cbbd91a7b97cbdd34b88ae3b0cd0b1c8d26a1233076b0872cfdf570"
 
 
 class TestEtaExact:
@@ -231,6 +250,18 @@ class TestEtaExact:
             graphs.append(Graph.from_edges(14, edges))
         assert results_digest(graphs) == GOLDEN_ARMING
 
+    def test_node_counts_match_golden_digest(self):
+        graphs = [g_of(text) for text in (*ARMING_SPECS, *PANEL_SPECS)]
+        rng = random.Random(16)
+        for _ in range(8):
+            edges = [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.5]
+            graphs.append(Graph.from_edges(16, edges))
+        digest = hashlib.sha256()
+        for g in graphs:
+            for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
+                digest.update(f"{r.status} {r.value} {r.stats.nodes}\n".encode())
+        assert digest.hexdigest() == GOLDEN_NODES
+
 
 def results_digest(graphs):
     """sha256 over (status, value, certificate) of eta_exact(g) and of
@@ -283,6 +314,77 @@ class TestHallCheck:
         density = rng.choice((0.5, 0.7, 0.9))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
         assert_hall_passes_every_labeling(Graph.from_edges(n, edges))
+
+    def test_distinct_representatives_oracle(self):
+        assert distinct_representatives_naive([])
+        assert distinct_representatives_naive([(0, 1), (0, 1), (2, 2)])
+        # taking 0 for the first interval forces a move along a path
+        assert distinct_representatives_naive([(0, 2), (0, 0), (1, 1)])
+        assert not distinct_representatives_naive([(3, 3), (3, 3)])
+        assert not distinct_representatives_naive([(-2, -1)] * 3)
+        assert not distinct_representatives_naive([(1, 0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_distinct_representatives(self, seed):
+        # a member's terms stop at a random position, so it is a point from
+        # there on; sums in a narrow range make points coincide, and in half
+        # the draws the first two members are equal points throughout
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        members = rng.sample(range(n), rng.randint(1, min(n, 7)))
+        sums = [rng.randint(-4, 4) for _ in range(n)]
+        terms = []
+        for v in members:
+            below = (1 << rng.randint(0, n)) - 1
+            terms.append((v, rng.getrandbits(n) & below, rng.getrandbits(n) & below))
+        if len(members) > 1 and rng.random() < 0.5:
+            terms[0] = (members[0], 0, 0)
+            terms[1] = (members[1], 0, 0)
+            sums[members[1]] = sums[members[0]]
+        for k in range(2, 6):
+            for free in range(n + 1):
+                intervals = member_intervals(terms, sums, free, k)
+                expected = distinct_representatives_naive(intervals)
+                assert _hall_ok(tuple(terms), sums, free, k) == expected, (terms, sums, free, k)
+
+    def test_root_tables_match_member_intervals(self):
+        # every (points, spans) table the root builds for ARMING_SPECS holds
+        # its clique's member intervals at that position, and `_fits`
+        # decides them as the oracle does, on seeded sums
+        checked = 0
+        for text in ARMING_SPECS:
+            g = g_of(text)
+            pos, _, masks, *_ = solver._positions(g)
+            cliques = _clique_terms([c for c in g.greedy_cliques if len(c) >= 3], pos, masks)
+            clique_of = {frozenset(v for v, _, _ in terms): terms for _, terms in cliques}
+            rng = random.Random(text)
+            for k in range(solver.HALL_MIN_K, 7):
+                _, hall = solver._hall_root(cliques, k, g.n)
+                for p, tables in enumerate(hall or ()):
+                    for points, spans in tables:
+                        terms = clique_of[frozenset(points).union(v for v, _, _ in spans)]
+                        for _ in range(4):
+                            sums = [rng.randint(-2 * k, 2 * k) for _ in range(g.n)]
+                            intervals = [(sums[v], sums[v]) for v in points]
+                            intervals += [(sums[v] + lo, sums[v] + hi) for v, hi, lo in spans]
+                            assert sorted(intervals) == member_intervals(terms, sums, p + 1, k)
+                            expected = distinct_representatives_naive(intervals)
+                            assert solver._fits(points, spans, sums) == expected
+                        checked += 1
+        assert checked > 100
+
+
+def member_intervals(terms, sums, free, k):
+    """The sorted intervals of the members (v, plus, minus) with the
+    positions >= free unlabeled: [sums[v] + a - k*b, sums[v] + k*a - b] for
+    a plus and b minus terms there."""
+    out = []
+    for v, plus, minus in terms:
+        a = bin(plus >> free).count("1")
+        b = bin(minus >> free).count("1")
+        out.append((sums[v] + a - k * b, sums[v] + k * a - b))
+    return sorted(out)
 
 
 def assert_keys_decide_extension(g):
