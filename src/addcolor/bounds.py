@@ -41,10 +41,6 @@ def largest_true_twin_class(g: Graph) -> tuple[int, ...]:
     return max(g.true_twins, key=len, default=())
 
 
-def _clique_bound(d1: int, d2: int, q: int) -> int:
-    return -(-(d1 + 1) // (d2 - q + 2))
-
-
 def best_clique_lower_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Maximum clique bound over the prefixes of the greedy cliques.
 
@@ -61,7 +57,8 @@ def best_clique_lower_bound(g: Graph) -> tuple[int, tuple[int, ...]]:
                 d1 = d
             elif d > d2:
                 d2 = d
-            value = _clique_bound(d1, d2, q)
+            # ceil((d1 + 1) / (d2 - q + 2))
+            value = -(-(d1 + 1) // (d2 - q + 2))
             if value > best_value:
                 best_value, best_clique, best_q = value, clique, q
     return best_value, best_clique[:best_q]

@@ -8,11 +8,16 @@ byte offset by 63. Headers: one byte 63+n for n <= 62; byte 126 plus three
 (up to 2^36 - 1). Only graph6 is handled here; sparse6 and digraph6 lines are
 rejected with a format error.
 
-Both directions go column by column through the bits as a '0'/'1' string
-built with bin(); the parser visits only the set bits.
+Both directions hold the bits as a '0'/'1' string. The parser builds it
+with one join over a table of each byte's six bits, then visits only the set
+bits. The writer builds it column by column with bin() and packs it six bits
+per byte MSB-first, as base64 does (RFC 4648): binascii encodes the bits,
+and one translate maps the base64 alphabet to the graph6 bytes 63..126.
 """
 
 from __future__ import annotations
+
+import binascii
 
 from .graph import Graph
 
@@ -24,6 +29,15 @@ WRITER_MAX_N = 258047
 
 _MIN_BYTE = 63
 _MAX_BYTE = 126
+
+# the six bits of each byte 63..126, MSB first; None for every other byte
+_SEXTET = [None] * _MIN_BYTE + [format(v, "06b") for v in range(64)] + [None] * (255 - _MAX_BYTE)
+
+# base64 digit v -> graph6 byte 63 + v
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_MIN_BYTE, _MAX_BYTE + 1)),
+)
 
 
 class Graph6FormatError(ValueError):
@@ -42,30 +56,31 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6FormatError("digraph6 input is not supported")
     if not data:
         raise Graph6FormatError("empty line")
-    values = []
-    for ch in data:
-        b = ord(ch)
-        if not (_MIN_BYTE <= b <= _MAX_BYTE):
-            raise Graph6FormatError(f"byte {b!r} outside graph6 range 63..126")
-        values.append(b - _MIN_BYTE)
+    # a character outside 63..126 fails the ASCII encoding or hits a None
+    # in the table; the error names the first one
+    try:
+        raw = data.encode("ascii")
+        bits = "".join(map(_SEXTET.__getitem__, raw))
+    except (UnicodeEncodeError, TypeError):
+        b = next(b for b in map(ord, data) if not _MIN_BYTE <= b <= _MAX_BYTE)
+        raise Graph6FormatError(f"byte {b!r} outside graph6 range 63..126") from None
 
-    n, pos = _decode_size(values)
+    n, pos = _decode_size([b - _MIN_BYTE for b in raw[:8]])
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(values) - pos < nbytes:
+    if len(raw) - pos < nbytes:
         raise Graph6FormatError(
-            f"truncated bit section: need {nbytes} bytes for n={n}, got {len(values) - pos}"
+            f"truncated bit section: need {nbytes} bytes for n={n}, got {len(raw) - pos}"
         )
-    if len(values) - pos > nbytes:
+    if len(raw) - pos > nbytes:
         raise Graph6FormatError(f"trailing bytes after bit section for n={n}")
 
-    # a guard bit 64 keeps each byte's leading zeros through bin(); before
-    # each set bit, `start` steps over whole columns (column j holds the
-    # (i, j), i < j). The graph is built directly, as every index is in range
-    # and distinct; each neighbor list comes out sorted
-    bits = "".join([bin(v | 64)[3:] for v in values[pos:]])
+    bits = bits[6 * pos:]
     if "1" in bits[nbits:]:
         raise Graph6FormatError("nonzero padding bits")
+    # before each set bit, `start` steps over whole columns (column j holds
+    # the (i, j), i < j). The graph is built directly, as every index is in
+    # range and distinct; each neighbor list comes out sorted
     masks = [0] * n
     neighbors: list[list[int]] = [[] for _ in range(n)]
     m = 0
@@ -116,9 +131,12 @@ def write_graph6(g: Graph) -> str:
     else:
         raise ValueError(f"writer supports n <= {WRITER_MAX_N}, got {n}")
     # column j is bits 0..j-1 of masks[j] read upward; a guard bit j keeps
-    # their leading zeros
+    # their leading zeros. Padded to whole 24-bit base64 blocks, the bits
+    # encode without '=' and the extra bytes are cut off
     bits = "".join([bin(mask & ~(-1 << j) | 1 << j)[:2:-1] for j, mask in enumerate(g.masks)])
-    bits += "0" * (-len(bits) % 6)
-    return header + "".join(
-        [chr(_MIN_BYTE + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6)]
-    )
+    nbytes = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return header + binascii.b2a_base64(packed, newline=False)[:nbytes].translate(
+        _FROM_BASE64
+    ).decode("ascii")

@@ -311,6 +311,16 @@ def eta_exact(
                     cliques = _clique_terms(
                         [c for c in g.greedy_cliques if len(c) > k], pos, masks
                     )
+                    if k >= HALL_MIN_K:
+                        # keep the tight cliques, those that fail the root
+                        # check with one label fewer: intervals widen with
+                        # k, so only they can fail it at k, and only they
+                        # are worth re-checking in the search
+                        zeros = [0] * n
+                        cliques = [
+                            (touch, terms) for touch, terms in cliques
+                            if not _hall_ok(terms, zeros, 0, k - 1)
+                        ]
                     cuts = _cut_terms(masks, checks, pred, NOGOOD_WIDTH * n)
                     if cuts is not None:
                         cut, failed, keys = _nogoods(cuts, k, n)
@@ -488,23 +498,15 @@ def _hall_root(
     cliques: list[tuple[int, tuple[tuple[int, int, int], ...]]], k: int, n: int
 ) -> tuple[list, list | None]:
     """The clique-sum check at the root for k labels, over the (touch,
-    terms) pairs of `cliques`. Returns the cliques that fail it, the only
-    ones that can fail it at k + 1, and hall: None when some clique fails,
-    else hall[p] for each position p, the (points, spans) tables, split at
-    free = p + 1 by `_split`, that the search re-checks once p is labeled."""
+    terms) pairs of `cliques`, each tight from k = HALL_MIN_K on: it fails
+    the check with k - 1 labels. Returns the cliques that fail it, the only
+    ones that can fail it at k + 1 and so tight there, and hall: None when
+    some clique fails, else hall[p] for each position p, the (points, spans)
+    tables, split at free = p + 1 by `_split`, that the search re-checks
+    once p is labeled."""
     zeros = [0] * n
-    if k >= HALL_MIN_K:
-        # the tight cliques fail the root check with one label fewer;
-        # intervals widen with k, so only a tight clique can fail it at k,
-        # and only the tight ones are worth re-checking in the search
-        cliques = [
-            (touch, terms) for touch, terms in cliques
-            if len(terms) > k and not _hall_ok(terms, zeros, 0, k - 1)
-        ]
-    failed = [
-        (touch, terms) for touch, terms in cliques
-        if len(terms) > k and not _hall_ok(terms, zeros, 0, k)
-    ]
+    cliques = [(touch, terms) for touch, terms in cliques if len(terms) > k]
+    failed = [(touch, terms) for touch, terms in cliques if not _hall_ok(terms, zeros, 0, k)]
     if failed:
         return failed, None
     if k < HALL_MIN_K or not cliques:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -76,6 +77,27 @@ def test_digraph6_rejected():
 def test_byte_out_of_range():
     with pytest.raises(Graph6FormatError):
         parse_graph6("A" + chr(30))
+
+
+# every character outside '?'..'~': the ASCII controls, space and the rest of
+# 0..62, DEL, and non-ASCII ones, which a lossy ASCII encoding would turn
+# into '?' (byte 63, in range)
+BAD_CHARS = [chr(b) for b in range(63)] + [chr(127), "\u00e9", "\ufffd", "\U0001f600"]
+
+
+@pytest.mark.parametrize("ch", BAD_CHARS)
+def test_out_of_range_character_named(ch):
+    message = "^" + re.escape(f"byte {ord(ch)} outside graph6 range 63..126") + "$"
+    # n = 63: the 4-byte header '~??~', then 326 bytes of bits
+    line = write_graph6(Graph.from_edges(63, []))
+    # inside the header, and in the bit section of a long and a short line
+    for bad in (line[0] + ch + line[2:], line[:100] + ch + line[101:], "D?" + ch + "?"):
+        with pytest.raises(Graph6FormatError, match=message):
+            parse_graph6(bad)
+    # the first bad character is named, whatever follows it
+    other = chr(0) if ch == "\u00e9" else "\u00e9"
+    with pytest.raises(Graph6FormatError, match=message):
+        parse_graph6(line[0] + ch + line[2:100] + other + line[101:])
 
 
 @pytest.mark.parametrize("line, message", [
@@ -224,6 +246,19 @@ def test_corpus_lines_match_reference_codec(name):
 def test_family_graphs_match_reference_codec(text):
     g = generate(parse_spec(text))
     assert_matches_reference(write_graph6_naive(g), g)
+
+
+# n(n - 1)/2 mod 24, the bits left over past whole base64 blocks, runs
+# through one full period as n runs through 0..47
+@pytest.mark.parametrize("n", range(48))
+def test_writer_matches_reference_over_block_remainders(n):
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for g in (
+        Graph.from_edges(n, []),
+        Graph.from_edges(n, pairs[::2]),
+        Graph.from_edges(n, pairs),
+    ):
+        assert write_graph6(g) == write_graph6_naive(g)
 
 
 # n = 62 / 63 straddle the switch to the 4-byte header

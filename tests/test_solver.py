@@ -140,6 +140,18 @@ class TestEtaExact:
         hard = eta_exact(g_of("complete-sun:10"))
         assert hard.value == 4 and hard.stats.nodes > HALL_AFTER and len(calls) == 1
 
+    @pytest.mark.parametrize("q, checks", [(7, 24), (8, 28), (9, 40), (10, 45)])
+    def test_root_checks_each_carried_clique_once(self, monkeypatch, q, checks):
+        # a clique carried to k failed the root check at k - 1, so it is
+        # tight and is not tested with k - 1 labels again
+        calls = []
+        check = solver._hall_ok
+        monkeypatch.setattr(solver, "_hall_ok", lambda *args: calls.append(1) or check(*args))
+        spec = parse_spec(f"thick-spider:{q}")
+        result = eta_exact(generate(spec))
+        assert result.status == OPTIMAL and result.value == eta_formula(spec)
+        assert len(calls) == checks
+
     @pytest.mark.parametrize(
         "text,most",
         [("cycle:25", 2000), ("cycle:33", 3000), ("cycle:41", 3000), ("wheel:25", 3000)],
