@@ -174,7 +174,9 @@ def combined_bounds(g: Graph) -> BoundsReport:
     The eta = 1 characterization short-circuits both bounds to 1 (to 0 for
     the empty graph); otherwise the lower bound is the best of the twin and
     clique bounds (at least 2, since some edge joins equal-degree vertices),
-    and the upper bound is `eta_upper_bound`.
+    and the upper bound is `eta_upper_bound`. Sound bounds never cross; the
+    report is returned as computed, so a caller sees a faulty bound as
+    eta_lower > eta_upper instead of an exception.
     """
     upper, upper_witnesses = _upper_bound(g)
     # only the eta = 1 short-circuit gives upper <= 1: otherwise the upper
@@ -191,5 +193,4 @@ def combined_bounds(g: Graph) -> BoundsReport:
     if clique_value > lower:
         lower = clique_value
         witnesses.append(("clique", clique))
-    assert lower <= upper
     return BoundsReport(lower, upper, tuple(witnesses + upper_witnesses))

@@ -4,8 +4,13 @@ export, and streaming conjecture sweeps over graph6 corpora.
 Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
 (sweep), 3 a node budget ran out, 4 an audited eta disagreed with its exact
-re-solve from lower bound 1, or no eta up to the bounds' upper bound worked
-(sweep; an internal fault, checked before 2 and 3).
+re-solve from lower bound 1, or no eta up to the bounds' upper bound worked,
+or the bounds crossed (sweep; an internal fault, checked before 2 and 3).
+
+A sweep record whose bounds pinch (eta_source `formula`) keeps that value
+only when a labeling built for it verifies with exactly that many labels:
+all ones for eta <= 1, else the split construction. Otherwise the record
+is re-solved from lower bound 1 like an audit sample.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from . import bounds as _bounds
 from . import families as _families
 from . import milp as _milp
 from . import solver as _solver
-from .graph import Graph, Labeling, connected_components, induced_subgraph
+from .graph import (
+    Graph,
+    Labeling,
+    connected_components,
+    induced_subgraph,
+    verify_additive_coloring,
+)
 from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
 EXIT_OK = 0
@@ -180,6 +191,17 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
         outputs = [
             (f"{root}_c{idx}{ext or '.lp'}", sub) for idx, (_, sub) in enumerate(comps, 1)
         ]
+    if args.ub is not None:
+        # a UB below a component's proven lower bound leaves its model no
+        # feasible point: refuse it before any file is written
+        lower = max(
+            (_bounds.combined_bounds(sub).eta_lower for _, sub in outputs if sub.edge_count),
+            default=0,
+        )
+        if args.ub < lower:
+            print(f"error: --ub {args.ub} is below the proven lower bound eta >= {lower}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     for path, sub in outputs:
         if sub.edge_count == 0:
             print(f"{path}: skipped (component has no edges, eta = 1)")
@@ -205,6 +227,21 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _pinch_proven(g: Graph, eta: int) -> bool:
+    """Whether a labeling built for bounds that pinch at eta verifies with
+    exactly eta labels: all ones for eta <= 1, else the split construction
+    on the maximal clique of a split partition. It proves eta(g) <= eta; the
+    lower bound is the pinch's own claim."""
+    if eta <= 1:
+        labeling = Labeling((1,) * g.n)
+    else:
+        split = _bounds.split_recognize(g)
+        if split is None:
+            return False
+        labeling = _families.split_labeling(g, split[0])
+    return labeling.k == eta and verify_additive_coloring(g, labeling)
+
+
 def _solve_record(item: tuple[int, str], budget: int) -> tuple:
     """Solve one corpus line into (report line, status, n, eta, chi) for the
     parent to write and tally: n is None for a parse error, and eta and chi
@@ -227,15 +264,18 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         return text, status, g.n, None, None
 
     report = _bounds.combined_bounds(g)
+    proven = True
     if report.eta_lower == report.eta_upper:
         eta, eta_source = report.eta_lower, "formula"
-    else:
+        proven = _pinch_proven(g, eta)
+    elif report.eta_lower < report.eta_upper:
         result = _solver.eta_exact(
             g, report.eta_lower, report.eta_upper, node_budget=budget
         )
         if result.status == _solver.BUDGET_EXCEEDED:
             return record("budget-exceeded")
         eta = result.value  # None if no k up to the upper bound works
+    # crossed bounds (lower > upper) leave eta None, as a refuted upper bound does
     if eta is not None:
         chi_result = _solver.chromatic_exact(g, node_budget=budget)
         if not chi_result.ok:
@@ -243,11 +283,13 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
             return record("budget-exceeded")
         chi, chi_source = chi_result.value, "exact"
     # re-solve from lb = 1, whatever decided eta, for a deterministic ~1%
-    # audit sample, when eta exceeds chi and when the search refuted the
-    # upper bound: a violation needs a value that owes nothing to the bounds,
-    # and a mismatch is an internal bug, kept as its own status with both
-    # values so the evidence survives the sweep
-    if eta is None or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
+    # audit sample, when eta exceeds chi, when the search refuted the upper
+    # bound or the bounds crossed, and when no construction proves a pinch: a
+    # violation needs a value that owes nothing to the bounds, and a mismatch
+    # is an internal bug, kept as its own status with both values so the
+    # evidence survives the sweep
+    if (eta is None or not proven or eta > chi
+            or zlib.crc32(line.encode()) % AUDIT_RATE == 0):
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         if not recheck.ok:
             return record("budget-exceeded")

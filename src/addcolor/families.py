@@ -1,13 +1,17 @@
 """Graph family generators, closed-form additive chromatic numbers, and the
 constructive certificate labelings that witness them.
 
-Each family is one row of the `_FAMILIES` table, keyed by its kind: the
-arity and parameter checks, the vertex count, the edge list, the closed-form
+Each family is one row of the `_FAMILIES` table, keyed by its kind, and the
+row is its whole contract: the parameter rule (`_rule` builds it from the
+rule text for a wrong parameter count and predicates with their messages;
+only the join, whose limit depends on its inner spec, has its own), the
+vertex count, the closed-form edge count, the edge list, the closed-form
 eta, the certificate labeling and the lower-bound witness. `KINDS`,
 `generate`, `eta_formula`, `certify` and spec validation each look the row
-up; only `generate` builds a graph from the edges. A spec is rejected
-before any graph is built when its vertex count exceeds the graph6 writer's
-limit.
+up; only `generate` builds a graph from the edges. Validation reads only the
+row: a spec is rejected before any edge list is built when it breaks the
+rule, when its vertex count exceeds the graph6 writer's limit, or when its
+edge count exceeds `graph.EDGE_LIMIT`.
 
 Vertex ordering is fixed per family so the constructions map positionally:
 
@@ -30,10 +34,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
-from .graph import Graph, Labeling, verify_additive_coloring
+from .graph import EDGE_LIMIT, Graph, Labeling, verify_additive_coloring
 from .graph6 import WRITER_MAX_N
 
 
@@ -88,10 +93,11 @@ def _validate(spec: FamilySpec) -> None:
     kind = spec.kind
     _need(kind in KINDS, f"unknown family kind {kind!r}")
     _need(spec.inner is None or kind == "join-complete", f"{kind} takes no inner spec")
-    _FAMILIES[kind].check(spec)
-    n = _vertex_count(spec)
+    _FAMILIES[kind].rule(spec)
+    n, m = _vertex_count(spec), _edge_count(spec)
     _need(n <= WRITER_MAX_N,
           f"{spec.text()} has {n} vertices; family specs allow n <= {WRITER_MAX_N}")
+    _need(m <= EDGE_LIMIT, f"{spec.text()} has {m} edges; family specs allow m <= {EDGE_LIMIT}")
 
 
 def _args(spec: FamilySpec) -> tuple:
@@ -103,61 +109,40 @@ def _vertex_count(spec: FamilySpec) -> int:
     return _FAMILIES[spec.kind].size(*_args(spec))
 
 
+def _edge_count(spec: FamilySpec) -> int:
+    return _FAMILIES[spec.kind].edge_count(*_args(spec))
+
+
 # ---------------------------------------------------------------------------
-# parameter checks; none of them builds a graph
+# parameter rules; none of them builds a graph
+
+
+def _rule(takes: str, *tests: tuple[Callable[..., bool], str]) -> Callable[[FamilySpec], None]:
+    """A row's parameter rule. Each test pairs a predicate over the
+    parameters with the message its failure raises, formatted with the kind
+    and the parameter tuple `p`; the tests run in order, so a predicate may
+    rely on the ones before it. The predicates share one signature, and
+    parameters it cannot take raise "<kind> <takes>"."""
+
+    def rule(spec: FamilySpec) -> None:
+        p = spec.params
+        for test, message in tests:
+            try:
+                ok = test(*p)
+            except TypeError:  # on ints, only a wrong parameter count raises it
+                raise ValueError(f"{spec.kind} {takes}") from None
+            _need(ok, message.format(kind=spec.kind, p=p))
+
+    return rule
 
 
 def _one(minimum: int) -> Callable[[FamilySpec], None]:
-    """Check for a one-parameter family whose parameter is >= minimum."""
-
-    def check(spec: FamilySpec) -> None:
-        _need(len(spec.params) == 1, f"{spec.kind} takes one parameter")
-        v = spec.params[0]
-        _need(v >= minimum, f"{spec.kind} needs parameter >= {minimum}, got {v}")
-
-    return check
+    """Rule of a one-parameter family whose parameter is >= minimum."""
+    return _rule("takes one parameter",
+                 (lambda v: v >= minimum, f"{{kind}} needs parameter >= {minimum}, got {{p[0]}}"))
 
 
-def _check_split(spec: FamilySpec) -> None:
-    _need(len(spec.params) == 2, "complete-split takes (clique size, stable size)")
-    q, s = spec.params
-    _need(q >= 1, "clique size must be >= 1")
-    _need(s >= 2, "stable size must be >= 2")
-
-
-def _check_windmill(spec: FamilySpec) -> None:
-    p = spec.params
-    _need(len(p) == 2, "windmill takes (n, m)")
-    n, m = p
-    _need(n >= 3 and m >= 2, f"windmill needs n >= 3 and m >= 2, got {p}")
-
-
-def _check_multipartite(spec: FamilySpec) -> None:
-    p = spec.params
-    _need(len(p) >= 1, "multipartite needs at least one part")
-    _need(all(x >= 1 for x in p), "part sizes must be >= 1")
-    _need(all(p[i] >= p[i + 1] for i in range(len(p) - 1)),
-          "part sizes must be non-increasing")
-
-
-def _check_regular(spec: FamilySpec) -> None:
-    p = spec.params
-    _need(len(p) == 2, "regular-bipartite takes (side size, degree)")
-    n, d = p
-    _need(n >= 1 and 1 <= d <= n, f"need 1 <= degree <= side size, got {p}")
-
-
-def _check_biregular(spec: FamilySpec) -> None:
-    p = spec.params
-    _need(len(p) == 3, "biregular-bipartite takes (n_u, n_v, d_u)")
-    nu, nv, du = p
-    _need(nu >= 1 and nv >= 1, "side sizes must be >= 1")
-    _need(1 <= du <= nv, f"need 1 <= d_u <= n_v, got {p}")
-    _need(nu * du % nv == 0,
-          f"right-side degree n_u*d_u/n_v must be an integer, got {p}")
-
-
-def _check_join(spec: FamilySpec) -> None:
+def _join_rule(spec: FamilySpec) -> None:
     _need(len(spec.params) == 1, "join-complete takes one parameter q")
     _need(spec.inner is not None, "join-complete needs an inner spec")
     q = spec.params[0]
@@ -193,11 +178,8 @@ def _cone(edges: list[tuple[int, int]], n: int, q: int) -> list[tuple[int, int]]
 
 
 def _disjoint_cliques(size: int, copies: int) -> list[tuple[int, int]]:
-    edges = []
-    for c in range(copies):
-        base = c * size
-        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
-    return edges
+    return [(base + i, base + j) for base in range(0, size * copies, size)
+            for i in range(size) for j in range(i + 1, size)]
 
 
 def _spider(q: int, thin: bool) -> list[tuple[int, int]]:
@@ -213,11 +195,7 @@ def _spider(q: int, thin: bool) -> list[tuple[int, int]]:
 def _sun_edges(m: int) -> list[tuple[int, int]]:
     # v_i (index m+i) hangs on u_i and u_{i+1}; equivalently each u_i is
     # adjacent to v_{i-1} and v_i, indices mod m
-    edges = []
-    for i in range(m):
-        edges.append((i, m + i))
-        edges.append(((i + 1) % m, m + i))
-    return edges
+    return [e for i in range(m) for e in ((i, m + i), ((i + 1) % m, m + i))]
 
 
 def _multipartite(*parts: int) -> list[tuple[int, int]]:
@@ -229,11 +207,7 @@ def _multipartite(*parts: int) -> list[tuple[int, int]]:
 def _biregular(nu: int, nv: int, du: int) -> list[tuple[int, int]]:
     # consecutive wrap-around intervals of length d_u tile Z_nv evenly, so
     # every right vertex ends up with degree n_u*d_u/n_v
-    edges = []
-    for i in range(nu):
-        for j in range(du):
-            edges.append((i, nu + (i * du + j) % nv))
-    return edges
+    return [(i, nu + (i * du + j) % nv) for i in range(nu) for j in range(du)]
 
 
 def _edges(spec: FamilySpec) -> list[tuple[int, int]]:
@@ -251,7 +225,7 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def _join_eta(q: int, inner: FamilySpec) -> int:
-    # eta(G v K_q) = max(eta(G), q); `_check_join` keeps q in range
+    # eta(G v K_q) = max(eta(G), q); `_join_rule` keeps q in range
     return max(eta_formula(inner), q)
 
 
@@ -462,11 +436,14 @@ def _spider_eta(q: int) -> int:
 
 
 class _Family(NamedTuple):
-    """One family. `check` takes the spec and raises ValueError; the other
-    functions take `_args(spec)`, and `witness` explains eta >= 2."""
+    """One family's whole contract. `rule` takes the spec and raises
+    ValueError; the other functions take `_args(spec)`: the vertex count,
+    the closed-form edge count, the edge list, the formula, the certificate
+    labeling, and the `witness` that explains eta >= 2."""
 
-    check: Callable[[FamilySpec], None]
+    rule: Callable[[FamilySpec], None]
     size: Callable[..., int]
+    edge_count: Callable[..., int]
     edges: Callable[..., list[tuple[int, int]]]
     eta: Callable[..., int]
     labeling: Callable[..., Labeling]
@@ -475,61 +452,79 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "path": _Family(
-        _one(1), lambda n: n, _path, lambda n: 1 if n in (1, 3) else 2, _path_labeling,
-        _equal_degrees),
+        _one(1), lambda n: n, lambda n: n - 1, _path, lambda n: 1 if n in (1, 3) else 2,
+        _path_labeling, _equal_degrees),
     "cycle": _Family(
-        _one(3), lambda n: n, _cycle, _cycle_eta, _cycle_labeling, _odd_cycle),
+        _one(3), lambda n: n, lambda n: n, _cycle, _cycle_eta, _cycle_labeling, _odd_cycle),
     "complete": _Family(
-        _one(1), lambda n: n, _complete, lambda n: n,
+        _one(1), lambda n: n, lambda n: comb(n, 2), _complete, lambda n: n,
         lambda n: Labeling(tuple(range(1, n + 1))), lambda n: f"true-twin class of size {n}"),
     "complete-split": _Family(
-        _check_split, lambda q, s: q + s,
+        _rule("takes (clique size, stable size)",
+              (lambda q, s: q >= 1, "clique size must be >= 1"),
+              (lambda q, s: s >= 2, "stable size must be >= 2")),
+        lambda q, s: q + s, lambda q, s: comb(q, 2) + q * s,
         lambda q, s: [(u, v) for v in range(q + s) for u in range(min(v, q))],
         lambda q, s: q, _complete_split_labeling,
         lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
     "fan": _Family(
-        _one(3), lambda n: n + 2, lambda n: _cone(_path(n + 1), n + 1, 1), lambda n: 2,
-        lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
+        _one(3), lambda n: n + 2, lambda n: 2 * n + 1, lambda n: _cone(_path(n + 1), n + 1, 1),
+        lambda n: 2, lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
     "wheel": _Family(
-        _one(4), lambda n: n + 1, lambda n: _cone(_cycle(n), n, 1), _cycle_eta,
+        _one(4), lambda n: n + 1, lambda n: 2 * n, lambda n: _cone(_cycle(n), n, 1), _cycle_eta,
         lambda n: _join_labeling(_cycle_labeling(n), 1), _odd_cycle),
     "windmill": _Family(
-        _check_windmill, lambda n, m: (n - 1) * m + 1,
+        _rule("takes (n, m)",
+              (lambda n, m: n >= 3 and m >= 2, "{kind} needs n >= 3 and m >= 2, got {p}")),
+        lambda n, m: (n - 1) * m + 1, lambda n, m: m * comb(n, 2),
         lambda n, m: _cone(_disjoint_cliques(n - 1, m), (n - 1) * m, 1), lambda n, m: n - 1,
         lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1),
         lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
     "thin-spider": _Family(
-        _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=True), _spider_eta,
-        _thin_spider_labeling,
+        _one(2), lambda q: 2 * q, lambda q: comb(q, 2) + q, lambda q: _spider(q, thin=True),
+        _spider_eta, _thin_spider_labeling,
         lambda q: f"clique bound ceil((q+1)/2) on the clique of degree-{q} vertices"),
     "thick-spider": _Family(
-        _one(2), lambda q: 2 * q, lambda q: _spider(q, thin=False), _spider_eta,
-        _thick_spider_labeling,
+        _one(2), lambda q: 2 * q, lambda q: 3 * comb(q, 2), lambda q: _spider(q, thin=False),
+        _spider_eta, _thick_spider_labeling,
         lambda q: "pigeonhole on the clique neighborhood sums"),
     "cycle-sun": _Family(
-        _one(4), lambda m: 2 * m, lambda m: _cycle(m) + _sun_edges(m), lambda m: 2,
-        lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
+        _one(4), lambda m: 2 * m, lambda m: 3 * m, lambda m: _cycle(m) + _sun_edges(m),
+        lambda m: 2, lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
     "wheel-sun": _Family(
-        _one(4), lambda m: 2 * m + 1,
+        _one(4), lambda m: 2 * m + 1, lambda m: 4 * m,
         lambda m: _cycle(m) + _sun_edges(m) + [(i, 2 * m) for i in range(m)], lambda m: 2,
         _wheel_sun_labeling, _equal_degrees),
     "complete-sun": _Family(
-        _one(3), lambda m: 2 * m, lambda m: _complete(m) + _sun_edges(m),
-        lambda m: math.ceil((m + 2) / 3), _complete_sun_labeling,
+        _one(3), lambda m: 2 * m, lambda m: comb(m, 2) + 2 * m,
+        lambda m: _complete(m) + _sun_edges(m), lambda m: math.ceil((m + 2) / 3),
+        _complete_sun_labeling,
         lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
     "multipartite": _Family(
-        _check_multipartite, lambda *p: sum(p), _multipartite,
-        lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling,
+        _rule("needs at least one part",
+              (lambda top, *rest: min((top, *rest)) >= 1, "part sizes must be >= 1"),
+              (lambda *p: list(p) == sorted(p, reverse=True),
+               "part sizes must be non-increasing")),
+        lambda *p: sum(p), lambda *p: comb(sum(p), 2) - sum(comb(x, 2) for x in p),
+        _multipartite, lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling,
         lambda *p: "optimal monotone orientation of the multipartite digraph"),
     "regular-bipartite": _Family(
-        _check_regular, lambda n, d: 2 * n, lambda n, d: _biregular(n, n, d),
+        _rule("takes (side size, degree)",
+              (lambda n, d: n >= 1 and 1 <= d <= n, "need 1 <= degree <= side size, got {p}")),
+        lambda n, d: 2 * n, lambda n, d: n * d, lambda n, d: _biregular(n, n, d),
         lambda n, d: _biregular_eta(n, n, d),
         lambda n, d: _biregular_labeling(n, n, d), _equal_degrees),
     "biregular-bipartite": _Family(
-        _check_biregular, lambda nu, nv, du: nu + nv, _biregular, _biregular_eta,
+        _rule("takes (n_u, n_v, d_u)",
+              (lambda nu, nv, du: nu >= 1 and nv >= 1, "side sizes must be >= 1"),
+              (lambda nu, nv, du: 1 <= du <= nv, "need 1 <= d_u <= n_v, got {p}"),
+              (lambda nu, nv, du: nu * du % nv == 0,
+               "right-side degree n_u*d_u/n_v must be an integer, got {p}")),
+        lambda nu, nv, du: nu + nv, lambda nu, nv, du: nu * du, _biregular, _biregular_eta,
         _biregular_labeling, _equal_degrees),
     "join-complete": _Family(
-        _check_join, lambda q, inner: q + _vertex_count(inner),
+        _join_rule, lambda q, inner: q + _vertex_count(inner),
+        lambda q, inner: _edge_count(inner) + q * _vertex_count(inner) + comb(q, 2),
         lambda q, inner: _cone(_edges(inner), _vertex_count(inner), q), _join_eta,
         lambda q, inner: _join_labeling(_labeling(inner), q), _join_witness),
 }

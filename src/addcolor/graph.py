@@ -10,7 +10,13 @@ the graph6 writer does not bound this (a cycle at the cap would need about
 4 GiB), so `Graph.from_edges` sums the row lengths from the edges first and
 raises ValueError when they exceed `MASK_BITS_LIMIT` bits (256 MiB); the CLI
 reports that as exit 1 with one `error:` line. `parse_graph6` needs no such
-check, as its input already holds a bit per vertex pair.
+check, as its input already holds a bit per vertex pair. Dense graphs hit a
+third limit first: building one costs about 250 bytes per edge at peak
+(edge list, neighbor sets and tuples): `acp family complete:1000`, 1414
+and 2000 peaked at 105, 308 and 497 MB RSS on CPython 3.11.7. So a family
+spec whose closed-form edge count exceeds `EDGE_LIMIT` (2^21, the edges
+of about K_2048) is refused before its edge list is built; without that,
+`complete:258047`, inside the vertex cap, would list 3.3e10 edges.
 
 A graph also caches the data that bounds, the eta search and the chi solve
 all derive from it: the degree tuple, the search order (descending degree,
@@ -31,6 +37,10 @@ from typing import Iterable, Iterator, Sequence
 # Bits of adjacency bitmask that `Graph.from_edges` allocates at most
 # (256 MiB); a larger graph is refused before any mask is built.
 MASK_BITS_LIMIT = 1 << 31
+
+# Edges a family spec may have (about 0.5 GB at peak to build); a larger
+# spec is refused before its edge list exists.
+EDGE_LIMIT = 1 << 21
 
 
 class _cached:

@@ -356,6 +356,33 @@ def test_export_lp_empty_graph_skipped(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_lp_ub_below_lower_bound_refused(tmp_path, capsys):
+    # K_3 has eta 3, so with UB = 2 its model would have no feasible point;
+    # a K_2 component ahead of it is refused too, and no file is written
+    k2_k3 = write_graph6(Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)]))
+    for graph in ("Bw", k2_k3):
+        argv = ("export-lp", graph, "--ub", "2", "-o", str(tmp_path / "m.lp"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: --ub 2 is below the proven lower bound eta >= 3\n"
+        assert list(tmp_path.iterdir()) == []
+    out_path = tmp_path / "k3.lp"
+    code, out, err = run(capsys, "export-lp", "Bw", "--ub", "3", "-o", str(out_path))
+    assert code == 0 and err == "" and out.startswith(f"{out_path}: UB=3 ")
+    assert out_path.exists()
+
+
+def test_export_lp_without_ub_computes_no_lower_bound(tmp_path, capsys, monkeypatch):
+    import addcolor.cli as cli
+
+    def refuse(g):
+        raise AssertionError("export-lp computed the combined bounds")
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", refuse)
+    code, out, _ = run(capsys, "export-lp", "Dhc", "-o", str(tmp_path / "c5.lp"))
+    assert code == 0 and "UB=3" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("export-lp", "A_", "--ub", "0", "-o", "{tmp}/k2.lp"),
     ("export-lp", "A_", "-o", "{tmp}/missing/k2.lp"),
@@ -534,6 +561,62 @@ def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
     assert out.startswith("DQw\t5\t5\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+
+
+def pinch_one_too_low(monkeypatch):
+    # combined_bounds pinches one below eta wherever it pinches at eta >= 2
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport, combined_bounds
+
+    def pinch_too_low(g):
+        report = combined_bounds(g)
+        if report.eta_lower != report.eta_upper or report.eta_lower < 2:
+            return report
+        return BoundsReport(report.eta_lower - 1, report.eta_upper - 1, report.witnesses)
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_low)
+
+
+def split_bound_one_too_low(monkeypatch):
+    # the bounds then cross, pinch one below eta, or cap a search below it
+    import addcolor.bounds as bounds
+
+    split_upper_bound = bounds.split_upper_bound
+    monkeypatch.setattr(
+        bounds, "split_upper_bound", lambda g, clique: split_upper_bound(g, clique) - 1
+    )
+
+
+def sweep_records(path):
+    """Record line -> its fields after the line, bar eta_source: n, m, eta,
+    chi, chi_source, status and any extra fields."""
+    with open(path) as fh:
+        records = [line.rstrip("\n").split("\t") for line in fh if not line.startswith("#")]
+    return {line: fields[:4] + fields[5:] for line, *fields in records}
+
+
+@pytest.mark.parametrize(
+    "mutant", [pinch_one_too_low, pinch_one_too_high, split_bound_one_too_low]
+)
+def test_sweep_wrong_bound_ends_as_audit_mismatch(
+    tmp_path, capsys, monkeypatch, conn_corpus_path, mutant
+):
+    # whether a wrong bound pinches at a wrong value or crosses the other,
+    # every record it changes is an audit-mismatch that names the true eta,
+    # not a wrong `holds`, and the sweep ends with exit 4, not a traceback;
+    # a wrong bound that still lands on eta may only change eta_source
+    report = tmp_path / "report.txt"
+    assert main(["sweep", str(conn_corpus_path), "-o", str(report)]) == 0
+    truth = sweep_records(report)
+    mutant(monkeypatch)
+    code, _, err = run(capsys, "sweep", str(conn_corpus_path), "-o", str(report))
+    assert code == 4 and err == ""
+    changed = {line: fields for line, fields in sweep_records(report).items()
+               if fields != truth[line]}
+    assert changed
+    for line, fields in changed.items():
+        assert fields[5:] == ["audit-mismatch", f"eta_solver={truth[line][2]}"], line
+    assert f" audit_mismatches: {len(changed)}\n" in report.read_text()
 
 
 def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -13,13 +16,15 @@ from addcolor.cli import main
 from addcolor.families import (
     KINDS,
     FamilySpec,
+    _edge_count,
     _edges,
+    _vertex_count,
     certify,
     eta_formula,
     generate,
     parse_spec,
 )
-from addcolor.graph import Graph, neighborhood_sum, verify_additive_coloring
+from addcolor.graph import EDGE_LIMIT, Graph, neighborhood_sum, verify_additive_coloring
 from addcolor.graph6 import write_graph6
 from addcolor.solver import chromatic_exact, eta_exact
 
@@ -411,3 +416,61 @@ def test_readme_lists_every_kind_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = readme.split("Family specs:", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([a-z-]+):", paragraph)) == KINDS
+
+
+# the benchmark's certify-export grid: spec -> (n, m) from its reference table
+EXPORT_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "ref" / "export.tsv"
+EXPORT_SIZES = {
+    spec: (int(n), int(m))
+    for spec, n, m, *_ in (line.split("\t") for line in EXPORT_TABLE.read_text().splitlines())
+    if not spec.startswith("#")
+}
+
+
+@pytest.mark.parametrize("text", small_specs() + list(EXPORT_SIZES))
+def test_edge_count_column_counts_the_edge_list(text):
+    spec = parse_spec(text)
+    assert _edge_count(spec) == len(_edges(spec)) == generate(spec).edge_count
+    if text in EXPORT_SIZES:
+        assert (_vertex_count(spec), _edge_count(spec)) == EXPORT_SIZES[text]
+
+
+def test_edge_limit_refuses_specs_before_any_edge_list(monkeypatch):
+    import addcolor.families as families
+
+    def refuse(*args):
+        raise AssertionError("an edge list was built")
+
+    # the join's rule reads its inner path's edges; no other row may list any
+    monkeypatch.setattr(families, "_FAMILIES", {
+        kind: row if kind == "path" else row._replace(edges=refuse)
+        for kind, row in families._FAMILIES.items()
+    })
+    assert parse_spec("complete:2048").text() == "complete:2048"
+    for text in ("complete:2049", "thick-spider:1184", "complete-split:1000,2000",
+                 "multipartite:1449,1448", "join-complete:1997:path:2000"):
+        with pytest.raises(ValueError, match=f"edges; family specs allow m <= {EDGE_LIMIT}$"):
+            parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["complete:258047", "thick-spider:129023", "complete:2049", "windmill:2049,2"]
+)
+def test_oversized_spec_exits_1_under_an_address_space_limit(text):
+    # the edge cap refuses these before their edge list exists: without it
+    # complete:258047 ends in a MemoryError traceback under this limit
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from addcolor.cli import main; sys.exit(main(['family', sys.argv[1]]))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, text], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {text} has ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(f" edges; family specs allow m <= {EDGE_LIMIT}\n")

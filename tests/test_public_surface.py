@@ -1,6 +1,5 @@
 """Every public top-level function or class in the package is used by the
-program, exported, or on the allow-list below with its reason: no public
-name lives only for the tests."""
+program or exported: no public name lives only for the tests."""
 
 import ast
 from collections import Counter
@@ -11,10 +10,6 @@ import addcolor
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "addcolor"
 PROGRAM = [PACKAGE, ROOT / "scripts", ROOT / "perfbench"]
-
-ALLOWED = {
-    "split_labeling": "the paper's split-graph construction, run by the acceptance suite",
-}
 
 
 def names_used(node):
@@ -33,17 +28,15 @@ def test_public_definitions_are_used():
     for directory in PROGRAM:
         for path in sorted(directory.glob("*.py")):
             used += names_used(ast.parse(path.read_text()))
-    defined, unused = set(), []
+    unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            defined.add(name)
-            if name.startswith("_") or name in addcolor.__all__ or name in ALLOWED:
+            if name.startswith("_") or name in addcolor.__all__:
                 continue
             # a recursive call is no use by the program
             if used[name] - names_used(node)[name] == 0:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
-    assert set(ALLOWED) <= defined  # no stale allow-list entry

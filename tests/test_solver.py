@@ -185,6 +185,46 @@ class TestEtaExact:
         assert eta_exact(g_of("cycle:25")).value == 3
         assert len(built) == 3 and built[-1] is not None
 
+    def test_nogood_cache_gives_up_when_keys_do_not_repeat(self, monkeypatch):
+        # a Hamiltonian cycle plus a perfect matching on 26 vertices is
+        # narrow enough to arm the cache, but its keys rarely repeat: storing
+        # must stop once it exceeds n + NOGOOD_MISSES * (hits + 1) keys
+        rng = random.Random(77)
+        order = rng.sample(range(26), 26)
+        cycle = {tuple(sorted((order[i], order[i - 1]))) for i in range(26)}
+        while True:
+            perm = rng.sample(range(26), 26)
+            matching = {tuple(sorted(perm[i:i + 2])) for i in range(0, 26, 2)}
+            if not cycle & matching:
+                break
+        g = Graph.from_edges(26, sorted(cycle | matching))
+        monkeypatch.setattr(solver, "NOGOOD_WIDTH", 0)  # the cache never arms
+        plain = eta_exact(g)
+        monkeypatch.undo()
+        counts = {"stored": 0, "hits": 0}
+
+        class CountingSet(set):
+            def __contains__(self, key):
+                hit = super().__contains__(key)
+                counts["hits"] += hit
+                return hit
+
+            def add(self, key):
+                counts["stored"] += 1
+                super().add(key)
+
+        nogoods = solver._nogoods
+
+        def counting_nogoods(*args):
+            cut, failed, keys = nogoods(*args)
+            return cut, [CountingSet() for _ in failed], keys
+
+        monkeypatch.setattr(solver, "_nogoods", counting_nogoods)
+        result = eta_exact(g)
+        assert counts["hits"] == 3
+        assert counts["stored"] == g.n + solver.NOGOOD_MISSES * (counts["hits"] + 1) + 1
+        assert result.ok and (result.value, result.certificate) == (2, plain.certificate)
+
     def test_petersen_regression(self, petersen):
         # pinned after the first verified run (naive enumeration agrees)
         assert eta_exact(petersen).value == 2
