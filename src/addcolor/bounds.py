@@ -6,8 +6,11 @@ labels), and the clique bound ceil((d1+1)/(d2-|Q|+2)) evaluated over the
 graph's greedy cliques (`Graph.greedy_cliques`, one grown from each vertex)
 and their prefixes. Upper bounds: Delta^2 - Delta + 1 for any graph, and
 |Q|-|T|+1 for split graphs, where T picks one clique vertex per distinct
-degree value. Degrees, the search order, the twin classes and the cliques
-are read from the graph's cache, which the eta and chi solvers share.
+degree value. Two upper bounds carry a construction, a labeling with that
+many labels: the all-ones labeling of an eta <= 1 graph, and the split
+labeling whenever the split bound is at most the degree bound. Degrees, the
+search order, the twin classes and the cliques are read from the graph's
+cache, which the eta and chi solvers share.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, Labeling
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,8 @@ class BoundsReport:
     eta_lower: int
     eta_upper: int
     witnesses: tuple[tuple[str, object], ...]
+    # the construction behind eta_upper, when it has one: eta_upper labels
+    labeling: Optional[Labeling] = None
 
 
 def is_eta_one(g: Graph) -> bool:
@@ -102,19 +107,32 @@ def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]
     return tuple(sorted(order[:h])), tuple(sorted(order[h:]))
 
 
-def max_degree_distinct_subset(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
-    """One clique vertex per distinct degree value: a maximum-cardinality
-    subset with pairwise distinct degrees."""
-    chosen: dict[int, int] = {}
-    for v in sorted(clique):
-        chosen.setdefault(g.degree(v), v)
-    return tuple(sorted(chosen.values()))
-
-
 def split_upper_bound(g: Graph, clique: Sequence[int]) -> int:
     """|Q| - |T| + 1 for the maximal clique Q of a split partition (as
-    `split_recognize` returns it); always <= |Q|."""
-    return len(clique) - len(max_degree_distinct_subset(g, clique)) + 1
+    `split_recognize` returns it), |T| being the number of distinct degrees
+    in Q; always <= |Q|."""
+    deg = g.degrees()
+    return len(clique) - len({deg[v] for v in clique}) + 1
+
+
+def split_labeling(g: Graph, clique: Sequence[int]) -> Labeling:
+    """Constructive additive (|Q|-|T|+1)-coloring of a split graph.
+
+    Q must be maximal; T picks the least clique vertex of each distinct
+    degree. The other clique vertices get labels 1..|Q|-|T| in vertex order
+    and everything else gets |Q|-|T|+1.
+    """
+    deg = g.degrees()
+    seen: set[int] = set()
+    rest = []
+    for v in sorted(clique):
+        if deg[v] in seen:
+            rest.append(v)
+        seen.add(deg[v])
+    labels = [len(rest) + 1] * g.n
+    for label, v in enumerate(rest, 1):
+        labels[v] = label
+    return Labeling(tuple(labels))
 
 
 def multipartite_eta(part_sizes: Sequence[int]) -> int:
@@ -152,20 +170,23 @@ def eta_upper_bound(g: Graph) -> int:
     return _upper_bound(g)[0]
 
 
-def _upper_bound(g: Graph) -> tuple[int, list[tuple[str, object]]]:
-    """`eta_upper_bound` with its witnesses."""
+def _upper_bound(g: Graph) -> tuple[int, list[tuple[str, object]], Optional[Labeling]]:
+    """`eta_upper_bound` with its witnesses and its construction, if any."""
     if is_eta_one(g):
         # the empty graph needs no label at all: eta(K_0) = 0 = chi(K_0)
-        return min(g.n, 1), [("degree_distinct_edges", None)]
+        return min(g.n, 1), [("degree_distinct_edges", None)], Labeling((1,) * g.n)
     upper = degree_upper_bound(g)
     witnesses: list[tuple[str, object]] = [("max_degree", g.max_degree())]
+    labeling = None
     split = split_recognize(g)
     if split is not None:
         bound = split_upper_bound(g, split[0])
+        if bound <= upper:
+            labeling = split_labeling(g, split[0])
         if bound < upper:
             upper = bound
             witnesses.append(("split", split))
-    return upper, witnesses
+    return upper, witnesses, labeling
 
 
 def combined_bounds(g: Graph) -> BoundsReport:
@@ -174,15 +195,16 @@ def combined_bounds(g: Graph) -> BoundsReport:
     The eta = 1 characterization short-circuits both bounds to 1 (to 0 for
     the empty graph); otherwise the lower bound is the best of the twin and
     clique bounds (at least 2, since some edge joins equal-degree vertices),
-    and the upper bound is `eta_upper_bound`. Sound bounds never cross; the
-    report is returned as computed, so a caller sees a faulty bound as
-    eta_lower > eta_upper instead of an exception.
+    and the upper bound is `eta_upper_bound`, with its construction as the
+    report's labeling. Sound bounds never cross; the report is returned as
+    computed, so a caller sees a faulty bound as eta_lower > eta_upper
+    instead of an exception.
     """
-    upper, upper_witnesses = _upper_bound(g)
+    upper, upper_witnesses, labeling = _upper_bound(g)
     # only the eta = 1 short-circuit gives upper <= 1: otherwise the upper
     # bound is sound and some edge joins vertices of equal degree, so eta >= 2
     if upper <= 1:
-        return BoundsReport(upper, upper, tuple(upper_witnesses))
+        return BoundsReport(upper, upper, tuple(upper_witnesses), labeling)
     lower = 2
     witnesses: list[tuple[str, object]] = [("equal_degree_edge", None)]
     twin_class = largest_true_twin_class(g)
@@ -193,4 +215,4 @@ def combined_bounds(g: Graph) -> BoundsReport:
     if clique_value > lower:
         lower = clique_value
         witnesses.append(("clique", clique))
-    return BoundsReport(lower, upper, tuple(witnesses + upper_witnesses))
+    return BoundsReport(lower, upper, tuple(witnesses + upper_witnesses), labeling)

@@ -7,10 +7,13 @@ early (the command then ends without a message), 2 conjecture violation found
 re-solve from lower bound 1, or no eta up to the bounds' upper bound worked,
 or the bounds crossed (sweep; an internal fault, checked before 2 and 3).
 
-A sweep record whose bounds pinch (eta_source `formula`) keeps that value
-only when a labeling built for it verifies with exactly that many labels:
-all ones for eta <= 1, else the split construction. Otherwise the record
-is re-solved from lower bound 1 like an audit sample.
+A sweep record keeps its eta only when the layer that decided it hands over
+a labeling that verifies with exactly eta labels: the bounds' construction
+for a pinch (eta_source `formula`: all ones for eta <= 1, or the split
+labeling), the search's certificate otherwise. Any other record is
+re-solved from lower bound 1 like an audit sample, and a labeling with
+fewer labels than the eta it backs, the re-solve's own included, makes the
+record an audit mismatch.
 """
 
 from __future__ import annotations
@@ -227,21 +230,6 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pinch_proven(g: Graph, eta: int) -> bool:
-    """Whether a labeling built for bounds that pinch at eta verifies with
-    exactly eta labels: all ones for eta <= 1, else the split construction
-    on the maximal clique of a split partition. It proves eta(g) <= eta; the
-    lower bound is the pinch's own claim."""
-    if eta <= 1:
-        labeling = Labeling((1,) * g.n)
-    else:
-        split = _bounds.split_recognize(g)
-        if split is None:
-            return False
-        labeling = _families.split_labeling(g, split[0])
-    return labeling.k == eta and verify_additive_coloring(g, labeling)
-
-
 def _solve_record(item: tuple[int, str], budget: int) -> tuple:
     """Solve one corpus line into (report line, status, n, eta, chi) for the
     parent to write and tally: n is None for a parse error, and eta and chi
@@ -264,17 +252,17 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         return text, status, g.n, None, None
 
     report = _bounds.combined_bounds(g)
-    proven = True
+    labeling = None  # the deciding layer's proof of eta(g) <= eta
     if report.eta_lower == report.eta_upper:
-        eta, eta_source = report.eta_lower, "formula"
-        proven = _pinch_proven(g, eta)
+        eta, eta_source, labeling = report.eta_lower, "formula", report.labeling
     elif report.eta_lower < report.eta_upper:
         result = _solver.eta_exact(
             g, report.eta_lower, report.eta_upper, node_budget=budget
         )
         if result.status == _solver.BUDGET_EXCEEDED:
             return record("budget-exceeded")
-        eta = result.value  # None if no k up to the upper bound works
+        # both None if no k up to the upper bound works
+        eta, labeling = result.value, result.certificate
     # crossed bounds (lower > upper) leave eta None, as a refuted upper bound does
     if eta is not None:
         chi_result = _solver.chromatic_exact(g, node_budget=budget)
@@ -282,18 +270,22 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
             chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
             return record("budget-exceeded")
         chi, chi_source = chi_result.value, "exact"
-    # re-solve from lb = 1, whatever decided eta, for a deterministic ~1%
-    # audit sample, when eta exceeds chi, when the search refuted the upper
-    # bound or the bounds crossed, and when no construction proves a pinch: a
-    # violation needs a value that owes nothing to the bounds, and a mismatch
-    # is an internal bug, kept as its own status with both values so the
-    # evidence survives the sweep
-    if (eta is None or not proven or eta > chi
-            or zlib.crc32(line.encode()) % AUDIT_RATE == 0):
+    # eta stands on the deciding layer's labeling only if it verifies with
+    # exactly eta labels. Re-solve from lb = 1 when it does not (no labeling,
+    # as when the search refuted the upper bound or the bounds crossed, or
+    # one that fails), when eta exceeds chi, and for a deterministic ~1%
+    # audit sample: a violation needs a value that owes nothing to the
+    # bounds. A mismatch is an internal bug, kept as its own status with both
+    # values so the evidence survives the sweep; a labeling with fewer labels
+    # than the eta it backs proves one even where the values agree
+    proven = (labeling is not None and labeling.k == eta
+              and verify_additive_coloring(g, labeling))
+    if not proven or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         if not recheck.ok:
             return record("budget-exceeded")
-        if recheck.value != eta:
+        if (recheck.value != eta or recheck.certificate.k < recheck.value
+                or labeling is not None and labeling.k < eta):
             return record("audit-mismatch", f"eta_solver={recheck.value}")
     if eta <= chi:
         return record("holds")

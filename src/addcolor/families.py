@@ -269,24 +269,6 @@ def _cycle_labeling(n: int) -> Labeling:
     return _odd_cycle_labeling(n)
 
 
-def split_labeling(g: Graph, clique: tuple[int, ...]) -> Labeling:
-    """Constructive additive (|Q|-|T|+1)-coloring of a split graph.
-
-    Q must be maximal; T picks one clique vertex per distinct degree. The
-    non-T clique vertices get labels 1..|Q|-|T| and everything else gets
-    |Q|-|T|+1.
-    """
-    t = set(_bounds.max_degree_distinct_subset(g, clique))
-    top = len(clique) - len(t) + 1
-    labels = [top] * g.n
-    nxt = 1
-    for v in sorted(clique):
-        if v not in t:
-            labels[v] = nxt
-            nxt += 1
-    return Labeling(tuple(labels))
-
-
 def _complete_split_labeling(q: int, s: int) -> Labeling:
     # re-partition with the first stable vertex moved into the clique, then
     # apply the split construction with T = {last clique vertex, moved vertex}

@@ -215,8 +215,8 @@ def verify_additive_coloring(g: Graph, f: Labeling) -> bool:
     Edgeless graphs are vacuously additively colored.
     """
     _check_cover(g, f)
-    labels = f.labels
-    sums = [sum(labels[u] for u in g.neighbors[v]) for v in range(g.n)]
+    label = f.labels.__getitem__
+    sums = [sum(map(label, nbrs)) for nbrs in g.neighbors]
     for s, nbrs in zip(sums, g.neighbors):
         for v in nbrs:
             if sums[v] == s:

@@ -10,15 +10,15 @@ import itertools
 import random
 import time
 
-from addcolor.bounds import combined_bounds, is_eta_one, split_recognize, split_upper_bound
-from addcolor.cli import main as cli_main
-from addcolor.families import (
-    certify,
-    eta_formula,
-    generate,
-    parse_spec,
+from addcolor.bounds import (
+    combined_bounds,
+    is_eta_one,
     split_labeling,
+    split_recognize,
+    split_upper_bound,
 )
+from addcolor.cli import main as cli_main
+from addcolor.families import certify, eta_formula, generate, parse_spec
 from addcolor.graph import verify_additive_coloring
 from addcolor.graph6 import parse_graph6, write_graph6
 from addcolor.milp import build_model

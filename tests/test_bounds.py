@@ -13,10 +13,11 @@ from addcolor.bounds import (
     largest_true_twin_class,
     multipartite_chain,
     multipartite_eta,
+    split_labeling,
     split_recognize,
     split_upper_bound,
 )
-from addcolor.families import generate, parse_spec, split_labeling
+from addcolor.families import generate, parse_spec
 from addcolor.graph import Graph, verify_additive_coloring
 
 from oracles import (
@@ -277,6 +278,21 @@ class TestCombined:
         # every graph in data/ with n <= 7, and the small family instances
         for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
             assert eta_upper_bound(g) == combined_bounds(g).eta_upper
+
+    def test_labeling_proves_the_upper_bound(self, all_n6, conn_small, conn_n8):
+        # every eta <= 1 graph carries all ones, and every split graph whose
+        # split bound is at most the degree bound its split labeling; a
+        # labeling verifies with exactly eta_upper labels
+        for g in all_n6 + conn_small + conn_n8 + [g_of(text) for text in small_specs()]:
+            report = combined_bounds(g)
+            split = split_recognize(g)
+            if is_eta_one(g) or (
+                split is not None and split_upper_bound(g, split[0]) <= degree_upper_bound(g)
+            ):
+                assert report.labeling is not None
+            if report.labeling is not None:
+                assert report.labeling.k == report.eta_upper
+                assert verify_additive_coloring(g, report.labeling)
 
     def test_results_match_golden_digest(self, all_n6, conn_small, conn_n8):
         digest = hashlib.sha256()

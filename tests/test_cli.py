@@ -546,21 +546,29 @@ def test_sweep_searched_eta_above_chi_is_rechecked(tmp_path, capsys, monkeypatch
 
 
 def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
-    # DQw has eta 2 and chi 3, so a search started at 3 still "holds"; only
-    # an audit sample that takes searched records catches it
+    # a search started one above eta is caught by its own certificate when
+    # that uses fewer labels: DQw (eta 2, chi 3) is claimed at 3 with the
+    # 2-label (1, 1, 2, 1, 1), outside the audit sample. DUw (eta 2, chi 3)
+    # is claimed at 3 with the 3-label (1, 1, 1, 3, 1), so it still "holds";
+    # only an audit sample that takes searched records catches it
     import addcolor.cli as cli
 
-    assert zlib.crc32(b"DQw") % cli.AUDIT_RATE
+    assert zlib.crc32(b"DQw") % cli.AUDIT_RATE and zlib.crc32(b"DUw") % cli.AUDIT_RATE
     lower_bound_one_too_high(monkeypatch)
     corpus = tmp_path / "dqw.g6"
     corpus.write_text("DQw\n")
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT
+    assert out.startswith("DQw\t5\t5\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    corpus = tmp_path / "duw.g6"
+    corpus.write_text("DUw\n")
     assert run(capsys, "sweep", str(corpus))[1].startswith(
-        "DQw\t5\t5\t3\t3\tsolver\texact\tholds\n"
+        "DUw\t5\t6\t3\t3\tsolver\texact\tholds\n"
     )
     monkeypatch.setattr(cli, "AUDIT_RATE", 1)
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
-    assert out.startswith("DQw\t5\t5\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert out.startswith("DUw\t5\t6\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
 
 
 def pinch_one_too_low(monkeypatch):
@@ -573,6 +581,44 @@ def pinch_one_too_low(monkeypatch):
         if report.eta_lower != report.eta_upper or report.eta_lower < 2:
             return report
         return BoundsReport(report.eta_lower - 1, report.eta_upper - 1, report.witnesses)
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_low)
+
+
+def pinch_one_too_high_with_construction(monkeypatch):
+    # as pinch_one_too_high, but the report keeps its labeling, which then
+    # has one label fewer than the pinch claims
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.bounds import combined_bounds
+
+    def pinch_too_high(g):
+        report = combined_bounds(g)
+        if report.eta_lower != report.eta_upper:
+            return report
+        return dataclasses.replace(
+            report, eta_lower=report.eta_lower + 1, eta_upper=report.eta_upper + 1
+        )
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_high)
+
+
+def pinch_one_too_low_with_construction(monkeypatch):
+    # as pinch_one_too_low, but the report keeps its labeling, which then
+    # has one label more than the pinch claims
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.bounds import combined_bounds
+
+    def pinch_too_low(g):
+        report = combined_bounds(g)
+        if report.eta_lower != report.eta_upper or report.eta_lower < 2:
+            return report
+        return dataclasses.replace(
+            report, eta_lower=report.eta_lower - 1, eta_upper=report.eta_upper - 1
+        )
 
     monkeypatch.setattr(cli._bounds, "combined_bounds", pinch_too_low)
 
@@ -595,9 +641,10 @@ def sweep_records(path):
     return {line: fields[:4] + fields[5:] for line, *fields in records}
 
 
-@pytest.mark.parametrize(
-    "mutant", [pinch_one_too_low, pinch_one_too_high, split_bound_one_too_low]
-)
+@pytest.mark.parametrize("mutant", [
+    pinch_one_too_low, pinch_one_too_high, split_bound_one_too_low,
+    pinch_one_too_low_with_construction, pinch_one_too_high_with_construction,
+])
 def test_sweep_wrong_bound_ends_as_audit_mismatch(
     tmp_path, capsys, monkeypatch, conn_corpus_path, mutant
 ):
@@ -617,6 +664,40 @@ def test_sweep_wrong_bound_ends_as_audit_mismatch(
     for line, fields in changed.items():
         assert fields[5:] == ["audit-mismatch", f"eta_solver={truth[line][2]}"], line
     assert f" audit_mismatches: {len(changed)}\n" in report.read_text()
+
+
+def test_sweep_over_pruning_search_ends_as_audit_mismatch(
+    tmp_path, capsys, monkeypatch, conn_corpus_path
+):
+    # a clique check that fails every table of 3 or more spans refutes
+    # feasible k, in the search and in its re-solve from 1 alike, so the
+    # values agree; but where the labeling the search then finds has fewer
+    # labels than the eta it backs, that labeling proves the search wrong
+    import addcolor.solver as solver
+    from addcolor.bounds import combined_bounds
+    from addcolor.graph6 import parse_graph6
+
+    report = tmp_path / "report.txt"
+    assert main(["sweep", str(conn_corpus_path), "-o", str(report)]) == 0
+    truth = sweep_records(report)
+    fits = solver._fits
+    monkeypatch.setattr(
+        solver, "_fits", lambda points, spans, sums: len(spans) < 3 and fits(points, spans, sums)
+    )
+    code, _, err = run(capsys, "sweep", str(conn_corpus_path), "-o", str(report))
+    assert code == 4 and err == ""
+    changed = {line: fields for line, fields in sweep_records(report).items()
+               if fields != truth[line]}
+    short = []
+    for line in changed:
+        g = parse_graph6(line)
+        bounds = combined_bounds(g)
+        cert = solver.eta_exact(g, bounds.eta_lower, bounds.eta_upper).certificate
+        if cert is not None and cert.k < int(changed[line][2]):
+            short.append(line)
+    assert short
+    for line in short:
+        assert changed[line][5] == "audit-mismatch", line
 
 
 def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
