@@ -95,9 +95,10 @@ def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]
     if n == 0:
         return (), ()
     order = g.search_order
-    deg = g.degrees()
-    d = [deg[v] for v in order]
-    h = max(i for i in range(1, n + 1) if d[i - 1] >= i - 1)
+    d = sorted(g.degrees(), reverse=True)  # the degrees along `order`
+    h = 1  # d_i - (i - 1) strictly falls, so d_i >= i - 1 holds on a prefix
+    while h < n and d[h] >= h:
+        h += 1
     if sum(d[:h]) != h * (h - 1) + sum(d[h:]):
         return None
     # the equality is the whole proof: sum_Q d = 2e(Q) + e(Q,S) <= h(h-1) +

@@ -3,9 +3,11 @@ export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
-(sweep), 3 a node budget ran out, 4 an audited eta disagreed with its exact
-re-solve from lower bound 1, or no eta up to the bounds' upper bound worked,
-or the bounds crossed (sweep; an internal fault, checked before 2 and 3).
+(sweep), 3 a node budget ran out, 4 an internal fault: an audited eta
+disagreed with its exact re-solve from lower bound 1, or no eta up to the
+bounds' upper bound worked, or the bounds crossed (sweep; checked before 2
+and 3), or a labeling the search returned does not verify with exactly eta
+labels (solve).
 
 A sweep record keeps its eta only when the layer that decided it hands over
 a labeling that verifies with exactly eta labels: the bounds' construction
@@ -13,7 +15,9 @@ for a pinch (eta_source `formula`: all ones for eta <= 1, or the split
 labeling), the search's certificate otherwise. Any other record is
 re-solved from lower bound 1 like an audit sample, and a labeling with
 fewer labels than the eta it backs, the re-solve's own included, makes the
-record an audit mismatch.
+record an audit mismatch, as does a re-solve labeling that does not verify.
+The search returns its labelings unchecked, so these checks are the only
+ones; they are plain `if`s, which `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -168,9 +172,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if result.status == _solver.UB_EXCEEDED:
             print(f"component {idx}: no coloring within upper bound", file=sys.stderr)
             return EXIT_USAGE
-        mapped = " ".join(
-            f"{comp[i] + 1}:{x}" for i, x in enumerate(result.certificate.labels)
-        )
+        cert = result.certificate
+        if cert.k != result.value or not verify_additive_coloring(sub, cert):
+            print(f"error: component {idx}: the search's labeling does not verify with "
+                  f"eta={result.value} labels (internal fault)", file=sys.stderr)
+            return EXIT_AUDIT
+        mapped = " ".join(f"{comp[i] + 1}:{x}" for i, x in enumerate(cert.labels))
         print(f"component {idx}: n={sub.n} eta={result.value} labeling: {mapped}")
         best = max(best, result.value)
     print(f"eta = {best}")
@@ -245,8 +252,8 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
 
     def record(status: str, *extra: str) -> tuple:
         # formats the fields as they stand when a branch below settles
-        fields = (line, g.n, g.edge_count, eta, chi, eta_source, chi_source, status, *extra)
-        text = "\t".join("" if f is None else str(f) for f in fields)
+        text = "\t".join((line, str(g.n), str(g.edge_count), "" if eta is None else str(eta),
+                          "" if chi is None else str(chi), eta_source, chi_source, status, *extra))
         if status in ("holds", "VIOLATION"):
             return text, status, g.n, eta, chi
         return text, status, g.n, None, None
@@ -277,7 +284,8 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
     # audit sample: a violation needs a value that owes nothing to the
     # bounds. A mismatch is an internal bug, kept as its own status with both
     # values so the evidence survives the sweep; a labeling with fewer labels
-    # than the eta it backs proves one even where the values agree
+    # than the eta it backs, or a re-solve labeling that does not verify,
+    # proves one even where the values agree
     proven = (labeling is not None and labeling.k == eta
               and verify_additive_coloring(g, labeling))
     if not proven or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
@@ -285,7 +293,8 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         if not recheck.ok:
             return record("budget-exceeded")
         if (recheck.value != eta or recheck.certificate.k < recheck.value
-                or labeling is not None and labeling.k < eta):
+                or labeling is not None and labeling.k < eta
+                or not verify_additive_coloring(g, recheck.certificate)):
             return record("audit-mismatch", f"eta_solver={recheck.value}")
     if eta <= chi:
         return record("holds")

@@ -5,13 +5,14 @@ Each family is one row of the `_FAMILIES` table, keyed by its kind, and the
 row is its whole contract: the parameter rule (`_rule` builds it from the
 rule text for a wrong parameter count and predicates with their messages;
 only the join, whose limit depends on its inner spec, has its own), the
-vertex count, the closed-form edge count, the edge list, the closed-form
-eta, the certificate labeling and the lower-bound witness. `KINDS`,
-`generate`, `eta_formula`, `certify` and spec validation each look the row
-up; only `generate` builds a graph from the edges. Validation reads only the
-row: a spec is rejected before any edge list is built when it breaks the
-rule, when its vertex count exceeds the graph6 writer's limit, or when its
-edge count exceeds `graph.EDGE_LIMIT`.
+vertex count, the closed-form edge count and maximum degree, the edge
+list, the closed-form eta, the certificate labeling and the lower-bound
+witness. `KINDS`, `generate`, `eta_formula`, `certify` and spec validation
+each look the row up; only `generate` builds a graph from the edges.
+Validation reads only the row: a spec is rejected before any edge list is
+built when it breaks the rule (the join's reads its inner spec's maximum
+degree), when its vertex count exceeds the graph6 writer's limit, or when
+its edge count exceeds `graph.EDGE_LIMIT`.
 
 Vertex ordering is fixed per family so the constructions map positionally:
 
@@ -31,9 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
@@ -113,6 +112,10 @@ def _edge_count(spec: FamilySpec) -> int:
     return _FAMILIES[spec.kind].edge_count(*_args(spec))
 
 
+def _max_degree(spec: FamilySpec) -> int:
+    return _FAMILIES[spec.kind].max_degree(*_args(spec))
+
+
 # ---------------------------------------------------------------------------
 # parameter rules; none of them builds a graph
 
@@ -146,9 +149,8 @@ def _join_rule(spec: FamilySpec) -> None:
     _need(len(spec.params) == 1, "join-complete takes one parameter q")
     _need(spec.inner is not None, "join-complete needs an inner spec")
     q = spec.params[0]
-    # the inner spec is already checked; its row lists each edge once
-    degree = Counter(chain.from_iterable(_edges(spec.inner)))
-    limit = _vertex_count(spec.inner) - max(degree.values(), default=0) - 1
+    # the inner spec is already checked, and its row gives Delta in closed form
+    limit = _vertex_count(spec.inner) - _max_degree(spec.inner) - 1
     # eta(G v K_q) = max(eta(G), q) holds only up to this limit; from
     # q = n - Delta on the formula genuinely fails (there is a counterexample
     # already at q = n - Delta), so such specs are rejected
@@ -420,12 +422,14 @@ def _spider_eta(q: int) -> int:
 class _Family(NamedTuple):
     """One family's whole contract. `rule` takes the spec and raises
     ValueError; the other functions take `_args(spec)`: the vertex count,
-    the closed-form edge count, the edge list, the formula, the certificate
-    labeling, and the `witness` that explains eta >= 2."""
+    the closed-form edge count and maximum degree, the edge list, the
+    formula, the certificate labeling, and the `witness` that explains
+    eta >= 2."""
 
     rule: Callable[[FamilySpec], None]
     size: Callable[..., int]
     edge_count: Callable[..., int]
+    max_degree: Callable[..., int]
     edges: Callable[..., list[tuple[int, int]]]
     eta: Callable[..., int]
     labeling: Callable[..., Labeling]
@@ -434,51 +438,54 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "path": _Family(
-        _one(1), lambda n: n, lambda n: n - 1, _path, lambda n: 1 if n in (1, 3) else 2,
-        _path_labeling, _equal_degrees),
+        _one(1), lambda n: n, lambda n: n - 1, lambda n: min(n - 1, 2), _path,
+        lambda n: 1 if n in (1, 3) else 2, _path_labeling, _equal_degrees),
     "cycle": _Family(
-        _one(3), lambda n: n, lambda n: n, _cycle, _cycle_eta, _cycle_labeling, _odd_cycle),
+        _one(3), lambda n: n, lambda n: n, lambda n: 2, _cycle, _cycle_eta, _cycle_labeling,
+        _odd_cycle),
     "complete": _Family(
-        _one(1), lambda n: n, lambda n: comb(n, 2), _complete, lambda n: n,
+        _one(1), lambda n: n, lambda n: comb(n, 2), lambda n: n - 1, _complete, lambda n: n,
         lambda n: Labeling(tuple(range(1, n + 1))), lambda n: f"true-twin class of size {n}"),
     "complete-split": _Family(
         _rule("takes (clique size, stable size)",
               (lambda q, s: q >= 1, "clique size must be >= 1"),
               (lambda q, s: s >= 2, "stable size must be >= 2")),
-        lambda q, s: q + s, lambda q, s: comb(q, 2) + q * s,
+        lambda q, s: q + s, lambda q, s: comb(q, 2) + q * s, lambda q, s: q + s - 1,
         lambda q, s: [(u, v) for v in range(q + s) for u in range(min(v, q))],
         lambda q, s: q, _complete_split_labeling,
         lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
     "fan": _Family(
-        _one(3), lambda n: n + 2, lambda n: 2 * n + 1, lambda n: _cone(_path(n + 1), n + 1, 1),
-        lambda n: 2, lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
+        _one(3), lambda n: n + 2, lambda n: 2 * n + 1, lambda n: n + 1,
+        lambda n: _cone(_path(n + 1), n + 1, 1), lambda n: 2,
+        lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
     "wheel": _Family(
-        _one(4), lambda n: n + 1, lambda n: 2 * n, lambda n: _cone(_cycle(n), n, 1), _cycle_eta,
-        lambda n: _join_labeling(_cycle_labeling(n), 1), _odd_cycle),
+        _one(4), lambda n: n + 1, lambda n: 2 * n, lambda n: n, lambda n: _cone(_cycle(n), n, 1),
+        _cycle_eta, lambda n: _join_labeling(_cycle_labeling(n), 1), _odd_cycle),
     "windmill": _Family(
         _rule("takes (n, m)",
               (lambda n, m: n >= 3 and m >= 2, "{kind} needs n >= 3 and m >= 2, got {p}")),
-        lambda n, m: (n - 1) * m + 1, lambda n, m: m * comb(n, 2),
+        lambda n, m: (n - 1) * m + 1, lambda n, m: m * comb(n, 2), lambda n, m: (n - 1) * m,
         lambda n, m: _cone(_disjoint_cliques(n - 1, m), (n - 1) * m, 1), lambda n, m: n - 1,
         lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1),
         lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
     "thin-spider": _Family(
-        _one(2), lambda q: 2 * q, lambda q: comb(q, 2) + q, lambda q: _spider(q, thin=True),
-        _spider_eta, _thin_spider_labeling,
+        _one(2), lambda q: 2 * q, lambda q: comb(q, 2) + q, lambda q: q,
+        lambda q: _spider(q, thin=True), _spider_eta, _thin_spider_labeling,
         lambda q: f"clique bound ceil((q+1)/2) on the clique of degree-{q} vertices"),
     "thick-spider": _Family(
-        _one(2), lambda q: 2 * q, lambda q: 3 * comb(q, 2), lambda q: _spider(q, thin=False),
-        _spider_eta, _thick_spider_labeling,
+        _one(2), lambda q: 2 * q, lambda q: 3 * comb(q, 2), lambda q: 2 * q - 2,
+        lambda q: _spider(q, thin=False), _spider_eta, _thick_spider_labeling,
         lambda q: "pigeonhole on the clique neighborhood sums"),
     "cycle-sun": _Family(
-        _one(4), lambda m: 2 * m, lambda m: 3 * m, lambda m: _cycle(m) + _sun_edges(m),
-        lambda m: 2, lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
+        _one(4), lambda m: 2 * m, lambda m: 3 * m, lambda m: 4,
+        lambda m: _cycle(m) + _sun_edges(m), lambda m: 2,
+        lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
     "wheel-sun": _Family(
-        _one(4), lambda m: 2 * m + 1, lambda m: 4 * m,
+        _one(4), lambda m: 2 * m + 1, lambda m: 4 * m, lambda m: max(m, 5),
         lambda m: _cycle(m) + _sun_edges(m) + [(i, 2 * m) for i in range(m)], lambda m: 2,
         _wheel_sun_labeling, _equal_degrees),
     "complete-sun": _Family(
-        _one(3), lambda m: 2 * m, lambda m: comb(m, 2) + 2 * m,
+        _one(3), lambda m: 2 * m, lambda m: comb(m, 2) + 2 * m, lambda m: m + 1,
         lambda m: _complete(m) + _sun_edges(m), lambda m: math.ceil((m + 2) / 3),
         _complete_sun_labeling,
         lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
@@ -488,12 +495,13 @@ _FAMILIES = {
               (lambda *p: list(p) == sorted(p, reverse=True),
                "part sizes must be non-increasing")),
         lambda *p: sum(p), lambda *p: comb(sum(p), 2) - sum(comb(x, 2) for x in p),
+        lambda *p: sum(p) - p[-1],
         _multipartite, lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling,
         lambda *p: "optimal monotone orientation of the multipartite digraph"),
     "regular-bipartite": _Family(
         _rule("takes (side size, degree)",
               (lambda n, d: n >= 1 and 1 <= d <= n, "need 1 <= degree <= side size, got {p}")),
-        lambda n, d: 2 * n, lambda n, d: n * d, lambda n, d: _biregular(n, n, d),
+        lambda n, d: 2 * n, lambda n, d: n * d, lambda n, d: d, lambda n, d: _biregular(n, n, d),
         lambda n, d: _biregular_eta(n, n, d),
         lambda n, d: _biregular_labeling(n, n, d), _equal_degrees),
     "biregular-bipartite": _Family(
@@ -502,11 +510,13 @@ _FAMILIES = {
               (lambda nu, nv, du: 1 <= du <= nv, "need 1 <= d_u <= n_v, got {p}"),
               (lambda nu, nv, du: nu * du % nv == 0,
                "right-side degree n_u*d_u/n_v must be an integer, got {p}")),
-        lambda nu, nv, du: nu + nv, lambda nu, nv, du: nu * du, _biregular, _biregular_eta,
+        lambda nu, nv, du: nu + nv, lambda nu, nv, du: nu * du,
+        lambda nu, nv, du: max(du, nu * du // nv), _biregular, _biregular_eta,
         _biregular_labeling, _equal_degrees),
     "join-complete": _Family(
         _join_rule, lambda q, inner: q + _vertex_count(inner),
         lambda q, inner: _edge_count(inner) + q * _vertex_count(inner) + comb(q, 2),
+        lambda q, inner: _vertex_count(inner) + q - 1,
         lambda q, inner: _cone(_edges(inner), _vertex_count(inner), q), _join_eta,
         lambda q, inner: _join_labeling(_labeling(inner), q), _join_witness),
 }

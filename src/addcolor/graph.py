@@ -116,9 +116,9 @@ class Graph:
 
     @_cached
     def search_order(self) -> tuple[int, ...]:
-        """Vertices by descending degree, then ascending id."""
-        deg = self._degrees
-        return tuple(sorted(range(self.n), key=lambda v: (-deg[v], v)))
+        """Vertices by descending degree, then ascending id (a stable sort
+        keeps equal degrees in id order, reverse=True included)."""
+        return tuple(sorted(range(self.n), key=self._degrees.__getitem__, reverse=True))
 
     @_cached
     def true_twins(self) -> tuple[tuple[int, ...], ...]:
@@ -192,9 +192,9 @@ class Labeling:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        for v, lab in enumerate(self.labels):
-            if lab < 1:
-                raise ValueError(f"label of vertex {v} must be >= 1, got {lab}")
+        if min(self.labels, default=1) < 1:
+            v, lab = next((v, lab) for v, lab in enumerate(self.labels) if lab < 1)
+            raise ValueError(f"label of vertex {v} must be >= 1, got {lab}")
 
     @property
     def k(self) -> int:

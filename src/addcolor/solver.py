@@ -11,7 +11,9 @@ labeled, while the common neighbors may still be unlabeled. Twin symmetry
 breaking (non-decreasing labels inside a false-twin class, strictly
 increasing inside a true-twin class) mirrors the chain inequalities of the
 integer-programming model; both read the chains from
-`twin_refined_partition`.
+`twin_refined_partition`. The search returns its labeling unchecked: each
+caller that prints it or relies on it verifies it once (`acp solve`, the
+sweep).
 
 The search also prunes on cliques. The members of a clique Q need pairwise
 distinct neighborhood sums. Member v's sum is the labels of Q except f(v),
@@ -188,7 +190,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import bounds as _bounds
-from .graph import Graph, Labeling, iter_bits, twin_refined_partition, verify_additive_coloring
+from .graph import Graph, Labeling, iter_bits, twin_refined_partition
 
 OPTIMAL = "optimal"
 UB_EXCEEDED = "ub_exceeded"
@@ -249,7 +251,8 @@ def eta_exact(
     is "ub_exceeded" when no k in range works (raise ub and retry: every
     graph has a finite additive chromatic number) and "budget_exceeded" when
     the node budget ran out. The empty graph has eta = 0 whatever the range,
-    matching its chromatic number.
+    matching its chromatic number. The certificate comes back unchecked:
+    a caller that relies on it runs `verify_additive_coloring` itself.
     """
     if g.n == 0:
         return SolveResult(OPTIMAL, 0, Labeling(()), SolveStats(0))
@@ -359,9 +362,8 @@ def eta_exact(
                         cut = cuts = None
                 i -= 1
         if i == n:
-            cert = Labeling(tuple(labels[p] for p in pos))
-            assert verify_additive_coloring(g, cert) and cert.k <= k
-            return SolveResult(OPTIMAL, k, cert, SolveStats(nodes))
+            return SolveResult(OPTIMAL, k, Labeling(tuple(map(labels.__getitem__, pos))),
+                               SolveStats(nodes))
     return SolveResult(UB_EXCEEDED, None, None, SolveStats(nodes))
 
 
@@ -375,11 +377,13 @@ def _positions(g: Graph) -> tuple:
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    neighbors = [sorted(pos[w] for w in g.neighbors[v]) for v in order]
+    # the positions j arrive in order, so each neighbor list comes out sorted
+    neighbors: list[list[int]] = [[] for _ in range(n)]
     masks = [0] * n
-    for i, nb in enumerate(neighbors):
-        for w in nb:
-            masks[i] |= 1 << w
+    for j, v in enumerate(order):
+        for w in g.neighbors[v]:
+            neighbors[pos[w]].append(j)
+            masks[pos[w]] |= 1 << j
     # common neighbors add the same label to both sums, so edge (u, v) is
     # decided once N(u) ^ N(v) is labeled: check it at that set's last position
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -579,18 +583,15 @@ def dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
     # bit c - 1 of neighbor_colors[v] is set when a neighbor of v has color c
     neighbor_colors = [0] * n
     uncolored_deg = list(g.degrees())
-    uncolored = (1 << n) - 1
+    uncolored = list(range(n))
     while uncolored:
-        best_sat = best_deg = -1
-        rest = uncolored
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u = bit.bit_length() - 1
-            sat = neighbor_colors[u].bit_count()
-            if sat > best_sat or (sat == best_sat and uncolored_deg[u] > best_deg):
-                v, best_sat, best_deg = u, sat, uncolored_deg[u]
-        uncolored ^= 1 << v
+        # (saturation, uncolored degree) as one int: the degree is below n
+        best = -1
+        for u in uncolored:
+            key = neighbor_colors[u].bit_count() * n + uncolored_deg[u]
+            if key > best:
+                v, best = u, key
+        uncolored.remove(v)
         seen = neighbor_colors[v]
         # the lowest zero bit of `seen` is the least free color
         c = (~seen & (seen + 1)).bit_length()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +166,28 @@ class TestSplit:
     def test_recognition_matches_bruteforce(self, all_n6):
         for g in all_n6:
             assert (split_recognize(g) is not None) == is_split_naive(g)
+
+    def test_matches_the_max_definition_of_h(self):
+        # h = max{i : d_i >= i-1}, as the docstring defines it, on seeded
+        # G(n, p) and on seeded split graphs (a clique, a stable set and
+        # random edges between them, under a random vertex order)
+        rng = random.Random(86)
+        for n in range(1, 31):
+            for p in (0.2, 0.5, 0.8):
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+                perm = rng.sample(range(n), n)
+                q = rng.randint(1, n)
+                split = [(perm[u], perm[v]) for u, v in pairs
+                         if v < q or u < q and rng.random() < p]
+                for edges in ([e for e in pairs if rng.random() < p], split):
+                    g = Graph.from_edges(n, edges)
+                    order = g.search_order
+                    d = [g.degrees()[v] for v in order]
+                    h = max(i for i in range(1, n + 1) if d[i - 1] >= i - 1)
+                    expected = None
+                    if sum(d[:h]) == h * (h - 1) + sum(d[h:]):
+                        expected = tuple(sorted(order[:h])), tuple(sorted(order[h:]))
+                    assert split_recognize(g) == expected
 
     def test_partition_is_valid_and_maximal(self, conn_small, conn_n8):
         # split_recognize re-checks nothing: the degree-sequence equality is

@@ -283,6 +283,29 @@ def test_solve_budget_exhausted(capsys):
     assert "budget exceeded" in out
 
 
+@pytest.mark.parametrize("labels,value", [((3, 3, 3), 3), ((1, 2, 3), 4)])
+def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labels, value):
+    # the search returns its labeling unchecked, so acp solve checks it, in
+    # an `if` that python -O keeps: on K_3, (3, 3, 3) gives every vertex the
+    # sum 6, and (1, 2, 3) verifies but with 3 labels, not the claimed 4
+    import dataclasses
+
+    import addcolor.cli as cli
+
+    eta_exact = cli._solver.eta_exact
+
+    def wrong_labeling(g, *args, **kwargs):
+        result = eta_exact(g, *args, **kwargs)
+        return dataclasses.replace(result, value=value, certificate=Labeling(labels))
+
+    monkeypatch.setattr(cli._solver, "eta_exact", wrong_labeling)
+    code, out, err = run(capsys, "solve", "Bw")
+    assert code == cli.EXIT_AUDIT == 4
+    assert "labeling:" not in out and "eta =" not in out
+    assert err == (f"error: component 1: the search's labeling does not verify with "
+                   f"eta={value} labels (internal fault)\n")
+
+
 @pytest.mark.parametrize(
     "text",
     ["thick-spider:7", "thick-spider:8", "thick-spider:9", "thick-spider:10",
@@ -569,6 +592,45 @@ def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
     assert out.startswith("DUw\t5\t6\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+
+
+def test_sweep_checks_the_audit_labeling(tmp_path, capsys, monkeypatch):
+    # the re-solve from lower bound 1 (the only eta_exact call without an
+    # upper bound) returns its value with a labeling of as many labels that
+    # gives every vertex the same sum; every record is re-solved at
+    # AUDIT_RATE 1, and that labeling alone makes it an audit mismatch
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.graph6 import parse_graph6
+
+    eta_exact = cli._solver.eta_exact
+
+    def corrupt_resolve(g, lb=None, ub=None, **kwargs):
+        result = eta_exact(g, lb, ub, **kwargs)
+        if ub is None:
+            labels = (result.certificate.k,) * g.n
+            result = dataclasses.replace(result, certificate=Labeling(labels))
+        return result
+
+    # K_3 (a pinch), C_4, and DQw and DUw, which are searched
+    lines = ["Bw", "Cl", "DQw", "DUw"]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    report = tmp_path / "report.txt"
+    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
+    assert main(["sweep", str(corpus), "-o", str(report)]) == 0
+    truth = sweep_records(report)
+    assert {fields[5] for fields in truth.values()} == {"holds"}
+    monkeypatch.setattr(cli._solver, "eta_exact", corrupt_resolve)
+    code, _, err = run(capsys, "sweep", str(corpus), "-o", str(report))
+    assert code == cli.EXIT_AUDIT and err == ""
+    for line, fields in sweep_records(report).items():
+        eta = truth[line][2]
+        assert fields == truth[line][:5] + ["audit-mismatch", f"eta_solver={eta}"], line
+        g = parse_graph6(line)
+        assert not verify_additive_coloring(g, Labeling((int(eta),) * g.n))
+    assert " audit_mismatches: 4\n" in report.read_text()
 
 
 def pinch_one_too_low(monkeypatch):

@@ -18,6 +18,7 @@ from addcolor.families import (
     FamilySpec,
     _edge_count,
     _edges,
+    _max_degree,
     _vertex_count,
     certify,
     eta_formula,
@@ -259,8 +260,8 @@ def test_formula_certificate_solver_coherence(text):
 
 @pytest.mark.parametrize("text", small_specs())
 def test_join_range_from_edge_list_degrees(text):
-    # the join's range check counts degrees on the edge list, so each edge
-    # must be listed once; its limit n - Delta - 1 is the built graph's
+    # each row lists each edge once, and the join's range limit n - Delta - 1
+    # (from the inner row's closed-form max degree) is the built graph's
     spec = parse_spec(text)
     g = generate(spec)
     degree = Counter(v for edge in _edges(spec) for v in edge)
@@ -435,17 +436,36 @@ def test_edge_count_column_counts_the_edge_list(text):
         assert (_vertex_count(spec), _edge_count(spec)) == EXPORT_SIZES[text]
 
 
-def test_edge_limit_refuses_specs_before_any_edge_list(monkeypatch):
+@pytest.mark.parametrize("text", small_specs() + list(EXPORT_SIZES))
+def test_max_degree_column_is_the_built_graphs(text):
+    spec = parse_spec(text)
+    assert _max_degree(spec) == generate(spec).max_degree()
+
+
+def _refuse_edge_lists(monkeypatch):
     import addcolor.families as families
 
     def refuse(*args):
         raise AssertionError("an edge list was built")
 
-    # the join's rule reads its inner path's edges; no other row may list any
     monkeypatch.setattr(families, "_FAMILIES", {
-        kind: row if kind == "path" else row._replace(edges=refuse)
-        for kind, row in families._FAMILIES.items()
+        kind: row._replace(edges=refuse) for kind, row in families._FAMILIES.items()
     })
+
+
+def test_join_rule_lists_no_edges(capsys, monkeypatch):
+    # the join's limit reads the inner row's closed-form max degree, so
+    # refusing a join over K_2048 lists none of its 2 096 128 edges
+    _refuse_edge_lists(monkeypatch)
+    assert main(["family", "join-complete:1:complete:2048"]) == 1
+    assert capsys.readouterr().err == (
+        "error: join with K_q needs 1 <= q <= n - max_degree - 1 = 0, got q=1\n"
+    )
+    assert parse_spec("join-complete:1:cycle:20000").params == (1,)
+
+
+def test_edge_limit_refuses_specs_before_any_edge_list(monkeypatch):
+    _refuse_edge_lists(monkeypatch)
     assert parse_spec("complete:2048").text() == "complete:2048"
     for text in ("complete:2049", "thick-spider:1184", "complete-split:1000,2000",
                  "multipartite:1449,1448", "join-complete:1997:path:2000"):

@@ -102,6 +102,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Labeling((1, 0, 2))
 
+    @pytest.mark.parametrize("labels,v,lab", [
+        ((1, 0, 2), 1, 0), ((0, -1), 0, 0), ((3, 2, 1, -4, 0), 3, -4),
+    ])
+    def test_labeling_names_the_first_vertex_below_one(self, labels, v, lab):
+        with pytest.raises(ValueError, match=rf"^label of vertex {v} must be >= 1, got {lab}$"):
+            Labeling(labels)
+
     def test_labeling_k(self):
         assert Labeling((1, 3, 2)).k == 3
         assert Labeling(()).k == 0
@@ -334,6 +341,15 @@ class TestCachedData:
         assert isinstance(part, tuple)
         for gap, cls in part:
             assert isinstance(gap, int) and isinstance(cls, tuple)
+
+    @pytest.mark.parametrize("n", range(31))
+    def test_search_order_is_descending_degree_then_id(self, n):
+        rng = random.Random(n)
+        for p in (0.1, 0.5, 0.9):
+            pairs = itertools.combinations(range(n), 2)
+            g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+            deg = g.degrees()
+            assert g.search_order == tuple(sorted(range(n), key=lambda v: (-deg[v], v)))
 
     def test_equal_graphs_stay_equal_when_one_cache_is_filled(self):
         warm = generate(parse_spec("thick-spider:4"))

@@ -32,6 +32,7 @@ from oracles import (
     distinct_representatives_naive,
     dsatur_naive,
     eta_naive,
+    is_additive,
 )
 from test_families import small_specs
 
@@ -240,6 +241,14 @@ class TestEtaExact:
         result = eta_exact(g)
         assert verify_additive_coloring(g, result.certificate)
         assert result.certificate.k <= result.value
+
+    def test_certificates_pass_the_oracle(self, all_n6, conn_small):
+        # eta_exact returns its labeling unchecked; the independent oracle
+        # checks every one from lower bound 1, and its label count
+        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
+            result = eta_exact(g, 1)
+            assert result.status == OPTIMAL and result.certificate.k == result.value
+            assert is_additive(g, result.certificate.labels)
 
     def test_minimality_via_ub(self):
         g = g_of("cycle:5")
