@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
 (sweep), 3 a node budget ran out, 4 an internal fault: an audited eta
 disagreed with its exact re-solve from lower bound 1, or no eta up to the
-bounds' upper bound worked, or the bounds crossed (sweep; checked before 2
-and 3), or a labeling the search returned does not verify with exactly eta
-labels (solve).
+bounds' upper bound worked, or the bounds crossed, or a chi coloring is not
+proper with largest color chi (sweep; checked before 2 and 3), or the
+search found no eta up to the degree bound, or a labeling it returned does
+not verify with exactly eta labels (solve).
 
 A sweep record keeps its eta only when the layer that decided it hands over
 a labeling that verifies with exactly eta labels: the bounds' construction
@@ -16,8 +17,11 @@ labeling), the search's certificate otherwise. Any other record is
 re-solved from lower bound 1 like an audit sample, and a labeling with
 fewer labels than the eta it backs, the re-solve's own included, makes the
 record an audit mismatch, as does a re-solve labeling that does not verify.
-The search returns its labelings unchecked, so these checks are the only
-ones; they are plain `if`s, which `python -O` keeps.
+A record keeps an exact chi only when its coloring is proper and its
+largest color is chi; any other is an audit mismatch that shows the
+coloring. The searches return their labelings and colorings unchecked, so
+these checks are the only ones; they are plain `if`s, which `python -O`
+keeps.
 """
 
 from __future__ import annotations
@@ -170,8 +174,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"component {idx}: budget exceeded after {result.stats.nodes} nodes")
             return EXIT_BUDGET
         if result.status == _solver.UB_EXCEEDED:
-            print(f"component {idx}: no coloring within upper bound", file=sys.stderr)
-            return EXIT_USAGE
+            print(f"error: component {idx}: the search found no eta up to the degree bound "
+                  f"(internal fault)", file=sys.stderr)
+            return EXIT_AUDIT
         cert = result.certificate
         if cert.k != result.value or not verify_additive_coloring(sub, cert):
             print(f"error: component {idx}: the search's labeling does not verify with "
@@ -277,6 +282,11 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
             chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
             return record("budget-exceeded")
         chi, chi_source = chi_result.value, "exact"
+        # chi stands only on a proper coloring whose largest color is chi;
+        # the solver returns it unchecked
+        chi_cert = chi_result.certificate
+        if not (_solver.verify_proper_coloring(g, chi_cert) and max(chi_cert, default=0) == chi):
+            return record("audit-mismatch", "chi_cert=" + ",".join(map(str, chi_cert)))
     # eta stands on the deciding layer's labeling only if it verifies with
     # exactly eta labels. Re-solve from lb = 1 when it does not (no labeling,
     # as when the search refuted the upper bound or the bounds crossed, or
@@ -301,7 +311,7 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
     return record(
         "VIOLATION",
         "eta_cert=" + ",".join(str(x) for x in recheck.certificate.labels),
-        "chi_cert=" + ",".join(str(x) for x in chi_result.certificate),
+        "chi_cert=" + ",".join(map(str, chi_cert)),
     )
 
 
@@ -398,46 +408,65 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple:
+    """The positional and keyword arguments of one `add_argument` call."""
+    return flags, kwargs
+
+
+# name -> (help, handler, arguments) of each sub-command, in usage order
+_COMMANDS = {
+    "family": ("certificate for a family instance", cmd_family, (
+        _arg("spec", help="family spec, e.g. cycle:7 or multipartite:3,2,2"),
+    )),
+    "solve": ("exact additive chromatic number", cmd_solve, (
+        _arg("graph", help="graph6 string, or path to an edge-list file"),
+        _arg("--budget", type=_int_at_least(0), default=_solver.DEFAULT_NODE_BUDGET,
+             help="search node budget"),
+    )),
+    "export-lp": ("write the big-M model as an LP file", cmd_export_lp, (
+        _arg("graph", help="graph6 string, or path to an edge-list file"),
+        _arg("--ub", type=int, default=None,
+             help="upper bound for eta (default: combined bounds)"),
+        _arg("--valid", action="store_true",
+             help="add the neighborhood-containment valid inequalities"),
+        _arg("--symmetry", action="store_true",
+             help="add twin symmetry breaking with variable elimination"),
+        _arg("-o", "--output", default="model.lp", help="output path"),
+    )),
+    "sweep": ("check eta <= chi over a graph6 corpus", cmd_sweep, (
+        _arg("corpus", help="graph6 file, one graph per line"),
+        _arg("--workers", type=_int_at_least(1), default=1,
+             help="worker processes, at most the CPU count (default 1)"),
+        _arg("--budget", type=_int_at_least(0), default=_solver.DEFAULT_NODE_BUDGET,
+             help="node budget of each eta, audit and chi search"),
+        _arg("-o", "--output", default=None, help="report path (default stdout)"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `acp` parser, with one sub-parser per named command: `command`'s
+    alone when it names one (the four cost as much as a small search), else
+    all of them. A lone sub-parser's metavar lists every command, so the
+    usage line reads, and wraps, as with all four; with all four it stays
+    unset, as it would rename `command` in the missing-command error."""
+    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     parser = _Parser(prog="acp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_family = sub.add_parser("family", help="certificate for a family instance")
-    p_family.add_argument("spec", help="family spec, e.g. cycle:7 or multipartite:3,2,2")
-    p_family.set_defaults(func=cmd_family)
-
-    p_solve = sub.add_parser("solve", help="exact additive chromatic number")
-    p_solve.add_argument("graph", help="graph6 string, or path to an edge-list file")
-    p_solve.add_argument("--budget", type=_int_at_least(0),
-                         default=_solver.DEFAULT_NODE_BUDGET, help="search node budget")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_export = sub.add_parser("export-lp", help="write the big-M model as an LP file")
-    p_export.add_argument("graph", help="graph6 string, or path to an edge-list file")
-    p_export.add_argument("--ub", type=int, default=None,
-                          help="upper bound for eta (default: combined bounds)")
-    p_export.add_argument("--valid", action="store_true",
-                          help="add the neighborhood-containment valid inequalities")
-    p_export.add_argument("--symmetry", action="store_true",
-                          help="add twin symmetry breaking with variable elimination")
-    p_export.add_argument("-o", "--output", default="model.lp", help="output path")
-    p_export.set_defaults(func=cmd_export_lp)
-
-    p_sweep = sub.add_parser("sweep", help="check eta <= chi over a graph6 corpus")
-    p_sweep.add_argument("corpus", help="graph6 file, one graph per line")
-    p_sweep.add_argument("--workers", type=_int_at_least(1), default=1,
-                         help="worker processes, at most the CPU count (default 1)")
-    p_sweep.add_argument("--budget", type=_int_at_least(0),
-                         default=_solver.DEFAULT_NODE_BUDGET,
-                         help="node budget of each eta, audit and chi search")
-    p_sweep.add_argument("-o", "--output", default=None, help="report path (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

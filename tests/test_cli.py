@@ -32,6 +32,93 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+def outcome(capsys, argv):
+    """`acp *argv` as (exit code, stdout, stderr), whether main returns or
+    argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def count_parsers(monkeypatch):
+    """A list that gains one item per `_Parser` built from now on."""
+    import addcolor.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    return built
+
+
+COMMAND_LINES = [
+    (), ("-h",), ("--help",), ("--bogus",), ("bogus",), ("--", "solve", "Bw"), ("-h", "solve"),
+    ("family", "-h"), ("solve", "-h"), ("export-lp", "-h"), ("sweep", "-h"),
+    ("family",), ("solve",), ("export-lp",), ("sweep",),
+    ("solve", "--budget", "-1", "Bw"), ("sweep", "--workers", "0", "x"),
+    ("export-lp", "A_", "--ub", "x"), ("solve", "Bw", "extra"), ("solve", "Bw", "--bogus"),
+    ("solve", "Bw", "-h"), ("family", "cycle:5"), ("solve", "Bw"),
+    ("export-lp", "Dhc", "--ub", "3", "--valid", "--symmetry", "-o", "{tmp}/m.lp"),
+    ("sweep", "{tmp}/c.g6", "-o", "{tmp}/r.txt"),
+]
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES, ids=" ".join)
+def test_lazy_parser_reads_as_the_full_one(capsys, monkeypatch, tmp_path, line):
+    # main builds only the sub-parser argv[0] names; every command line
+    # must exit, print and write as under the parser with all four
+    import addcolor.cli as cli
+
+    (tmp_path / "c.g6").write_text("Bw\nDhc\n:bad\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in line]
+
+    def run_and_collect():
+        result = outcome(capsys, argv)
+        files = {}
+        for path in sorted(tmp_path.glob("[mr].*")):
+            files[path.name] = [text for text in path.read_text().splitlines()
+                                if not text.startswith("# elapsed_seconds")]
+            path.unlink()
+        return result, files
+
+    lazy = run_and_collect()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_and_collect() == lazy
+
+
+def test_usage_lines(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    top = "usage: acp [-h] {family,solve,export-lp,sweep} ...\n"
+    assert outcome(capsys, [])[2].startswith(top)
+    assert outcome(capsys, ["solve", "Bw", "extra"])[2].startswith(top)  # one sub-parser built
+    assert outcome(capsys, ["solve"])[2].startswith(
+        "usage: acp solve [-h] [--budget BUDGET] graph\n")
+
+
+@pytest.mark.parametrize("line,parsers", [
+    (("family", "cycle:5"), 2), (("solve", "Bw"), 2), (("export-lp", "Bw", "-h"), 2),
+    (("sweep", "-h"), 2), ((), 5), (("-h",), 5), (("bogus",), 5),
+])
+def test_a_named_command_builds_one_sub_parser(capsys, monkeypatch, line, parsers):
+    built = count_parsers(monkeypatch)
+    outcome(capsys, list(line))
+    assert len(built) == parsers
+
+
+@pytest.mark.parametrize("argv,code,parsers", [(["acp", "solve", "Bw"], 0, 2), (["acp"], 1, 5)])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv, code, parsers):
+    # the console script calls main() with no arguments
+    built = count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", argv)
+    result = outcome(capsys, None)
+    assert result[0] == code and len(built) == parsers
+    assert ("eta = 3\n" in result[1]) == (code == 0)
+
+
 def test_family_cycle5(capsys):
     code, out, _ = run(capsys, "family", "cycle:5")
     assert code == 0
@@ -304,6 +391,19 @@ def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labe
     assert "labeling:" not in out and "eta =" not in out
     assert err == (f"error: component 1: the search's labeling does not verify with "
                    f"eta={value} labels (internal fault)\n")
+
+
+def test_solve_reports_no_eta_up_to_the_degree_bound_as_a_fault(capsys, monkeypatch):
+    # a sound search always finds eta by the degree bound, so running past it
+    # is an internal fault (exit 4, as in the sweep), not a usage error
+    import addcolor.cli as cli
+
+    monkeypatch.setattr(cli._solver, "eta_exact", lambda g, *args, **kwargs: cli._solver.SolveResult(
+        cli._solver.UB_EXCEEDED, None, None, cli._solver.SolveStats(0)))
+    code, out, err = run(capsys, "solve", "Bw")
+    assert code == cli.EXIT_AUDIT == 4
+    assert "labeling:" not in out and "eta =" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "(internal fault)" in err
 
 
 @pytest.mark.parametrize(
@@ -778,8 +878,9 @@ def test_sweep_non_ascii_line_is_a_parse_error(tmp_path, capsys):
 
 
 def test_sweep_violation_end_to_end(tmp_path, capsys, monkeypatch):
-    # chi reported one below the truth on K_3: eta = 3 > chi = 2, so the
-    # formula value is re-solved for its certificate and the sweep exits 2
+    # chi reported one below the truth on K_3: eta = 3 > chi = 2 would be a
+    # violation, but the 3-color coloring does not back chi = 2, so the
+    # record is an audit mismatch that shows the coloring
     import dataclasses
 
     import addcolor.cli as cli
@@ -794,11 +895,48 @@ def test_sweep_violation_end_to_end(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "k3.g6"
     corpus.write_text("Bw\n")
     code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4
+    assert out.startswith("Bw\t3\t3\t3\t2\tformula\texact\taudit-mismatch\tchi_cert=1,2,3\n")
+    assert "# eta_by_n: \n" in out
+    assert " violations: 0 " in out and " audit_mismatches: 1\n" in out
+    assert "# max_eta_minus_chi: n/a\n" in out
+    assert err == ""
+
+
+def test_sweep_refuses_a_chi_coloring_that_is_not_proper(tmp_path, capsys, monkeypatch):
+    # (1, 1, 2) has largest color 2 = chi but gives two adjacent K_3
+    # vertices one color
+    import dataclasses
+
+    import addcolor.cli as cli
+
+    chromatic_exact = cli._solver.chromatic_exact
+    monkeypatch.setattr(cli._solver, "chromatic_exact", lambda g, **kwargs: dataclasses.replace(
+        chromatic_exact(g, **kwargs), value=2, certificate=(1, 1, 2)))
+    corpus = tmp_path / "k3.g6"
+    corpus.write_text("Bw\n")
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4
+    assert out.startswith("Bw\t3\t3\t3\t2\tformula\texact\taudit-mismatch\tchi_cert=1,1,2\n")
+
+
+def test_sweep_violation_with_verifying_certificates(tmp_path, capsys, monkeypatch):
+    # the search and its re-solve both claim eta(C_4) = 3 with (1, 1, 1, 3),
+    # which verifies with 3 labels (sums 4, 2, 4, 2), and chi = 2 has its
+    # proper 2-coloring: a violation both certificates back ends as exit 2
+    import addcolor.cli as cli
+
+    solver = cli._solver
+    monkeypatch.setattr(solver, "eta_exact", lambda g, *args, **kwargs: solver.SolveResult(
+        solver.OPTIMAL, 3, Labeling((1, 1, 1, 3)), solver.SolveStats(0)))
+    corpus = tmp_path / "c4.g6"
+    corpus.write_text("Cl\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_VIOLATION == 2
     assert out.startswith(
-        "Bw\t3\t3\t3\t2\tformula\texact\tVIOLATION\teta_cert=1,2,3\tchi_cert=1,2,3\n"
+        "Cl\t4\t4\t3\t2\tsolver\texact\tVIOLATION\teta_cert=1,1,1,3\tchi_cert=1,2,1,2\n"
     )
-    assert "# eta_by_n: 3:3=1\n" in out
+    assert "# eta_by_n: 4:3=1\n" in out
     assert " violations: 1 " in out and "# max_eta_minus_chi: 1\n" in out
     assert err == ""
 

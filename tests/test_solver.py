@@ -612,6 +612,17 @@ class TestChromatic:
         assert verify_proper_coloring(g, result.certificate)
         assert max(result.certificate) == result.value
 
+    def test_certificates_are_proper_with_max_value(self, all_n6, conn_small):
+        # chromatic_exact returns its coloring unchecked; check every one
+        # here, independently of verify_proper_coloring
+        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
+            result = chromatic_exact(g)
+            colors = result.certificate
+            assert result.ok and len(colors) == g.n
+            assert all(colors[u] != colors[v] for u, v in g.edges())
+            assert set(colors) <= set(range(1, result.value + 1))
+            assert max(colors, default=0) == result.value
+
     def test_bad_coloring_rejected(self):
         g = g_of("path:3")
         assert verify_proper_coloring(g, (1, 2, 1))
