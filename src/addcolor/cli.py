@@ -3,25 +3,25 @@ export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
-(sweep), 3 a node budget ran out, 4 an internal fault: an audited eta
-disagreed with its exact re-solve from lower bound 1, or no eta up to the
-bounds' upper bound worked, or the bounds crossed, or a chi coloring is not
-proper with largest color chi (sweep; checked before 2 and 3), or the
-search found no eta up to the degree bound, or a labeling it returned does
-not verify with exactly eta labels (solve).
+(sweep), 3 a node budget ran out, 4 an internal fault: an eta or chi the
+sweep cannot prove (an audit mismatch, checked before 2 and 3), a search
+that found no eta up to the degree bound or a labeling that does not prove
+its eta (solve), or a construction that does not prove its formula (family).
 
-A sweep record keeps its eta only when the layer that decided it hands over
-a labeling that verifies with exactly eta labels: the bounds' construction
-for a pinch (eta_source `formula`: all ones for eta <= 1, or the split
-labeling), the search's certificate otherwise. Any other record is
-re-solved from lower bound 1 like an audit sample, and a labeling with
-fewer labels than the eta it backs, the re-solve's own included, makes the
-record an audit mismatch, as does a re-solve labeling that does not verify.
-A record keeps an exact chi only when its coloring is proper and its
-largest color is chi; any other is an audit mismatch that shows the
-coloring. The searches return their labelings and colorings unchecked, so
-these checks are the only ones; they are plain `if`s, which `python -O`
-keeps.
+Every printed eta stands on a labeling that `graph.proves_eta` accepts: one
+that verifies with exactly eta labels. In a sweep the layer that decided eta
+hands it over: the bounds' construction for a pinch (eta_source `formula`:
+all ones for eta <= 1, or the split labeling), the search's certificate
+otherwise. A provable fault, that is no eta (the search refuted its upper
+bound, or the bounds crossed) or a labeling that fails the predicate, makes
+the record an audit mismatch at once, with no chi and whatever the budget.
+An unproven eta (a pinch without a construction, eta above chi, or a line
+in the audit sample) is re-solved from lower bound 1 and stands only on the
+same eta with a labeling that passes the same predicate. A record keeps an
+exact chi only when its coloring is proper and its largest color is chi;
+any other is an audit mismatch that shows the coloring. The searches return
+their labelings and colorings unchecked, so these checks are the only ones;
+they are plain `if`s, which `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .graph import (
     Labeling,
     connected_components,
     induced_subgraph,
-    verify_additive_coloring,
+    proves_eta,
 )
 from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
@@ -146,6 +146,9 @@ def cmd_family(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:  # certify's construction does not prove eta
+        print(f"error: {exc} (internal fault)", file=sys.stderr)
+        return EXIT_AUDIT
     g = cert.graph
     report = _bounds.combined_bounds(g)
     print(f"family: {spec.text()}")
@@ -178,7 +181,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                   f"(internal fault)", file=sys.stderr)
             return EXIT_AUDIT
         cert = result.certificate
-        if cert.k != result.value or not verify_additive_coloring(sub, cert):
+        if not proves_eta(sub, cert, result.value):
             print(f"error: component {idx}: the search's labeling does not verify with "
                   f"eta={result.value} labels (internal fault)", file=sys.stderr)
             return EXIT_AUDIT
@@ -273,38 +276,31 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         )
         if result.status == _solver.BUDGET_EXCEEDED:
             return record("budget-exceeded")
-        # both None if no k up to the upper bound works
         eta, labeling = result.value, result.certificate
-    # crossed bounds (lower > upper) leave eta None, as a refuted upper bound does
-    if eta is not None:
-        chi_result = _solver.chromatic_exact(g, node_budget=budget)
-        if not chi_result.ok:
-            chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
-            return record("budget-exceeded")
-        chi, chi_source = chi_result.value, "exact"
-        # chi stands only on a proper coloring whose largest color is chi;
-        # the solver returns it unchecked
-        chi_cert = chi_result.certificate
-        if not (_solver.verify_proper_coloring(g, chi_cert) and max(chi_cert, default=0) == chi):
-            return record("audit-mismatch", "chi_cert=" + ",".join(map(str, chi_cert)))
-    # eta stands on the deciding layer's labeling only if it verifies with
-    # exactly eta labels. Re-solve from lb = 1 when it does not (no labeling,
-    # as when the search refuted the upper bound or the bounds crossed, or
-    # one that fails), when eta exceeds chi, and for a deterministic ~1%
-    # audit sample: a violation needs a value that owes nothing to the
-    # bounds. A mismatch is an internal bug, kept as its own status with both
-    # values so the evidence survives the sweep; a labeling with fewer labels
-    # than the eta it backs, or a re-solve labeling that does not verify,
-    # proves one even where the values agree
-    proven = (labeling is not None and labeling.k == eta
-              and verify_additive_coloring(g, labeling))
-    if not proven or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
+    # a provable fault, which no budget or chi can clear: no eta (the search
+    # refuted its upper bound, or the bounds crossed), or a deciding labeling
+    # that does not prove it. The re-solve from lb = 1 only shows the true eta
+    if eta is None or labeling is not None and not proves_eta(g, labeling, eta):
+        recheck = _solver.eta_exact(g, 1, node_budget=budget)
+        return record("audit-mismatch", f"eta_solver={recheck.value if recheck.ok else ''}")
+    chi_result = _solver.chromatic_exact(g, node_budget=budget)
+    if not chi_result.ok:
+        chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
+        return record("budget-exceeded")
+    chi, chi_source = chi_result.value, "exact"
+    # chi stands only on a proper coloring whose largest color is chi; the
+    # solver returns it unchecked
+    chi_cert = chi_result.certificate
+    if not (_solver.verify_proper_coloring(g, chi_cert) and max(chi_cert, default=0) == chi):
+        return record("audit-mismatch", "chi_cert=" + ",".join(map(str, chi_cert)))
+    # an unproven eta (a pinch without a construction, eta above chi, or the
+    # ~1% CRC audit sample) stands only if the re-solve from lb = 1 returns it
+    # with a labeling that proves it: a violation owes nothing to the bounds
+    if labeling is None or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         if not recheck.ok:
             return record("budget-exceeded")
-        if (recheck.value != eta or recheck.certificate.k < recheck.value
-                or labeling is not None and labeling.k < eta
-                or not verify_additive_coloring(g, recheck.certificate)):
+        if recheck.value != eta or not proves_eta(g, recheck.certificate, eta):
             return record("audit-mismatch", f"eta_solver={recheck.value}")
     if eta <= chi:
         return record("holds")

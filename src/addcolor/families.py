@@ -37,7 +37,7 @@ from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
-from .graph import EDGE_LIMIT, Graph, Labeling, verify_additive_coloring
+from .graph import EDGE_LIMIT, Graph, Labeling, proves_eta
 from .graph6 import WRITER_MAX_N
 
 
@@ -539,12 +539,15 @@ class EtaCertificate:
 
 def certify(spec: FamilySpec) -> EtaCertificate:
     """Formula value plus a verified certificate labeling and witness, with
-    the graph they certify."""
+    the graph they certify. A labeling that does not prove the formula
+    (`graph.proves_eta`) is a fault of this module: AssertionError."""
     g = generate(spec)
     eta = eta_formula(spec)
     labeling = _labeling(spec)
-    if labeling.k != eta or not verify_additive_coloring(g, labeling):
-        raise AssertionError(f"certificate failed verification for {spec.text()}")
+    if not proves_eta(g, labeling, eta):
+        raise AssertionError(
+            f"{spec.text()}: the construction's labeling does not verify with eta={eta} labels"
+        )
     if eta == 1:
         witness = "every edge joins vertices of different degree (eta = 1)"
     else:

@@ -224,6 +224,13 @@ def verify_additive_coloring(g: Graph, f: Labeling) -> bool:
     return True
 
 
+def proves_eta(g: Graph, f: Labeling | None, eta: int) -> bool:
+    """True iff `f` exists, its largest label is exactly `eta` and it is an
+    additive coloring of `g`: the one rule by which a labeling backs a
+    printed eta. No `assert`, so `python -O` keeps it."""
+    return f is not None and f.k == eta and verify_additive_coloring(g, f)
+
+
 def _check_cover(g: Graph, f: Labeling) -> None:
     if len(f.labels) != g.n:
         raise ValueError(f"labeling covers {len(f.labels)} vertices, graph has {g.n}")

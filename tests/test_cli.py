@@ -214,6 +214,22 @@ def test_family_bad_spec(capsys):
     assert "error" in err
 
 
+def test_family_reports_a_construction_that_does_not_prove_eta_as_a_fault(capsys, monkeypatch):
+    # all ones on C_5 (eta 3) is no certificate: one `error:` line and exit 4,
+    # as `acp solve` reports its own internal faults, not a traceback
+    import addcolor.cli as cli
+
+    rows = cli._families._FAMILIES
+    monkeypatch.setitem(
+        rows, "cycle", rows["cycle"]._replace(labeling=lambda n: Labeling((1,) * n))
+    )
+    code, out, err = run(capsys, "family", "cycle:5")
+    assert code == cli.EXIT_AUDIT == 4
+    assert out == ""
+    assert err == ("error: cycle:5: the construction's labeling does not verify with "
+                   "eta=3 labels (internal fault)\n")
+
+
 def test_solve_k3(capsys):
     code, out, _ = run(capsys, "solve", "Bw")
     assert code == 0
@@ -615,8 +631,9 @@ def test_sweep_formula_above_chi_is_rechecked(
 
 @pytest.mark.parametrize("argv, exit_code, status", [
     ((), 4, "audit-mismatch\teta_solver=3"),
-    # 60 nodes refute k <= 2 but do not reach k = 3 from lb = 1
-    (("--budget", "60"), 3, "budget-exceeded"),
+    # 60 nodes refute k <= 2 but do not reach k = 3 from lb = 1: the fault
+    # stands, and only the re-solve's value is missing
+    (("--budget", "60"), 4, "audit-mismatch\teta_solver="),
 ])
 def test_sweep_refuted_upper_bound_is_rechecked(
     tmp_path, capsys, monkeypatch, argv, exit_code, status
@@ -654,26 +671,28 @@ def lower_bound_one_too_high(monkeypatch):
 
 
 def test_sweep_searched_eta_above_chi_is_rechecked(tmp_path, capsys, monkeypatch):
-    # K_{3,3} has eta 2 = chi; a search started at 3 claims eta 3, and the
+    # ECZ_ (bipartite, 6 edges) has eta 2 = chi; a search started at 3 claims
+    # eta 3 with a labeling of 3 labels, which proves no fault, and the
     # re-solve from 1 must turn that into an audit mismatch, not a VIOLATION
     import addcolor.cli as cli
 
-    assert zlib.crc32(b"EFz_") % cli.AUDIT_RATE
+    assert zlib.crc32(b"ECZ_") % cli.AUDIT_RATE
     lower_bound_one_too_high(monkeypatch)
-    corpus = tmp_path / "k33.g6"
-    corpus.write_text("EFz_\n")
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("ECZ_\n")
     code, out, err = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT == 4
-    assert out.startswith("EFz_\t6\t9\t3\t2\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert out.startswith("ECZ_\t6\t6\t3\t2\tsolver\texact\taudit-mismatch\teta_solver=2\n")
     assert "VIOLATION" not in out and " violations: 0 " in out and err == ""
 
 
 def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
     # a search started one above eta is caught by its own certificate when
     # that uses fewer labels: DQw (eta 2, chi 3) is claimed at 3 with the
-    # 2-label (1, 1, 2, 1, 1), outside the audit sample. DUw (eta 2, chi 3)
-    # is claimed at 3 with the 3-label (1, 1, 1, 3, 1), so it still "holds";
-    # only an audit sample that takes searched records catches it
+    # 2-label (1, 1, 2, 1, 1), outside the audit sample, a fault found before
+    # chi is solved. DUw (eta 2, chi 3) is claimed at 3 with the 3-label
+    # (1, 1, 1, 3, 1), so it still "holds"; only an audit sample that takes
+    # searched records catches it
     import addcolor.cli as cli
 
     assert zlib.crc32(b"DQw") % cli.AUDIT_RATE and zlib.crc32(b"DUw") % cli.AUDIT_RATE
@@ -682,7 +701,7 @@ def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
     corpus.write_text("DQw\n")
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
-    assert out.startswith("DQw\t5\t5\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert out.startswith("DQw\t5\t5\t3\t\tsolver\t\taudit-mismatch\teta_solver=2\n")
     corpus = tmp_path / "duw.g6"
     corpus.write_text("DUw\n")
     assert run(capsys, "sweep", str(corpus))[1].startswith(
@@ -692,6 +711,71 @@ def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
     assert out.startswith("DUw\t5\t6\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+
+
+def drop_the_pinch_labeling(monkeypatch):
+    # the bounds pinch as before but hand over no construction
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.bounds import combined_bounds
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds",
+                        lambda g: dataclasses.replace(combined_bounds(g), labeling=None))
+
+
+def audit_every_line(monkeypatch):
+    import addcolor.cli as cli
+
+    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
+
+
+@pytest.mark.parametrize("line, labels, forced, source", [
+    # C_4 (eta 2) is searched; (1, 1, 1, 3) gives sums 4, 2, 4, 2
+    ("Cl", (1, 1, 1, 3), audit_every_line, "solver"),
+    # K_3 (eta 3) pinches; (1, 2, 4) gives sums 6, 5, 3
+    ("Bw", (1, 2, 4), drop_the_pinch_labeling, "formula"),
+])
+def test_sweep_resolve_needs_exactly_eta_labels(
+    tmp_path, capsys, monkeypatch, line, labels, forced, source
+):
+    # the re-solve from lower bound 1 returns the true eta with a labeling
+    # that verifies but has one label more: it does not prove that eta
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.graph6 import parse_graph6
+
+    eta_exact = cli._solver.eta_exact
+
+    def resolve_one_label_over(g, lb=None, ub=None, **kwargs):
+        result = eta_exact(g, lb, ub, **kwargs)
+        if ub is None:
+            result = dataclasses.replace(result, certificate=Labeling(labels))
+        return result
+
+    g = parse_graph6(line)
+    eta = eta_exact(g).value
+    assert max(labels) == eta + 1 and verify_additive_coloring(g, Labeling(labels))
+    forced(monkeypatch)
+    monkeypatch.setattr(cli._solver, "eta_exact", resolve_one_label_over)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(line + "\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4 and err == ""
+    assert out.startswith(
+        f"{line}\t{g.n}\t{g.edge_count}\t{eta}\t{eta}\t{source}\texact"
+        f"\taudit-mismatch\teta_solver={eta}\n"
+    )
+
+
+@pytest.mark.parametrize("budget", ["0", "5", "50"])
+def test_sweep_sound_program_shows_no_fault_at_any_budget(capsys, conn_corpus_path, budget):
+    # a fault is reported before chi and whatever the budget does, so a tight
+    # budget must turn records into budget-exceeded, never into mismatches
+    code, out, _ = run(capsys, "sweep", str(conn_corpus_path), "--budget", budget)
+    assert code in (0, 3)
+    assert " audit_mismatches: 0\n" in out
 
 
 def test_sweep_checks_the_audit_labeling(tmp_path, capsys, monkeypatch):
@@ -826,6 +910,30 @@ def test_sweep_wrong_bound_ends_as_audit_mismatch(
     for line, fields in changed.items():
         assert fields[5:] == ["audit-mismatch", f"eta_solver={truth[line][2]}"], line
     assert f" audit_mismatches: {len(changed)}\n" in report.read_text()
+
+
+@pytest.mark.parametrize("line, mutant, budget", [
+    # the bounds cross (lower 3 > upper 2): 10 nodes do not re-solve it
+    ("G?ACN{", split_bound_one_too_low, 10),
+    # the search claims eta 3 with a 2-label labeling in 5 nodes, which do
+    # not re-solve it from 1
+    ("DQw", lower_bound_one_too_high, 5),
+])
+def test_sweep_provable_fault_ignores_the_budget(
+    tmp_path, capsys, monkeypatch, line, mutant, budget
+):
+    # a fault the record itself proves is an audit mismatch before chi is
+    # solved, even where the budget then stops the re-solve, which leaves
+    # eta_solver empty; the refuted upper bound is the --budget 60 case of
+    # test_sweep_refuted_upper_bound_is_rechecked
+    mutant(monkeypatch)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(line + "\n")
+    code, out, err = run(capsys, "sweep", str(corpus), "--budget", str(budget))
+    assert code == 4 and err == ""
+    fields = out.splitlines()[0].split("\t")
+    assert fields[4:] == ["", "solver", "", "audit-mismatch", "eta_solver="]
+    assert " budget_exceeded: 0 " in out and " audit_mismatches: 1\n" in out
 
 
 def test_sweep_over_pruning_search_ends_as_audit_mismatch(

@@ -11,6 +11,7 @@ from addcolor.graph import (
     connected_components,
     induced_subgraph,
     neighborhood_sum,
+    proves_eta,
     twin_refined_partition,
     verify_additive_coloring,
 )
@@ -170,6 +171,25 @@ class TestVerify:
     def test_agrees_with_oracle(self, g):
         for f in itertools.islice(itertools.product((1, 2), repeat=g.n), 64):
             assert verify_additive_coloring(g, Labeling(f)) == is_additive(g, f)
+
+
+class TestProvesEta:
+    # C_5 has eta 3; (2, 1, 3, 1, 1) verifies with 3 labels, (2, 1, 4, 1, 1)
+    # with 4, and (1,) * 5 not at all
+    @pytest.mark.parametrize("labels, eta, proves", [
+        ((2, 1, 3, 1, 1), 3, True),
+        ((2, 1, 3, 1, 1), 2, False),
+        ((2, 1, 3, 1, 1), 4, False),
+        ((2, 1, 4, 1, 1), 3, False),
+        ((1, 1, 1, 1, 1), 1, False),
+        (None, 3, False),
+    ])
+    def test_cycle5(self, labels, eta, proves):
+        f = None if labels is None else Labeling(labels)
+        assert proves_eta(cycle(5), f, eta) is proves
+
+    def test_empty_graph(self):
+        assert proves_eta(Graph.from_edges(0, []), Labeling(()), 0)
 
 
 class TestTwins:
