@@ -7,13 +7,19 @@ degree, then id), renumbered to positions 0..n-1, as an explicit index that
 moves forward and back. Common neighbors of u and v add the same label
 to both neighborhood sums, so only N(u) ^ N(v) decides edge (u, v): the edge
 is checked as soon as the last vertex of that symmetric difference is
-labeled, while the common neighbors may still be unlabeled. Twin symmetry
-breaking (non-decreasing labels inside a false-twin class, strictly
-increasing inside a true-twin class) mirrors the chain inequalities of the
-integer-programming model; both read the chains from
-`twin_refined_partition`. The search returns its labeling unchecked: each
-caller that prints it or relies on it verifies it once (`acp solve`, the
-sweep).
+labeled, while the common neighbors may still be unlabeled. That last
+position i lies in exactly one of N(u) and N(v), say N(a) for the edge
+(a, b), so a label at i fails the edge only when its change to a's partial
+sum equals the gap sums[b] - sums[a]. Each label tried at i is compared,
+by its change from the label the sums already hold, with these gaps before
+any sum moves; only a label that passes them moves the neighbor sums, by
+that change, and a position takes its label back once, when it runs out
+of labels. Twin symmetry breaking (non-decreasing labels inside a
+false-twin class, strictly increasing inside a true-twin class) mirrors the
+chain inequalities of the integer-programming model; both read the chains
+from `twin_refined_partition`. The search returns its labeling unchecked:
+each caller that prints it or relies on it verifies it once (`acp solve`,
+the sweep).
 
 The search also prunes on cliques. The members of a clique Q need pairwise
 distinct neighborhood sums. Member v's sum is the labels of Q except f(v),
@@ -75,17 +81,20 @@ have cut (at most 145 on every graph of data/ and the tested families).
 
 Times below are CPython 3.11.7 on a 2-vCPU virtual machine. Building the
 terms and the root check at the node that arms them, tables included, cost
-about 30 search nodes on connected 8-vertex graphs (32 us at a median
-1.05 us per node) and about 80 on G(16, 1/2) (96 us at 1.2 us). Yet the
-check cuts only 3 % of the nodes of the 8-vertex searches that reach
-k = 3, so arming there rarely pays back: of the 10 493 searched 8-vertex
-graphs, 926 reach 64 nodes, 347 reach 128 and 108 reach 256; 9 380 end
-at k = 2 after about 21 nodes. HALL_AFTER against the eager check it
-replaced (from k = 3, at the root and inside), each instance timed under
-every setting in turn, the sum of per-instance minima over 7 (panel) or 5
-(n = 8) passes. Panel: the 11 solve-panel family instances and 32 seeded
-G(16, 1/2) under a 300 000-node budget; n = 8: the 10 493 graphs of
-graphs_conn_n8.g6 whose bounds do not meet; lb and ub from the bounds:
+about 55 search nodes on connected 8-vertex graphs (36 us at a median
+0.64 us per node) and about 125 on G(16, 1/2) (94 us at 0.76 us); the
+nogood tables add 12 and 30 us. These are medians over the 347 8-vertex
+and 24 of 32 seeded G(16, 1/2) searches that arm, lb and ub from the
+bounds, best of 5 each. Yet the check cuts only 3 % of the nodes of the
+8-vertex searches that reach k = 3, so arming there rarely pays back: of
+the 10 493 searched 8-vertex graphs, 926 reach 64 nodes, 347 reach 128
+and 108 reach 256; 9 380 end at k = 2 after about 21 nodes. HALL_AFTER
+against the eager check it replaced (from k = 3, at the root and inside),
+each instance timed under every setting in turn, the sum of per-instance
+minima over 7 (panel) or 5 (n = 8) passes. Panel: the 11 solve-panel
+family instances and 32 seeded G(16, 1/2) under a 300 000-node budget;
+n = 8: the 10 493 graphs of graphs_conn_n8.g6 whose bounds do not meet; lb
+and ub from the bounds:
 
     HALL_AFTER       panel nodes  panel s  n = 8 nodes  n = 8 eta s
     eager, k >= 3        125 872    0.100      297 574     0.537
@@ -289,13 +298,11 @@ def eta_exact(
             cut, failed, keys = _nogoods(cuts, k, n)
         i = 0
         while 0 <= i < n:
-            # next label of position i: one past its current label, else the
-            # least label its twin chain allows
-            nb, edges, lab = neighbors[i], checks[i], labels[i]
-            if lab:
-                for w in nb:
-                    sums[w] -= lab
-                lab += 1
+            # next label of position i: one past the label the sums hold,
+            # else the least label its twin chain allows
+            nb, edges, held = neighbors[i], checks[i], labels[i]
+            if held:
+                lab = held + 1
             else:
                 if cut is not None:
                     key = _nogood_key(*cut[i], sums, labels)
@@ -336,25 +343,31 @@ def eta_exact(
                         # position 0 had run out of labels
                         i, lab = 0, k + 1
                         break
-                for w in nb:
-                    sums[w] += lab
+                # i is in N(a) and not in N(b): the label fails edge (a, b)
+                # iff its change to sums[a] closes the gap to sums[b]
+                d = lab - held
                 for a, b in edges:
-                    if sums[a] == sums[b]:
+                    if sums[b] - sums[a] == d:
                         break
                 else:
-                    # the edges hold; the label stands if the cliques do too
+                    # the edges hold: move the sums to the label, which
+                    # stands if the cliques hold too
+                    for w in nb:
+                        sums[w] += d
+                    held = lab
                     for points, spans in hall[i]:
                         if not _fits(points, spans, sums):
                             break
                     else:
                         break
-                for w in nb:
-                    sums[w] -= lab
                 lab += 1
             if lab <= k:
                 labels[i] = lab
                 i += 1
             else:
+                if held:
+                    for w in nb:
+                        sums[w] -= held
                 labels[i] = 0
                 if cut is not None and keys[i] is not None:
                     failed[i].add(keys[i])
@@ -372,8 +385,8 @@ def eta_exact(
 def _positions(g: Graph) -> tuple:
     """The search's view of g, with vertices renumbered to their positions
     in its search order: pos[v] for each vertex v, then for each position
-    its sorted neighbors, their mask, the edges checked there, and its
-    twin-chain predecessor and step."""
+    its sorted neighbors, their mask, the edges (a, b) checked there, with
+    the position in N(a), and its twin-chain predecessor and step."""
     n = g.n
     order = g.search_order
     pos = [0] * n
@@ -387,12 +400,14 @@ def _positions(g: Graph) -> tuple:
             neighbors[pos[w]].append(j)
             masks[pos[w]] |= 1 << j
     # common neighbors add the same label to both sums, so edge (u, v) is
-    # decided once N(u) ^ N(v) is labeled: check it at that set's last position
+    # decided once N(u) ^ N(v) is labeled: check it at that set's last
+    # position i, as (a, b) with i in N(a), so that only sums[a] moves there
     checks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, nb in enumerate(neighbors):
         for v in nb:
             if u < v:
-                checks[(masks[u] ^ masks[v]).bit_length() - 1].append((u, v))
+                i = (masks[u] ^ masks[v]).bit_length() - 1
+                checks[i].append((u, v) if masks[u] >> i & 1 else (v, u))
     # symmetry breaking: chain each twin class in id order; twins share a
     # degree, so the id order is the position order and the predecessor is
     # always labeled first

@@ -106,6 +106,11 @@ PANEL_SPECS = (
 # per-position tables, which must prune exactly as the per-call check did.
 GOLDEN_NODES = "f828e1c91cbbd91a7b97cbdd34b88ae3b0cd0b1c8d26a1233076b0872cfdf570"
 
+# the same digest on every graph of graphs_conn_n1-7.g6, then
+# graphs_conn_n8.g6; computed before the search tested a label on its edges
+# before moving any neighbor sum, which must try and reject the same labels.
+GOLDEN_CORPUS_NODES = "8d4bb38a89a589b7d20ea698fbb2a1a26bc1e324f7d726114400f05e1f7392c4"
+
 
 class TestEtaExact:
     @pytest.mark.parametrize(
@@ -305,23 +310,52 @@ class TestEtaExact:
         corpus = (DATA / "graphs_conn_n8.g6").read_text()
         graphs = [parse_graph6(line) for line in corpus.split()]
         graphs += [g_of(text) for text in ARMING_SPECS]
-        rng = random.Random(14)
-        for _ in range(40):
-            edges = [(u, v) for v in range(14) for u in range(v) if rng.random() < 0.5]
-            graphs.append(Graph.from_edges(14, edges))
+        graphs += seeded_gnp(14, 40, seed=14)
         assert results_digest(graphs) == GOLDEN_ARMING
 
     def test_node_counts_match_golden_digest(self):
         graphs = [g_of(text) for text in (*ARMING_SPECS, *PANEL_SPECS)]
-        rng = random.Random(16)
-        for _ in range(8):
-            edges = [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.5]
-            graphs.append(Graph.from_edges(16, edges))
-        digest = hashlib.sha256()
-        for g in graphs:
-            for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
-                digest.update(f"{r.status} {r.value} {r.stats.nodes}\n".encode())
-        assert digest.hexdigest() == GOLDEN_NODES
+        graphs += seeded_gnp(16, 8, seed=16)
+        assert nodes_digest(graphs) == GOLDEN_NODES
+
+    def test_corpus_node_counts_match_golden_digest(self, conn_small, conn_n8):
+        assert nodes_digest(conn_small + conn_n8) == GOLDEN_CORPUS_NODES
+
+    def test_each_edge_checked_once_where_its_sums_part(self, all_n6, conn_small):
+        # edge (a, b) is checked at the last position i of N(a) ^ N(b), as
+        # (a, b) with i in N(a) and not in N(b)
+        graphs = all_n6 + conn_small + [g_of(text) for text in small_specs()]
+        for g in graphs + seeded_gnp(16, 8, seed=16):
+            pos, _, _, checks, *_ = solver._positions(g)
+            nbrs = [{pos[w] for w in g.neighbors[v]} for v in g.search_order]
+            seen = []
+            for i, edges in enumerate(checks):
+                for a, b in edges:
+                    assert i == max(nbrs[a] ^ nbrs[b]), (g, i, a, b)
+                    assert i in nbrs[a] and i not in nbrs[b], (g, i, a, b)
+                    seen.append(frozenset((a, b)))
+            edges = [frozenset((pos[u], pos[v])) for u, v in g.edges()]
+            assert sorted(seen, key=sorted) == sorted(edges, key=sorted), g
+
+
+def seeded_gnp(n, count, seed):
+    """`count` seeded draws of G(n, 1/2)."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def nodes_digest(graphs):
+    """sha256 over (status, value, node count) of eta_exact(g) and of
+    eta_exact(g, 1, degree bound), graph by graph."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
+            digest.update(f"{r.status} {r.value} {r.stats.nodes}\n".encode())
+    return digest.hexdigest()
 
 
 def results_digest(graphs):
