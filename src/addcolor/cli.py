@@ -209,6 +209,12 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
         outputs = [
             (f"{root}_c{idx}{ext or '.lp'}", sub) for idx, (_, sub) in enumerate(comps, 1)
         ]
+    # opening an output truncates it, so none may be the input edge list
+    if os.path.isfile(args.graph):
+        for path, _ in outputs:
+            if os.path.exists(path) and os.path.samefile(args.graph, path):
+                print(f"error: output {path} is the input {args.graph}", file=sys.stderr)
+                return EXIT_USAGE
     if args.ub is not None:
         # a UB below a component's proven lower bound leaves its model no
         # feasible point: refuse it before any file is written

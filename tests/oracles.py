@@ -1,15 +1,41 @@
 """Brute-force oracles, kept independent of the package's own solvers:
 labelings, colorings and model points are enumerated directly, with
-neighborhood sums recomputed locally."""
+neighborhood sums recomputed locally. The package holds an LP model as its
+row texts; the model oracles work on `LpModel`, the structured model that
+`read_lp` reads back from the written file."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import re
+from typing import NamedTuple
 
 from addcolor.graph import Graph, iter_bits
-from addcolor.milp import BINARY, INTEGER, Constraint, MilpModel, Variable
+from addcolor.milp import MilpModel, write_lp
+
+INTEGER = "integer"
+BINARY = "binary"
+
+
+class Variable(NamedTuple):
+    name: str
+    kind: str
+    lower: int
+    upper: int | None
+
+
+class Constraint(NamedTuple):
+    name: str
+    terms: tuple[tuple[int, str], ...]
+    relation: str  # "<=", "=" or ">="
+    rhs: int
+
+
+class LpModel(NamedTuple):
+    variables: list[Variable]
+    objective: tuple[tuple[int, str], ...]
+    constraints: list[Constraint]
 
 
 def neighborhood_sums(g: Graph, labels) -> list[int]:
@@ -163,7 +189,7 @@ def distinct_representatives_naive(intervals) -> bool:
     return all(augment(i, set()) for i in range(len(intervals)))
 
 
-def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
+def induced_assignment(model: LpModel, g: Graph, labels) -> dict[str, int]:
     """The only candidate completion of a labeling: z(u,v) = 1 iff the sum at
     u is smaller, k = max label."""
     sums = neighborhood_sums(g, labels)
@@ -177,7 +203,7 @@ def induced_assignment(model: MilpModel, g: Graph, labels) -> dict[str, int]:
     return values
 
 
-def assignment_feasible(model: MilpModel, values: dict[str, int]) -> bool:
+def assignment_feasible(model: LpModel, values: dict[str, int]) -> bool:
     for var in model.variables:
         val = values[var.name]
         if val < var.lower or (var.upper is not None and val > var.upper):
@@ -193,12 +219,12 @@ def assignment_feasible(model: MilpModel, values: dict[str, int]) -> bool:
     return True
 
 
-def point_feasible(model: MilpModel, g: Graph, labels) -> bool:
+def point_feasible(model: LpModel, g: Graph, labels) -> bool:
     """Whether the labeling extends to a feasible (f, z, k) model point."""
     return assignment_feasible(model, induced_assignment(model, g, labels))
 
 
-def model_optimum(model: MilpModel, g: Graph, ub: int) -> int | None:
+def model_optimum(model: LpModel, g: Graph, ub: int) -> int | None:
     """Exhaustive optimum of the model over f in [ub]^V with induced z; the
     pairing equalities make the induced z the only completion that can be
     feasible, so this enumeration is exact. The objective is k = max(f), so
@@ -211,7 +237,7 @@ def model_optimum(model: MilpModel, g: Graph, ub: int) -> int | None:
     return None
 
 
-def highs_input(model: MilpModel) -> dict:
+def highs_input(model: LpModel) -> dict:
     """Keyword arguments of `scipy.optimize.milp` for the model: one column
     per variable in model order, the constraints as sparse rows, the
     variable bounds, and every variable integral. scipy is imported here so
@@ -306,12 +332,11 @@ def write_graph6_naive(g: Graph) -> str:
     return header + "".join(chr(63 + v) for v in chunk)
 
 
-def read_lp(text: str) -> MilpModel:
+def read_lp(text: str) -> LpModel:
     """The model an LP file written by `write_lp` describes, read back token
     by token: the objective, each row with its wrapped continuation lines
     joined, the bounds of the `Generals` and the `Binaries` (0..1). Variables
-    come in file order, integers first; the eliminated set is not in the
-    file and reads as empty."""
+    come in file order, integers first."""
     sections: dict[str, list[str]] = {}
     lines = text.split("\n")
     assert lines[-2:] == ["End", ""], lines[-2:]
@@ -355,4 +380,9 @@ def read_lp(text: str) -> MilpModel:
     assert sorted(bounds) == sorted(generals)
     variables = [Variable(var, INTEGER, *bounds[var]) for var in generals]
     variables += [Variable(var, BINARY, 0, 1) for var in binaries]
-    return MilpModel(variables, tuple(objective_terms), constraints, frozenset())
+    return LpModel(variables, tuple(objective_terms), constraints)
+
+
+def read_back(model: MilpModel) -> LpModel:
+    """The package model as its LP file describes it."""
+    return read_lp(write_lp(model))

@@ -25,7 +25,7 @@ from addcolor.milp import build_model
 from addcolor.solver import eta_exact
 
 from conftest import DATA
-from oracles import model_optimum, partitions, point_feasible
+from oracles import model_optimum, partitions, point_feasible, read_back
 
 
 def criterion1_specs():
@@ -160,20 +160,20 @@ def test_criterion_4_milp_equivalence():
         ub = 6  # valid for every connected graph on <= 5 vertices (max eta is 5)
         assert eta <= ub
         for valid, symmetry in variants:
-            model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+            model = read_back(build_model(g, ub, valid, symmetry))
             assert model_optimum(model, g, ub) == eta, (write_graph6(g), valid, symmetry)
         checked += 1
     for g in sample6:
         eta = eta_exact(g).value
         ub = eta + 1
         for valid, symmetry in variants:
-            model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+            model = read_back(build_model(g, ub, valid, symmetry))
             assert model_optimum(model, g, ub) == eta, (write_graph6(g), valid, symmetry)
         checked += 1
     # pinned single-model optima at their stated bounds
     for text, ub, expected in (("complete:2", 2, 2), ("cycle:5", 3, 3), ("path:3", 2, 1)):
         g = generate(parse_spec(text))
-        assert model_optimum(build_model(g, ub), g, ub) == expected
+        assert model_optimum(read_back(build_model(g, ub)), g, ub) == expected
     print(f"ACCEPTANCE 4 PASS: model optimum == eta_exact on {checked} graphs "
           f"x 4 variants (n <= 5 exhaustive, 20 sampled at n = 6)")
 
@@ -189,7 +189,7 @@ def test_criterion_5_bigm_validity():
     for g in graphs:
         edges = list(g.edges())
         for ub in (1, 2, 3):
-            model = build_model(g, ub)
+            model = read_back(build_model(g, ub))
             for f in itertools.product(range(1, ub + 1), repeat=g.n):
                 sums = [sum(f[u] for u in g.neighbors[v]) for v in range(g.n)]
                 orderable = all(sums[a] != sums[b] for a, b in edges)

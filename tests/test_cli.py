@@ -511,6 +511,28 @@ def test_export_lp_ub_below_lower_bound_refused(tmp_path, capsys):
     assert out_path.exists()
 
 
+def test_export_lp_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch):
+    # the output, by any name, or one of the component files is the input
+    # edge list: exit 1 with one error line, and no file is written
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(path)
+    two = tmp_path / "m_c1.lp"
+    two.write_text("0 1\n2 3\n")
+    monkeypatch.chdir(tmp_path)
+    cases = [(path, out) for out in (str(path), "g.txt", str(link))]
+    cases.append((two, str(tmp_path / "m.lp")))
+    for graph, output in cases:
+        code, out, err = run(capsys, "export-lp", str(graph), "-o", output)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "is the input" in err and err.count("\n") == 1
+        assert path.read_text() == "0 1\n1 2\n" and two.read_text() == "0 1\n2 3\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "link.txt", "m_c1.lp"]
+    code, out, err = run(capsys, "export-lp", "g.txt", "-o", "g.lp")
+    assert code == 0 and err == "" and (tmp_path / "g.lp").is_file()
+
+
 def test_export_lp_without_ub_computes_no_lower_bound(tmp_path, capsys, monkeypatch):
     import addcolor.cli as cli
 

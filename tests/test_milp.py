@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import re
@@ -15,7 +14,16 @@ from addcolor.milp import (
 )
 from addcolor.solver import chromatic_exact, eta_exact
 
-from oracles import highs_input, model_optimum, point_feasible, read_lp
+from oracles import (
+    BINARY,
+    INTEGER,
+    Variable,
+    highs_input,
+    model_optimum,
+    point_feasible,
+    read_back,
+    read_lp,
+)
 
 
 def g_of(text):
@@ -24,7 +32,8 @@ def g_of(text):
 
 def big_m(g, u, v, ub):
     """M_uv as build_model emits it: the rhs of the c_z_{u}_{v} row is M - 1."""
-    row = next(c for c in build_model(g, ub).constraints if c.name == f"c_z_{u}_{v}")
+    rows = read_back(build_model(g, ub)).constraints
+    row = next(c for c in rows if c.name == f"c_z_{u}_{v}")
     return row.rhs + 1
 
 
@@ -73,15 +82,15 @@ class TestBuildModel:
 
     def test_k2_optimum(self):
         g = g_of("complete:2")
-        assert model_optimum(build_model(g, 2), g, 2) == 2
+        assert model_optimum(read_back(build_model(g, 2)), g, 2) == 2
 
     def test_c5_optimum(self):
         g = g_of("cycle:5")
-        assert model_optimum(build_model(g, 3), g, 3) == 3
+        assert model_optimum(read_back(build_model(g, 3)), g, 3) == 3
 
     def test_p3_optimum_is_one(self):
         g = g_of("path:3")
-        assert model_optimum(build_model(g, 2), g, 2) == 1
+        assert model_optimum(read_back(build_model(g, 2)), g, 2) == 1
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +102,7 @@ class TestBuildModel:
         for text in ("path:4", "complete:3", "cycle:4", "multipartite:2,1"):
             g = g_of(text)
             ub = eta_exact(g).value + 1
-            model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+            model = read_back(build_model(g, ub, valid, symmetry))
             assert model_optimum(model, g, ub) == eta_exact(g).value
 
     def test_equivalence_all_connected_n6(self, conn_small):
@@ -106,7 +115,7 @@ class TestBuildModel:
             eta = eta_exact(g).value
             ub = eta + 1
             for valid, symmetry in variants:
-                model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+                model = read_back(build_model(g, ub, valid, symmetry))
                 assert model_optimum(model, g, ub) == eta
 
 
@@ -125,7 +134,7 @@ def test_highs_optimum_equals_eta(conn_small, conn_n8, valid, symmetry):
     for g in graphs:
         eta = eta_exact(g).value
         for ub in {eta_upper_bound(g), chromatic_exact(g).value}:
-            model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
+            model = read_back(build_model(g, ub, valid, symmetry))
             result = milp(**highs_input(model))
             assert result.status == 0 and round(result.fun) == eta
 
@@ -152,7 +161,8 @@ class TestRowsByDefinition:
                 for symmetry in (False, True):
                     model = build_model(g, 3, valid, symmetry)
                     gone = model.eliminated_variables
-                    z_rows = [c for c in model.constraints if c.name.startswith("c_z_")]
+                    rows = read_back(model).constraints
+                    z_rows = [c for c in rows if c.name.startswith("c_z_")]
                     assert {c.name for c in z_rows} == {
                         f"c_z_{a}_{b}"
                         for u, v in g.edges() for a, b in ((u, v), (v, u))
@@ -173,12 +183,11 @@ class TestRowsByDefinition:
                         for w in sorted(nbr[u])
                         if f"z_{v}_{w}" not in gone and f"z_{w}_{u}" not in gone
                     ]
-                    assert [c.name for c in model.constraints
-                            if c.name.startswith("c_vi_")] == expected_vi
+                    assert [c.name for c in rows if c.name.startswith("c_vi_")] == expected_vi
 
 
 def valid_rows(g, ub):
-    model = build_model(g, ub, valid_inequalities=True)
+    model = read_back(build_model(g, ub, valid_inequalities=True))
     return [c.name for c in model.constraints if c.name.startswith("c_vi_")]
 
 
@@ -201,8 +210,8 @@ class TestValidInequalities:
             if g.n > 4 or g.edge_count == 0:
                 continue
             ub = eta_exact(g).value + 1
-            base = build_model(g, ub)
-            extended = build_model(g, ub, valid_inequalities=True)
+            base = read_back(build_model(g, ub))
+            extended = read_back(build_model(g, ub, valid_inequalities=True))
             for f in itertools.product(range(1, ub + 1), repeat=g.n):
                 if point_feasible(base, g, f):
                     assert point_feasible(extended, g, f)
@@ -211,10 +220,11 @@ class TestValidInequalities:
 def symmetry_summary(g, ub):
     """(chains added, variables eliminated, rows dropped) of the twin
     symmetry breaking, read off the model against the plain one."""
-    plain = build_model(g, ub)
+    plain = read_back(build_model(g, ub))
     model = build_model(g, ub, twin_symmetry=True)
-    chains = sum(c.name.startswith("c_chain_") for c in model.constraints)
-    dropped = len(plain.constraints) - (len(model.constraints) - chains)
+    rows = read_back(model).constraints
+    chains = sum(c.name.startswith("c_chain_") for c in rows)
+    dropped = len(plain.constraints) - (len(rows) - chains)
     return chains, len(model.eliminated_variables), dropped
 
 
@@ -222,12 +232,12 @@ class TestTwinSymmetry:
     def test_k3_class(self):
         g = g_of("complete:3")
         assert symmetry_summary(g, 3) == (2, 2, 3)
-        assert model_optimum(build_model(g, 3, twin_symmetry=True), g, 3) == 3
+        assert model_optimum(read_back(build_model(g, 3, twin_symmetry=True)), g, 3) == 3
 
     def test_star_false_twins(self):
         g = g_of("multipartite:3,1")  # K_{1,3} with the center last
         assert symmetry_summary(g, 2) == (2, 4, 6)
-        assert model_optimum(build_model(g, 2, twin_symmetry=True), g, 2) == 1
+        assert model_optimum(read_back(build_model(g, 2, twin_symmetry=True)), g, 2) == 1
 
     def test_twin_free_noop(self):
         assert symmetry_summary(g_of("path:4"), 2) == (0, 0, 0)
@@ -244,8 +254,8 @@ class TestTwinSymmetry:
             if g.n > 4 or g.edge_count == 0:
                 continue
             ub = eta_exact(g).value + 1
-            plain = model_optimum(build_model(g, ub), g, ub)
-            broken = model_optimum(build_model(g, ub, twin_symmetry=True), g, ub)
+            plain = model_optimum(read_back(build_model(g, ub)), g, ub)
+            broken = model_optimum(read_back(build_model(g, ub, twin_symmetry=True)), g, ub)
             assert plain == broken == eta_exact(g).value
 
     def test_rows_are_plain_rows_minus_eliminated_plus_chains(self, all_n6):
@@ -256,14 +266,15 @@ class TestTwinSymmetry:
             if g.edge_count == 0:
                 continue
             for valid in (False, True):
-                plain = build_model(g, 3, valid)
+                plain = read_back(build_model(g, 3, valid))
                 model = build_model(g, 3, valid, True)
                 gone = model.eliminated_variables
+                lp = read_back(model)
                 kept = [c for c in plain.constraints
                         if not any(name in gone for _, name in c.terms)]
-                chains = [c for c in model.constraints if c.name.startswith("c_chain_")]
-                assert model.constraints == kept + chains
-                assert [v for v in plain.variables if v.name not in gone] == model.variables
+                chains = [c for c in lp.constraints if c.name.startswith("c_chain_")]
+                assert lp.constraints == kept + chains
+                assert [v for v in plain.variables if v.name not in gone] == lp.variables
                 eliminating += bool(gone)
         assert eliminating > 100
 
@@ -376,23 +387,53 @@ def test_wrapped_rows_match_golden_digest():
 
 
 def test_lp_text_reads_back_as_the_model(all_n6):
-    # an LP reader that shares no code with write_lp recovers every
-    # variable with its kind and bounds, the objective, and every row with
-    # its terms in order, wrapped rows included
+    # an LP reader that shares no code with write_lp finds as many rows as
+    # model_counts reports (wrapped rows included), the model's binaries in
+    # order after k and the labels in [1, UB], and the objective k; the
+    # eliminated z are the binaries that twin symmetry breaking removes
     from addcolor.bounds import combined_bounds
 
     graphs = [g for g in all_n6 if g.edge_count]
     graphs += [g_of(s) for s in GOLDEN_LP_SPECS + GOLDEN_LP_WRAP_SPECS]
-    wrapped = 0
+    wrapped = eliminating = 0
     for g in graphs:
         ub = combined_bounds(g).eta_upper
+        integers = [Variable("k", INTEGER, 1, None)]
+        integers += [Variable(f"f_v{v}", INTEGER, 1, ub) for v in range(g.n)]
         for valid in (False, True):
+            binaries = {}
             for symmetry in (False, True):
                 model = build_model(g, ub, valid_inequalities=valid, twin_symmetry=symmetry)
                 text = write_lp(model)
-                assert read_lp(text) == dataclasses.replace(model, eliminated_variables=frozenset())
+                lp = read_lp(text)
+                counts = model_counts(model)
+                assert len(lp.constraints) == counts["constraints"] == len(model.constraints)
+                assert lp.variables == integers + [Variable(z, BINARY, 0, 1) for z in model.binaries]
+                assert counts["integer_variables"] == len(integers)
+                assert counts["binary_variables"] == len(model.binaries)
+                assert lp.objective == ((1, "k"),)
+                binaries[symmetry] = model.binaries
                 wrapped += "\n    " in text
-    assert wrapped
+            assert model.eliminated_variables == set(binaries[False]) - set(binaries[True])
+            eliminating += bool(model.eliminated_variables)
+    assert wrapped and eliminating
+
+
+def test_large_model_peak_memory():
+    # the model holds each row as text, with no object per term: building
+    # and writing thick-spider:40 (8 660 rows, 146 800 terms) peaked at
+    # 8.4 MB while every term was a (coef, name) tuple
+    import tracemalloc
+
+    g = g_of("thick-spider:40")
+    ub = eta_upper_bound(g)
+    tracemalloc.start()
+    try:
+        write_lp(build_model(g, ub, valid_inequalities=True, twin_symmetry=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 # Models far past the goldens above, as `acp export-lp --valid --symmetry`
