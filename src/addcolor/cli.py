@@ -4,24 +4,28 @@ export, and streaming conjecture sweeps over graph6 corpora.
 Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
 (sweep), 3 a node budget ran out, 4 an internal fault: an eta or chi the
-sweep cannot prove (an audit mismatch, checked before 2 and 3), a search
-that found no eta up to the degree bound or a labeling that does not prove
-its eta (solve), or a construction that does not prove its formula (family).
+sweep cannot prove (an audit mismatch, checked before 2 and 3), a lower
+bound no witness shows, a search that found no eta up to the degree bound
+or a labeling that does not prove its eta (solve), or a construction that
+does not prove its formula (family).
 
-Every printed eta stands on a labeling that `graph.proves_eta` accepts: one
-that verifies with exactly eta labels. In a sweep the layer that decided eta
-hands it over: the bounds' construction for a pinch (eta_source `formula`:
-all ones for eta <= 1, or the split labeling), the search's certificate
-otherwise. A provable fault, that is no eta (the search refuted its upper
-bound, or the bounds crossed) or a labeling that fails the predicate, makes
-the record an audit mismatch at once, with no chi and whatever the budget.
-An unproven eta (a pinch without a construction, eta above chi, or a line
-in the audit sample) is re-solved from lower bound 1 and stands only on the
-same eta with a labeling that passes the same predicate. A record keeps an
-exact chi only when its coloring is proper and its largest color is chi;
-any other is an audit mismatch that shows the coloring. The searches return
-their labelings and colorings unchecked, so these checks are the only ones;
-they are plain `if`s, which `python -O` keeps.
+Every printed eta is proven from both sides. Above, it stands on a labeling
+that `graph.proves_eta` accepts: one that verifies with exactly eta labels.
+In a sweep the layer that decided eta hands it over: the bounds'
+construction for a pinch (eta_source `formula`: all ones for eta <= 1, or
+the split labeling), the search's certificate otherwise; a pinch without a
+construction takes the certificate of a search at [lb, lb]. Below, the
+bounds' lower bound lb, where the search starts, stands on a witness that
+`graph.proves_lower` re-checks from the graph alone; the refutations in
+[lb, eta) rest on the search. A provable fault, that is an unproven lb, no
+eta (the search refuted its upper bound, or the bounds crossed) or a
+labeling that fails `proves_eta`, makes the record an audit mismatch at
+once, with no chi and whatever the budget; an exact re-solve from lower
+bound 1 names the true eta. A record keeps an exact chi only when its
+coloring is proper and its largest color is chi; any other is an audit
+mismatch that shows the coloring. The searches return their labelings and
+colorings unchecked, so these checks are the only ones; they are plain
+`if`s, which `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import os
 import re
 import sys
 import time
-import zlib
 from collections import Counter
 from multiprocessing import Pool
 
@@ -46,6 +49,7 @@ from .graph import (
     connected_components,
     induced_subgraph,
     proves_eta,
+    proves_lower,
 )
 from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
@@ -54,8 +58,6 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 EXIT_AUDIT = 4
-
-AUDIT_RATE = 100  # re-solve roughly 1 in 100 graphs, however eta was decided
 
 # records per pool task at --workers > 1: the parent pickles every task and
 # result, so small chunks make it the limit. Whole-command `acp sweep
@@ -172,7 +174,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"graph: n={g.n} m={g.edge_count} components={len(comps)}")
     best = 0
     for idx, (comp, sub) in enumerate(comps, 1):
-        result = _solver.eta_exact(sub, node_budget=args.budget)
+        report = _bounds.combined_bounds(sub)
+        if not proves_lower(sub, report.witnesses, report.eta_lower):
+            print(f"error: component {idx}: no bounds witness shows eta >= {report.eta_lower} "
+                  f"(internal fault)", file=sys.stderr)
+            return EXIT_AUDIT
+        result = _solver.eta_exact(sub, report.eta_lower, node_budget=args.budget)
         if result.status == _solver.BUDGET_EXCEEDED:
             print(f"component {idx}: budget exceeded after {result.stats.nodes} nodes")
             return EXIT_BUDGET
@@ -273,20 +280,24 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         return text, status, g.n, None, None
 
     report = _bounds.combined_bounds(g)
+    lb, ub = report.eta_lower, report.eta_upper
+    # eta's lower side: a witness of the bounds, re-checked from g alone
+    proven = proves_lower(g, report.witnesses, lb)
     labeling = None  # the deciding layer's proof of eta(g) <= eta
-    if report.eta_lower == report.eta_upper:
-        eta, eta_source, labeling = report.eta_lower, "formula", report.labeling
-    elif report.eta_lower < report.eta_upper:
-        result = _solver.eta_exact(
-            g, report.eta_lower, report.eta_upper, node_budget=budget
-        )
+    if lb == ub:
+        eta, eta_source, labeling = lb, "formula", report.labeling
+    # a search, or a pinch without a construction, which the search at
+    # [lb, lb] labels; an unproven lb is a fault, and no search can clear it
+    if proven and lb <= ub and labeling is None:
+        result = _solver.eta_exact(g, lb, ub, node_budget=budget)
         if result.status == _solver.BUDGET_EXCEEDED:
             return record("budget-exceeded")
         eta, labeling = result.value, result.certificate
-    # a provable fault, which no budget or chi can clear: no eta (the search
-    # refuted its upper bound, or the bounds crossed), or a deciding labeling
-    # that does not prove it. The re-solve from lb = 1 only shows the true eta
-    if eta is None or labeling is not None and not proves_eta(g, labeling, eta):
+    # a provable fault, which no budget or chi can clear: an unproven lb, no
+    # eta (the search refuted its upper bound, or the bounds crossed), or a
+    # deciding labeling that does not prove it (`proves_eta` is false for a
+    # missing eta). The re-solve from lb = 1 only shows the true eta
+    if not (proven and proves_eta(g, labeling, eta)):
         recheck = _solver.eta_exact(g, 1, node_budget=budget)
         return record("audit-mismatch", f"eta_solver={recheck.value if recheck.ok else ''}")
     chi_result = _solver.chromatic_exact(g, node_budget=budget)
@@ -299,20 +310,11 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
     chi_cert = chi_result.certificate
     if not (_solver.verify_proper_coloring(g, chi_cert) and max(chi_cert, default=0) == chi):
         return record("audit-mismatch", "chi_cert=" + ",".join(map(str, chi_cert)))
-    # an unproven eta (a pinch without a construction, eta above chi, or the
-    # ~1% CRC audit sample) stands only if the re-solve from lb = 1 returns it
-    # with a labeling that proves it: a violation owes nothing to the bounds
-    if labeling is None or eta > chi or zlib.crc32(line.encode()) % AUDIT_RATE == 0:
-        recheck = _solver.eta_exact(g, 1, node_budget=budget)
-        if not recheck.ok:
-            return record("budget-exceeded")
-        if recheck.value != eta or not proves_eta(g, recheck.certificate, eta):
-            return record("audit-mismatch", f"eta_solver={recheck.value}")
     if eta <= chi:
         return record("holds")
     return record(
         "VIOLATION",
-        "eta_cert=" + ",".join(str(x) for x in recheck.certificate.labels),
+        "eta_cert=" + ",".join(map(str, labeling.labels)),
         "chi_cert=" + ",".join(map(str, chi_cert)),
     )
 

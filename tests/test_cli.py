@@ -5,13 +5,12 @@ import re
 import subprocess
 import sys
 import time
-import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import addcolor.graph as graph_module
-from addcolor.cli import AUDIT_RATE, main
+from addcolor.cli import main
 from addcolor.families import eta_formula, generate, parse_spec
 from addcolor.graph import Graph, Labeling, verify_additive_coloring
 from addcolor.graph6 import write_graph6
@@ -422,6 +421,21 @@ def test_solve_reports_no_eta_up_to_the_degree_bound_as_a_fault(capsys, monkeypa
     assert err.startswith("error: ") and err.count("\n") == 1 and "(internal fault)" in err
 
 
+def test_solve_refuses_a_lower_bound_no_witness_shows(capsys, monkeypatch):
+    # DUw has eta 2; a search started at 3 would print eta = 3 with a 3-label
+    # labeling that verifies, but no witness of the bounds shows eta >= 3
+    import addcolor.cli as cli
+
+    code, out, err = run(capsys, "solve", "DUw")
+    assert code == 0 and err == ""
+    assert out.endswith("component 1: n=5 eta=2 labeling: 1:1 2:1 3:2 4:2 5:1\neta = 2\n")
+    lower_bound_one_too_high(monkeypatch)
+    code, out, err = run(capsys, "solve", "DUw")
+    assert code == cli.EXIT_AUDIT == 4
+    assert "labeling:" not in out and "eta =" not in out
+    assert err == "error: component 1: no bounds witness shows eta >= 3 (internal fault)\n"
+
+
 @pytest.mark.parametrize(
     "text",
     ["thick-spider:7", "thick-spider:8", "thick-spider:9", "thick-spider:10",
@@ -620,12 +634,11 @@ def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
     import addcolor.cli as cli
 
     pinch_one_too_high(monkeypatch)
-    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
     corpus = tmp_path / "k3.g6"
     corpus.write_text("Bw\n")
     code, out, err = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT == 4
-    assert "Bw\t3\t3\t4\t3\tformula\texact\taudit-mismatch\teta_solver=3\n" in out
+    assert "Bw\t3\t3\t4\t\tformula\t\taudit-mismatch\teta_solver=3\n" in out
     assert ("# holds: 0 violations: 0 budget_exceeded: 0 parse_errors: 0 "
             "audit_mismatches: 1\n") in out
     assert "Traceback" not in out + err
@@ -633,21 +646,21 @@ def test_sweep_audit_mismatch_is_a_record(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, exit_code, status", [
     ((), 4, "audit-mismatch\teta_solver=3"),
-    (("--budget", "2"), 3, "budget-exceeded"),
+    # 2 nodes do not re-solve K_3 from lb = 1: the fault stands, and only
+    # the re-solve's value is missing
+    (("--budget", "2"), 4, "audit-mismatch\teta_solver="),
 ])
 def test_sweep_formula_above_chi_is_rechecked(
     tmp_path, capsys, monkeypatch, argv, exit_code, status
 ):
-    # Bw is outside the default audit sample: only eta > chi re-solves it
-    import addcolor.cli as cli
-
-    assert zlib.crc32(b"Bw") % cli.AUDIT_RATE
+    # K_3 pinched at 4 (above chi = 3) has no witness of eta >= 4: its twin
+    # class shows 3, so the record is a fault before chi, whatever the budget
     pinch_one_too_high(monkeypatch)
     corpus = tmp_path / "k3.g6"
     corpus.write_text("Bw\n")
     code, out, err = run(capsys, "sweep", str(corpus), *argv)
     assert code == exit_code
-    assert f"Bw\t3\t3\t4\t3\tformula\texact\t{status}\n" in out
+    assert f"Bw\t3\t3\t4\t\tformula\t\t{status}\n" in out
     assert "VIOLATION" not in out and "Traceback" not in out + err
 
 
@@ -693,46 +706,120 @@ def lower_bound_one_too_high(monkeypatch):
 
 
 def test_sweep_searched_eta_above_chi_is_rechecked(tmp_path, capsys, monkeypatch):
-    # ECZ_ (bipartite, 6 edges) has eta 2 = chi; a search started at 3 claims
-    # eta 3 with a labeling of 3 labels, which proves no fault, and the
-    # re-solve from 1 must turn that into an audit mismatch, not a VIOLATION
+    # ECZ_ (bipartite, 6 edges) has eta 2 = chi; a search started at 3 would
+    # claim eta 3 with a labeling of 3 labels, which proves no fault, but no
+    # witness shows eta >= 3: an audit mismatch before any search, not a
+    # VIOLATION
     import addcolor.cli as cli
 
-    assert zlib.crc32(b"ECZ_") % cli.AUDIT_RATE
     lower_bound_one_too_high(monkeypatch)
     corpus = tmp_path / "one.g6"
     corpus.write_text("ECZ_\n")
     code, out, err = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT == 4
-    assert out.startswith("ECZ_\t6\t6\t3\t2\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert out.startswith("ECZ_\t6\t6\t\t\tsolver\t\taudit-mismatch\teta_solver=2\n")
     assert "VIOLATION" not in out and " violations: 0 " in out and err == ""
 
 
-def test_sweep_audit_samples_searched_records(tmp_path, capsys, monkeypatch):
-    # a search started one above eta is caught by its own certificate when
-    # that uses fewer labels: DQw (eta 2, chi 3) is claimed at 3 with the
-    # 2-label (1, 1, 2, 1, 1), outside the audit sample, a fault found before
-    # chi is solved. DUw (eta 2, chi 3) is claimed at 3 with the 3-label
-    # (1, 1, 1, 3, 1), so it still "holds"; only an audit sample that takes
-    # searched records catches it
+@pytest.mark.parametrize("line", ["DQw", "DUw"])
+def test_sweep_audit_checks_every_searched_record(tmp_path, capsys, monkeypatch, line):
+    # a search started one above eta: DQw (eta 2, chi 3) would be claimed at
+    # 3 with the 2-label (1, 1, 2, 1, 1), which its own certificate refutes,
+    # and DUw (eta 2, chi 3) at 3 with the 3-label (1, 1, 1, 3, 1), which
+    # verifies. Neither lower bound of 3 has a witness, so both records are
+    # faults before the search, on every line and not on a sample of them
     import addcolor.cli as cli
 
-    assert zlib.crc32(b"DQw") % cli.AUDIT_RATE and zlib.crc32(b"DUw") % cli.AUDIT_RATE
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(line + "\n")
+    assert run(capsys, "sweep", str(corpus))[1].startswith(f"{line}\t5\t")
     lower_bound_one_too_high(monkeypatch)
-    corpus = tmp_path / "dqw.g6"
-    corpus.write_text("DQw\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4 and err == ""
+    fields = out.splitlines()[0].split("\t")
+    assert fields[3:] == ["", "", "solver", "", "audit-mismatch", "eta_solver=2"]
+
+
+def test_sweep_lower_bound_one_too_high_faults_every_searched_record(
+    tmp_path, capsys, monkeypatch, conn_corpus_path
+):
+    # every record whose bounds do not pinch starts its search one above its
+    # witnessed lower bound, and ends as an audit mismatch that names the
+    # true eta; the pinched records are untouched
+    from addcolor.bounds import combined_bounds
+    from addcolor.graph6 import parse_graph6
+
+    report = tmp_path / "report.txt"
+    assert main(["sweep", str(conn_corpus_path), "-o", str(report)]) == 0
+    truth = sweep_records(report)
+    lower_bound_one_too_high(monkeypatch)
+    code, _, err = run(capsys, "sweep", str(conn_corpus_path), "-o", str(report))
+    assert code == 4 and err == ""
+    searched = 0
+    for line, fields in sweep_records(report).items():
+        bounds = combined_bounds(parse_graph6(line))
+        if bounds.eta_lower == bounds.eta_upper:
+            assert fields == truth[line], line
+        else:
+            searched += 1
+            assert fields[5:] == ["audit-mismatch", f"eta_solver={truth[line][2]}"], line
+    assert searched and f" audit_mismatches: {searched}\n" in report.read_text()
+
+
+def test_sweep_pinch_above_its_witness_with_a_verifying_labeling_is_a_fault(
+    tmp_path, capsys, monkeypatch
+):
+    # C_4 (eta 2 = chi) pinched at 3 with (1, 1, 1, 3), which verifies with
+    # exactly 3 labels (sums 4, 2, 4, 2): the upper side holds, but no
+    # witness shows eta >= 3, so the record is a fault and not a VIOLATION
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport, combined_bounds
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", lambda g: BoundsReport(
+        3, 3, combined_bounds(g).witnesses, Labeling((1, 1, 1, 3))))
+    corpus = tmp_path / "c4.g6"
+    corpus.write_text("Cl\n")
+    code, out, err = run(capsys, "sweep", str(corpus))
+    assert code == cli.EXIT_AUDIT == 4 and err == ""
+    assert out.startswith("Cl\t4\t4\t3\t\tformula\t\taudit-mismatch\teta_solver=2\n")
+    assert " violations: 0 " in out
+
+
+def test_sweep_pinch_without_a_construction_is_searched_at_its_bound(
+    tmp_path, capsys, monkeypatch
+):
+    # a pinch that hands over no labeling takes the certificate of one search
+    # at [lb, lb] and keeps its eta_source; a certificate with one label over
+    # (on K_3, (1, 2, 4) gives sums 6, 5, 3) proves nothing
+    import dataclasses
+
+    import addcolor.cli as cli
+
+    drop_the_pinch_labeling(monkeypatch)
+    eta_exact = cli._solver.eta_exact
+    calls = []
+
+    def record_calls(g, lb=None, ub=None, **kwargs):
+        calls.append((lb, ub))
+        return eta_exact(g, lb, ub, **kwargs)
+
+    monkeypatch.setattr(cli._solver, "eta_exact", record_calls)
+    corpus = tmp_path / "k3.g6"
+    corpus.write_text("Bw\n")
+    code, out, _ = run(capsys, "sweep", str(corpus))
+    assert code == 0 and out.startswith("Bw\t3\t3\t3\t3\tformula\texact\tholds\n")
+    assert calls == [(3, 3)]
+
+    def one_label_over(g, lb=None, ub=None, **kwargs):
+        result = eta_exact(g, lb, ub, **kwargs)
+        if lb == ub:
+            result = dataclasses.replace(result, certificate=Labeling((1, 2, 4)))
+        return result
+
+    monkeypatch.setattr(cli._solver, "eta_exact", one_label_over)
     code, out, _ = run(capsys, "sweep", str(corpus))
     assert code == cli.EXIT_AUDIT
-    assert out.startswith("DQw\t5\t5\t3\t\tsolver\t\taudit-mismatch\teta_solver=2\n")
-    corpus = tmp_path / "duw.g6"
-    corpus.write_text("DUw\n")
-    assert run(capsys, "sweep", str(corpus))[1].startswith(
-        "DUw\t5\t6\t3\t3\tsolver\texact\tholds\n"
-    )
-    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
-    code, out, _ = run(capsys, "sweep", str(corpus))
-    assert code == cli.EXIT_AUDIT
-    assert out.startswith("DUw\t5\t6\t3\t3\tsolver\texact\taudit-mismatch\teta_solver=2\n")
+    assert out.startswith("Bw\t3\t3\t3\t\tformula\t\taudit-mismatch\teta_solver=3\n")
 
 
 def drop_the_pinch_labeling(monkeypatch):
@@ -746,51 +833,6 @@ def drop_the_pinch_labeling(monkeypatch):
                         lambda g: dataclasses.replace(combined_bounds(g), labeling=None))
 
 
-def audit_every_line(monkeypatch):
-    import addcolor.cli as cli
-
-    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
-
-
-@pytest.mark.parametrize("line, labels, forced, source", [
-    # C_4 (eta 2) is searched; (1, 1, 1, 3) gives sums 4, 2, 4, 2
-    ("Cl", (1, 1, 1, 3), audit_every_line, "solver"),
-    # K_3 (eta 3) pinches; (1, 2, 4) gives sums 6, 5, 3
-    ("Bw", (1, 2, 4), drop_the_pinch_labeling, "formula"),
-])
-def test_sweep_resolve_needs_exactly_eta_labels(
-    tmp_path, capsys, monkeypatch, line, labels, forced, source
-):
-    # the re-solve from lower bound 1 returns the true eta with a labeling
-    # that verifies but has one label more: it does not prove that eta
-    import dataclasses
-
-    import addcolor.cli as cli
-    from addcolor.graph6 import parse_graph6
-
-    eta_exact = cli._solver.eta_exact
-
-    def resolve_one_label_over(g, lb=None, ub=None, **kwargs):
-        result = eta_exact(g, lb, ub, **kwargs)
-        if ub is None:
-            result = dataclasses.replace(result, certificate=Labeling(labels))
-        return result
-
-    g = parse_graph6(line)
-    eta = eta_exact(g).value
-    assert max(labels) == eta + 1 and verify_additive_coloring(g, Labeling(labels))
-    forced(monkeypatch)
-    monkeypatch.setattr(cli._solver, "eta_exact", resolve_one_label_over)
-    corpus = tmp_path / "one.g6"
-    corpus.write_text(line + "\n")
-    code, out, err = run(capsys, "sweep", str(corpus))
-    assert code == cli.EXIT_AUDIT == 4 and err == ""
-    assert out.startswith(
-        f"{line}\t{g.n}\t{g.edge_count}\t{eta}\t{eta}\t{source}\texact"
-        f"\taudit-mismatch\teta_solver={eta}\n"
-    )
-
-
 @pytest.mark.parametrize("budget", ["0", "5", "50"])
 def test_sweep_sound_program_shows_no_fault_at_any_budget(capsys, conn_corpus_path, budget):
     # a fault is reported before chi and whatever the budget does, so a tight
@@ -798,45 +840,6 @@ def test_sweep_sound_program_shows_no_fault_at_any_budget(capsys, conn_corpus_pa
     code, out, _ = run(capsys, "sweep", str(conn_corpus_path), "--budget", budget)
     assert code in (0, 3)
     assert " audit_mismatches: 0\n" in out
-
-
-def test_sweep_checks_the_audit_labeling(tmp_path, capsys, monkeypatch):
-    # the re-solve from lower bound 1 (the only eta_exact call without an
-    # upper bound) returns its value with a labeling of as many labels that
-    # gives every vertex the same sum; every record is re-solved at
-    # AUDIT_RATE 1, and that labeling alone makes it an audit mismatch
-    import dataclasses
-
-    import addcolor.cli as cli
-    from addcolor.graph6 import parse_graph6
-
-    eta_exact = cli._solver.eta_exact
-
-    def corrupt_resolve(g, lb=None, ub=None, **kwargs):
-        result = eta_exact(g, lb, ub, **kwargs)
-        if ub is None:
-            labels = (result.certificate.k,) * g.n
-            result = dataclasses.replace(result, certificate=Labeling(labels))
-        return result
-
-    # K_3 (a pinch), C_4, and DQw and DUw, which are searched
-    lines = ["Bw", "Cl", "DQw", "DUw"]
-    corpus = tmp_path / "corpus.g6"
-    corpus.write_text("".join(line + "\n" for line in lines))
-    report = tmp_path / "report.txt"
-    monkeypatch.setattr(cli, "AUDIT_RATE", 1)
-    assert main(["sweep", str(corpus), "-o", str(report)]) == 0
-    truth = sweep_records(report)
-    assert {fields[5] for fields in truth.values()} == {"holds"}
-    monkeypatch.setattr(cli._solver, "eta_exact", corrupt_resolve)
-    code, _, err = run(capsys, "sweep", str(corpus), "-o", str(report))
-    assert code == cli.EXIT_AUDIT and err == ""
-    for line, fields in sweep_records(report).items():
-        eta = truth[line][2]
-        assert fields == truth[line][:5] + ["audit-mismatch", f"eta_solver={eta}"], line
-        g = parse_graph6(line)
-        assert not verify_additive_coloring(g, Labeling((int(eta),) * g.n))
-    assert " audit_mismatches: 4\n" in report.read_text()
 
 
 def pinch_one_too_low(monkeypatch):
@@ -937,8 +940,8 @@ def test_sweep_wrong_bound_ends_as_audit_mismatch(
 @pytest.mark.parametrize("line, mutant, budget", [
     # the bounds cross (lower 3 > upper 2): 10 nodes do not re-solve it
     ("G?ACN{", split_bound_one_too_low, 10),
-    # the search claims eta 3 with a 2-label labeling in 5 nodes, which do
-    # not re-solve it from 1
+    # no witness shows the lower bound 3, and 5 nodes do not re-solve it
+    # from 1
     ("DQw", lower_bound_one_too_high, 5),
 ])
 def test_sweep_provable_fault_ignores_the_budget(
@@ -962,9 +965,9 @@ def test_sweep_over_pruning_search_ends_as_audit_mismatch(
     tmp_path, capsys, monkeypatch, conn_corpus_path
 ):
     # a clique check that fails every table of 3 or more spans refutes
-    # feasible k, in the search and in its re-solve from 1 alike, so the
-    # values agree; but where the labeling the search then finds has fewer
-    # labels than the eta it backs, that labeling proves the search wrong
+    # feasible k above the witnessed lower bound, where only the search
+    # stands; but where the labeling the search then finds has fewer labels
+    # than the eta it backs, that labeling proves the search wrong
     import addcolor.solver as solver
     from addcolor.bounds import combined_bounds
     from addcolor.graph6 import parse_graph6
@@ -1051,9 +1054,10 @@ def test_sweep_refuses_a_chi_coloring_that_is_not_proper(tmp_path, capsys, monke
 
 
 def test_sweep_violation_with_verifying_certificates(tmp_path, capsys, monkeypatch):
-    # the search and its re-solve both claim eta(C_4) = 3 with (1, 1, 1, 3),
-    # which verifies with 3 labels (sums 4, 2, 4, 2), and chi = 2 has its
-    # proper 2-coloring: a violation both certificates back ends as exit 2
+    # the search claims eta(C_4) = 3 with (1, 1, 1, 3), which verifies with
+    # 3 labels (sums 4, 2, 4, 2), above its witnessed lower bound 2, and
+    # chi = 2 has its proper 2-coloring: a violation both certificates back
+    # ends as exit 2 and prints the search's labeling
     import addcolor.cli as cli
 
     solver = cli._solver
@@ -1072,11 +1076,10 @@ def test_sweep_violation_with_verifying_certificates(tmp_path, capsys, monkeypat
 
 
 def test_sweep_chi_budget_reports_dsatur_only(tmp_path, capsys):
-    # the bounds decide eta = 1, the line is outside the audit sample, and
-    # the chi search places 12 colors before it refutes k = 2
+    # the bounds decide eta = 1, and the chi search places 12 colors before
+    # it refutes k = 2
     corpus = tmp_path / "one.g6"
     corpus.write_text("G?bvbo\n")
-    assert zlib.crc32(b"G?bvbo") % AUDIT_RATE
     code, out, _ = run(capsys, "sweep", str(corpus), "--budget", "11")
     assert code == 3
     assert out.startswith("G?bvbo\t8\t13\t1\t3\tformula\tdsatur-only\tbudget-exceeded\n")

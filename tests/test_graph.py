@@ -12,14 +12,16 @@ from addcolor.graph import (
     induced_subgraph,
     neighborhood_sum,
     proves_eta,
+    proves_lower,
     twin_refined_partition,
     verify_additive_coloring,
 )
 from addcolor.bounds import combined_bounds, is_eta_one
 from addcolor.families import generate, parse_spec
+from addcolor.graph6 import parse_graph6
 from addcolor.solver import chromatic_exact, eta_exact
 
-from oracles import is_additive, twin_classes_naive
+from oracles import additive_labelings, eta_naive, is_additive, twin_classes_naive
 from test_families import small_specs
 
 
@@ -190,6 +192,74 @@ class TestProvesEta:
 
     def test_empty_graph(self):
         assert proves_eta(Graph.from_edges(0, []), Labeling(()), 0)
+
+
+# EUuw: K_4 on {0, 3, 4, 5}, all of degree 4, plus 1 ~ 3, 4 and 2 ~ 0, 5; no
+# two of its vertices are true twins, and eta(EUuw) = 3
+CLIQUE_ONLY = "EUuw"
+
+
+class TestProvesLower:
+    @pytest.mark.parametrize("g, witness, lb", [
+        (cycle(4), ("equal_degree_edge", None), 2),
+        (complete(4), ("true_twins", (0, 1, 2, 3)), 4),
+        # the clique bound ceil((4 + 1) / (4 - 4 + 2)) = 3
+        (parse_graph6(CLIQUE_ONLY), ("clique", (0, 5, 3, 4)), 3),
+    ])
+    def test_accepts_each_kind_up_to_its_value(self, g, witness, lb):
+        assert all(proves_lower(g, [witness], k) for k in range(lb + 1))
+        assert not proves_lower(g, [witness], lb + 1)
+
+    @pytest.mark.parametrize("g, witness, lb", [
+        # 0 and 2 are not adjacent, though a triangle of degree-2 vertices
+        # would show eta >= 3
+        (cycle(4), ("clique", (0, 1, 2)), 3),
+        # the leaves of a star are false twins, not true ones
+        (star(3), ("true_twins", (1, 2, 3)), 2),
+        (cycle(4), ("true_twins", (0, 1)), 2),
+        # every edge of a star joins the center to a leaf
+        (star(3), ("equal_degree_edge", None), 2),
+        # a prefix of the clique shows ceil(5 / 3) = 2 only
+        (parse_graph6(CLIQUE_ONLY), ("clique", (0, 5, 3)), 3),
+    ])
+    def test_rejects_a_false_witness(self, g, witness, lb):
+        assert not proves_lower(g, [witness], lb)
+
+    def test_no_witness_is_needed_up_to_one_label(self):
+        assert proves_lower(Graph.from_edges(0, []), (), 0)
+        assert not proves_lower(Graph.from_edges(0, []), (), 1)
+        assert proves_lower(path(2), (), 1)
+        assert not proves_lower(path(2), (), 2)
+
+    def test_upper_side_witnesses_show_nothing(self):
+        g = complete(4)
+        witnesses = combined_bounds(g).witnesses
+        assert proves_lower(g, witnesses, 4)
+        upper = [w for w in witnesses if w[0] in ("max_degree", "split", "degree_distinct_edges")]
+        assert upper and not proves_lower(g, upper, 2)
+
+    @pytest.mark.parametrize("witness", [
+        ("clique", None), ("clique", ()), ("clique", (0, 0)), ("clique", (0, 9)),
+        ("clique", (-1, 0)), ("clique", [0, 1]), ("true_twins", "ab"),
+        ("true_twins", (0.0, 1)), ("true_twins", (True, 0)), ("clique",), "clique", None,
+        ("clique", (0, 1), 4),
+    ])
+    def test_malformed_witness_shows_nothing(self, witness):
+        assert not proves_lower(complete(4), [witness], 2)
+
+    def test_every_bound_of_the_corpora_is_proven_and_no_higher(self, all_n6, conn_small):
+        # eta_naive enumerates every labeling, which costs about 5 s over the
+        # densest n = 7 graphs; there the pruned enumeration shows instead
+        # that no labeling with lb - 1 labels is additive
+        for g in all_n6 + conn_small:
+            report = combined_bounds(g)
+            lb = report.eta_lower
+            assert proves_lower(g, report.witnesses, lb)
+            assert not proves_lower(g, report.witnesses, lb + 1)
+            if g.n <= 6:
+                assert lb <= eta_naive(g)
+            else:
+                assert next(additive_labelings(g, lb - 1), None) is None
 
 
 class TestTwins:
