@@ -1294,10 +1294,22 @@ ETA_BY_N = {
 }
 
 
+# sha256 of the n = 8 report with its `# elapsed_seconds` line dropped,
+# computed while DSATUR gave every chi's upper bound: it pins the 11 117 chi
+# values that the tally line alone does not
+GOLDEN_SWEEP_N8 = "3d1b2567f8ca25d636a560efe1716e0ae07f8494490fb537d8eea0233b49694b"
+
+
 def test_sweep_n8_eta_tally(capsys):
+    import hashlib
+
     from conftest import DATA
 
     code, out, _ = run(capsys, "sweep", str(DATA / "graphs_conn_n8.g6"), "--workers", "2")
     assert code == 0
+    kept = "".join(
+        ln for ln in out.splitlines(keepends=True) if not ln.startswith("# elapsed_seconds")
+    )
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_SWEEP_N8
     assert f"# eta_by_n: {ETA_BY_N['graphs_conn_n8.g6']}\n" in out
     assert "# holds: 11117 violations: 0 " in out

@@ -22,6 +22,7 @@ from addcolor.solver import (
     greedy_clique_lower_bound,
     verify_proper_coloring,
     _clique_terms,
+    _greedy_coloring,
     _hall_ok,
 )
 
@@ -56,10 +57,18 @@ GOLDEN_ETA = "bae4f5bd262d97cf16fb708d76ec69c64dcd0dbfa94c6e371381f6b17830fe76"
 # found first.
 GOLDEN_ARMING = "96e2030e8d029f73d462ecfd3a21b3440eea4ec521f73934a899e6dc296f9e79"
 # sha256 over (value, certificate) of chromatic_exact on every graph of
-# graphs_conn_n1-7.g6, then graphs_conn_n8.g6; computed with the recursive
-# k-colorability search, which the index loop must match labeling for
-# labeling.
-GOLDEN_CHI = "5ce102668fd9edaaa2fc766d498e2bbd2a039c0c799b04983bce54163584af79"
+# graphs_conn_n1-7.g6, then graphs_conn_n8.g6. The coloring pinned is the
+# greedy one over the search order where it meets the clique bound,
+# otherwise DSATUR's if that uses fewer colors, and the k-colorability
+# search's where the search finds fewer still; re-pinned when the greedy
+# coloring replaced DSATUR as the first upper bound, with GOLDEN_CHI_VALUES
+# unchanged.
+GOLDEN_CHI = "dea54a531ea9bf71cb98bbde88db42aae28101dd8cec4c604c8ef93c74200b2a"
+
+# sha256 over chromatic_exact(g).value alone on the same graphs; computed
+# while DSATUR gave every upper bound, so no change to the upper bound may
+# move a chi.
+GOLDEN_CHI_VALUES = "1f5de15ad9862b7c14921905524c490c591c17b0609ced232c00ddf00401397a"
 
 
 def planted_coloring(n, k, seed):
@@ -601,6 +610,29 @@ class TestDsatur:
             assert dsatur(g) == dsatur_naive(g)
 
 
+class TestGreedyColoring:
+    def test_proper_with_max_color_as_count(self, all_n6, conn_small, conn_n8):
+        graphs = all_n6 + conn_small + conn_n8 + [g_of(text) for text in small_specs()]
+        graphs += [make() for _, make, _ in CHI_ABOVE_16]
+        for g in graphs:
+            count, colors = _greedy_coloring(g)
+            assert len(colors) == g.n
+            assert all(colors[u] != colors[v] for u, v in g.edges())
+            assert set(colors) <= set(range(1, count + 1))
+            assert max(colors, default=0) == count
+
+    def test_dsatur_runs_iff_greedy_misses_the_clique_bound(self, monkeypatch, conn_n8):
+        calls = []
+        monkeypatch.setattr(solver, "dsatur", lambda g: calls.append(g) or dsatur(g))
+        nodes = 0
+        for g in conn_n8:
+            before = len(calls)
+            nodes += chromatic_exact(g).stats.nodes
+            missed = _greedy_coloring(g)[0] > greedy_clique_lower_bound(g)
+            assert len(calls) - before == missed
+        assert len(calls) == 862 and nodes == 4615
+
+
 class TestChromatic:
     def test_petersen(self, petersen):
         assert chromatic_exact(petersen).value == 3
@@ -612,8 +644,8 @@ class TestChromatic:
         assert chromatic_exact(g_of("wheel:5")).value == 4
 
     def test_budget_exceeded(self):
-        # DSATUR colors G?bvbo with 3, the clique bound is 2, and refuting
-        # k = 2 places 12 colors
+        # the greedy coloring and DSATUR both color G?bvbo with 3, the
+        # clique bound is 2, and refuting k = 2 places 12 colors
         g = parse_graph6("G?bvbo")
         assert chromatic_exact(g).stats.nodes == 12
         for budget in (0, 11):
@@ -635,10 +667,9 @@ class TestChromatic:
         result = chromatic_exact(g)
         assert result.ok and result.value == chi
         assert verify_proper_coloring(g, result.certificate) and max(result.certificate) == chi
-        if dsatur(g)[0] == greedy_clique_lower_bound(g):
-            assert result.stats.nodes == 0
-        else:
-            assert result.stats.nodes > 0
+        # no search iff the better of the two colorings meets the clique bound
+        better = min(_greedy_coloring(g)[0], dsatur(g)[0])
+        assert (result.stats.nodes == 0) == (better == greedy_clique_lower_bound(g))
 
     def test_certificate(self):
         g = g_of("wheel:6")
@@ -646,10 +677,10 @@ class TestChromatic:
         assert verify_proper_coloring(g, result.certificate)
         assert max(result.certificate) == result.value
 
-    def test_certificates_are_proper_with_max_value(self, all_n6, conn_small):
+    def test_certificates_are_proper_with_max_value(self, all_n6, conn_small, conn_n8):
         # chromatic_exact returns its coloring unchecked; check every one
         # here, independently of verify_proper_coloring
-        for g in all_n6 + conn_small + [g_of(text) for text in small_specs()]:
+        for g in all_n6 + conn_small + conn_n8 + [g_of(text) for text in small_specs()]:
             result = chromatic_exact(g)
             colors = result.certificate
             assert result.ok and len(colors) == g.n
@@ -669,14 +700,18 @@ class TestChromatic:
                 break
             assert chromatic_exact(g).value == chi_naive(g)
 
-    def test_results_match_golden_digest(self):
+    def test_results_match_golden_digest(self, conn_small, conn_n8):
         digest = hashlib.sha256()
-        for name in ("graphs_conn_n1-7.g6", "graphs_conn_n8.g6"):
-            for line in (DATA / name).read_text().split():
-                g = parse_graph6(line)
-                result = chromatic_exact(g)
-                digest.update(f"{result.value} {result.certificate}\n".encode())
+        for g in conn_small + conn_n8:
+            result = chromatic_exact(g)
+            digest.update(f"{result.value} {result.certificate}\n".encode())
         assert digest.hexdigest() == GOLDEN_CHI
+
+    def test_values_match_golden_digest(self, conn_small, conn_n8):
+        digest = hashlib.sha256()
+        for g in conn_small + conn_n8:
+            digest.update(f"{chromatic_exact(g).value}\n".encode())
+        assert digest.hexdigest() == GOLDEN_CHI_VALUES
 
     def test_clique_bound_valid(self, conn_small):
         for g in conn_small:
