@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
 (sweep), 3 a node budget ran out, 4 an internal fault: an eta or chi the
 sweep cannot prove (an audit mismatch, checked before 2 and 3), a lower
-bound no witness shows, a search that found no eta up to the degree bound
-or a labeling that does not prove its eta (solve), or a construction that
-does not prove its formula (family).
+bound no witness shows, crossed bounds, a search that found no eta up to
+the bounds' upper bound or a labeling that does not prove its eta (solve),
+or a construction that does not prove its formula, a lower bound no
+witness shows or a formula below that bound (family).
 
 Every printed eta is proven from both sides. Above, it stands on a labeling
 that `graph.proves_eta` accepts: one that verifies with exactly eta labels.
@@ -17,7 +18,8 @@ the split labeling), the search's certificate otherwise; a pinch without a
 construction takes the certificate of a search at [lb, lb]. Below, the
 bounds' lower bound lb, where the search starts, stands on a witness that
 `graph.proves_lower` re-checks from the graph alone; the refutations in
-[lb, eta) rest on the search. A provable fault, that is an unproven lb, no
+[lb, eta) rest on the search, and in `acp family`, which prints that
+witness, on the closed form. A provable fault, that is an unproven lb, no
 eta (the search refuted its upper bound, or the bounds crossed) or a
 labeling that fails `proves_eta`, makes the record an audit mismatch at
 once, with no chi and whatever the budget; an exact re-solve from lower
@@ -153,13 +155,34 @@ def cmd_family(args: argparse.Namespace) -> int:
         return EXIT_AUDIT
     g = cert.graph
     report = _bounds.combined_bounds(g)
+    lb = report.eta_lower
+    # eta's lower side: the first bounds witness that shows lb, re-checked
+    # from g alone; the closed form alone carries the rest up to eta
+    if lb <= min(g.n, 1):
+        witness = f"none needed (eta = {lb})"
+    else:
+        shown = next((w for w in report.witnesses if proves_lower(g, (w,), lb)), None)
+        if shown is None:
+            print(f"error: {spec.text()}: no bounds witness shows eta >= {lb} (internal fault)",
+                  file=sys.stderr)
+            return EXIT_AUDIT
+        kind, members = shown
+        if members is not None:
+            kind += " " + ",".join(str(v + 1) for v in members)
+        witness = f"{kind} (eta >= {lb}, re-checked)"
+    if cert.eta < lb:
+        print(f"error: {spec.text()}: eta={cert.eta} is below the witnessed lower bound {lb} "
+              f"(internal fault)", file=sys.stderr)
+        return EXIT_AUDIT
+    if cert.eta > lb:
+        witness += f"; eta >= {cert.eta} rests on the closed form, not checked"
     print(f"family: {spec.text()}")
     print(f"n={g.n} m={g.edge_count}")
     print(f"eta = {cert.eta}")
     print(f"labeling (construction; vertex:label, 1-based): {_format_labeling(cert.labeling)}")
     # certify raises unless the labeling verifies
     print(f"verified: additive coloring with k={cert.labeling.k}: OK")
-    print(f"lower-bound witness: {cert.lower_bound_witness}")
+    print(f"lower-bound witness: {witness}")
     print(f"bounds: {report.eta_lower} <= eta <= {report.eta_upper}")
     return EXIT_OK
 
@@ -175,16 +198,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     best = 0
     for idx, (comp, sub) in enumerate(comps, 1):
         report = _bounds.combined_bounds(sub)
-        if not proves_lower(sub, report.witnesses, report.eta_lower):
-            print(f"error: component {idx}: no bounds witness shows eta >= {report.eta_lower} "
+        lb, ub = report.eta_lower, report.eta_upper
+        if not proves_lower(sub, report.witnesses, lb):
+            print(f"error: component {idx}: no bounds witness shows eta >= {lb} "
                   f"(internal fault)", file=sys.stderr)
             return EXIT_AUDIT
-        result = _solver.eta_exact(sub, report.eta_lower, node_budget=args.budget)
+        if lb > ub:
+            print(f"error: component {idx}: the bounds cross, {lb} > {ub} (internal fault)",
+                  file=sys.stderr)
+            return EXIT_AUDIT
+        result = _solver.eta_exact(sub, lb, ub, node_budget=args.budget)
         if result.status == _solver.BUDGET_EXCEEDED:
             print(f"component {idx}: budget exceeded after {result.stats.nodes} nodes")
             return EXIT_BUDGET
         if result.status == _solver.UB_EXCEEDED:
-            print(f"error: component {idx}: the search found no eta up to the degree bound "
+            print(f"error: component {idx}: the search found no eta up to the bounds' upper bound "
                   f"(internal fault)", file=sys.stderr)
             return EXIT_AUDIT
         cert = result.certificate

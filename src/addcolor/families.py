@@ -6,9 +6,9 @@ row is its whole contract: the parameter rule (`_rule` builds it from the
 rule text for a wrong parameter count and predicates with their messages;
 only the join, whose limit depends on its inner spec, has its own), the
 vertex count, the closed-form edge count and maximum degree, the edge
-list, the closed-form eta, the certificate labeling and the lower-bound
-witness. `KINDS`, `generate`, `eta_formula`, `certify` and spec validation
-each look the row up; only `generate` builds a graph from the edges.
+list, the closed-form eta and the certificate labeling. `KINDS`,
+`generate`, `eta_formula`, `certify` and spec validation each look the row
+up; only `generate` builds a graph from the edges.
 Validation reads only the row: a spec is rejected before any edge list is
 built when it breaks the rule (the join's reads its inner spec's maximum
 degree), when its vertex count exceeds the graph6 writer's limit, or when
@@ -389,25 +389,6 @@ def _labeling(spec: FamilySpec) -> Labeling:
 
 
 # ---------------------------------------------------------------------------
-# lower-bound witnesses, for eta >= 2
-
-
-def _equal_degrees(*_) -> str:
-    return "some edge joins vertices of equal degree (eta >= 2)"
-
-
-def _odd_cycle(n: int) -> str:
-    return "odd cycles admit no additive 2-coloring" if n % 2 else _equal_degrees()
-
-
-def _join_witness(q: int, inner: FamilySpec) -> str:
-    inner_eta = eta_formula(inner)
-    if q >= inner_eta:
-        return f"true-twin class of size {q} (the joined clique)"
-    return f"inner graph already needs {inner_eta} labels"
-
-
-# ---------------------------------------------------------------------------
 # the table
 
 
@@ -423,8 +404,7 @@ class _Family(NamedTuple):
     """One family's whole contract. `rule` takes the spec and raises
     ValueError; the other functions take `_args(spec)`: the vertex count,
     the closed-form edge count and maximum degree, the edge list, the
-    formula, the certificate labeling, and the `witness` that explains
-    eta >= 2."""
+    formula and the certificate labeling."""
 
     rule: Callable[[FamilySpec], None]
     size: Callable[..., int]
@@ -433,62 +413,55 @@ class _Family(NamedTuple):
     edges: Callable[..., list[tuple[int, int]]]
     eta: Callable[..., int]
     labeling: Callable[..., Labeling]
-    witness: Callable[..., str]
 
 
 _FAMILIES = {
     "path": _Family(
         _one(1), lambda n: n, lambda n: n - 1, lambda n: min(n - 1, 2), _path,
-        lambda n: 1 if n in (1, 3) else 2, _path_labeling, _equal_degrees),
+        lambda n: 1 if n in (1, 3) else 2, _path_labeling),
     "cycle": _Family(
-        _one(3), lambda n: n, lambda n: n, lambda n: 2, _cycle, _cycle_eta, _cycle_labeling,
-        _odd_cycle),
+        _one(3), lambda n: n, lambda n: n, lambda n: 2, _cycle, _cycle_eta, _cycle_labeling),
     "complete": _Family(
         _one(1), lambda n: n, lambda n: comb(n, 2), lambda n: n - 1, _complete, lambda n: n,
-        lambda n: Labeling(tuple(range(1, n + 1))), lambda n: f"true-twin class of size {n}"),
+        lambda n: Labeling(tuple(range(1, n + 1)))),
     "complete-split": _Family(
         _rule("takes (clique size, stable size)",
               (lambda q, s: q >= 1, "clique size must be >= 1"),
               (lambda q, s: s >= 2, "stable size must be >= 2")),
         lambda q, s: q + s, lambda q, s: comb(q, 2) + q * s, lambda q, s: q + s - 1,
         lambda q, s: [(u, v) for v in range(q + s) for u in range(min(v, q))],
-        lambda q, s: q, _complete_split_labeling,
-        lambda q, s: f"true-twin class of size {q} (the dominating clique)"),
+        lambda q, s: q, _complete_split_labeling),
     "fan": _Family(
         _one(3), lambda n: n + 2, lambda n: 2 * n + 1, lambda n: n + 1,
         lambda n: _cone(_path(n + 1), n + 1, 1), lambda n: 2,
-        lambda n: _join_labeling(_path_labeling(n + 1), 1), _equal_degrees),
+        lambda n: _join_labeling(_path_labeling(n + 1), 1)),
     "wheel": _Family(
         _one(4), lambda n: n + 1, lambda n: 2 * n, lambda n: n, lambda n: _cone(_cycle(n), n, 1),
-        _cycle_eta, lambda n: _join_labeling(_cycle_labeling(n), 1), _odd_cycle),
+        _cycle_eta, lambda n: _join_labeling(_cycle_labeling(n), 1)),
     "windmill": _Family(
         _rule("takes (n, m)",
               (lambda n, m: n >= 3 and m >= 2, "{kind} needs n >= 3 and m >= 2, got {p}")),
         lambda n, m: (n - 1) * m + 1, lambda n, m: m * comb(n, 2), lambda n, m: (n - 1) * m,
         lambda n, m: _cone(_disjoint_cliques(n - 1, m), (n - 1) * m, 1), lambda n, m: n - 1,
-        lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1),
-        lambda n, m: f"true-twin class of size {n - 1} (one blade minus the hub)"),
+        lambda n, m: _join_labeling(Labeling(tuple(range(1, n)) * m), 1)),
     "thin-spider": _Family(
         _one(2), lambda q: 2 * q, lambda q: comb(q, 2) + q, lambda q: q,
-        lambda q: _spider(q, thin=True), _spider_eta, _thin_spider_labeling,
-        lambda q: f"clique bound ceil((q+1)/2) on the clique of degree-{q} vertices"),
+        lambda q: _spider(q, thin=True), _spider_eta, _thin_spider_labeling),
     "thick-spider": _Family(
         _one(2), lambda q: 2 * q, lambda q: 3 * comb(q, 2), lambda q: 2 * q - 2,
-        lambda q: _spider(q, thin=False), _spider_eta, _thick_spider_labeling,
-        lambda q: "pigeonhole on the clique neighborhood sums"),
+        lambda q: _spider(q, thin=False), _spider_eta, _thick_spider_labeling),
     "cycle-sun": _Family(
         _one(4), lambda m: 2 * m, lambda m: 3 * m, lambda m: 4,
         lambda m: _cycle(m) + _sun_edges(m), lambda m: 2,
-        lambda m: Labeling(tuple(_cycle_sun_labels(m))), _equal_degrees),
+        lambda m: Labeling(tuple(_cycle_sun_labels(m)))),
     "wheel-sun": _Family(
         _one(4), lambda m: 2 * m + 1, lambda m: 4 * m, lambda m: max(m, 5),
         lambda m: _cycle(m) + _sun_edges(m) + [(i, 2 * m) for i in range(m)], lambda m: 2,
-        _wheel_sun_labeling, _equal_degrees),
+        _wheel_sun_labeling),
     "complete-sun": _Family(
         _one(3), lambda m: 2 * m, lambda m: comb(m, 2) + 2 * m, lambda m: m + 1,
         lambda m: _complete(m) + _sun_edges(m), lambda m: math.ceil((m + 2) / 3),
-        _complete_sun_labeling,
-        lambda m: f"clique bound ceil((m+2)/3) on the base clique of degree-{m + 1} vertices"),
+        _complete_sun_labeling),
     "multipartite": _Family(
         _rule("needs at least one part",
               (lambda top, *rest: min((top, *rest)) >= 1, "part sizes must be >= 1"),
@@ -496,14 +469,13 @@ _FAMILIES = {
                "part sizes must be non-increasing")),
         lambda *p: sum(p), lambda *p: comb(sum(p), 2) - sum(comb(x, 2) for x in p),
         lambda *p: sum(p) - p[-1],
-        _multipartite, lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling,
-        lambda *p: "optimal monotone orientation of the multipartite digraph"),
+        _multipartite, lambda *p: _bounds.multipartite_eta(p), _multipartite_labeling),
     "regular-bipartite": _Family(
         _rule("takes (side size, degree)",
               (lambda n, d: n >= 1 and 1 <= d <= n, "need 1 <= degree <= side size, got {p}")),
         lambda n, d: 2 * n, lambda n, d: n * d, lambda n, d: d, lambda n, d: _biregular(n, n, d),
         lambda n, d: _biregular_eta(n, n, d),
-        lambda n, d: _biregular_labeling(n, n, d), _equal_degrees),
+        lambda n, d: _biregular_labeling(n, n, d)),
     "biregular-bipartite": _Family(
         _rule("takes (n_u, n_v, d_u)",
               (lambda nu, nv, du: nu >= 1 and nv >= 1, "side sizes must be >= 1"),
@@ -512,13 +484,13 @@ _FAMILIES = {
                "right-side degree n_u*d_u/n_v must be an integer, got {p}")),
         lambda nu, nv, du: nu + nv, lambda nu, nv, du: nu * du,
         lambda nu, nv, du: max(du, nu * du // nv), _biregular, _biregular_eta,
-        _biregular_labeling, _equal_degrees),
+        _biregular_labeling),
     "join-complete": _Family(
         _join_rule, lambda q, inner: q + _vertex_count(inner),
         lambda q, inner: _edge_count(inner) + q * _vertex_count(inner) + comb(q, 2),
         lambda q, inner: _vertex_count(inner) + q - 1,
         lambda q, inner: _cone(_edges(inner), _vertex_count(inner), q), _join_eta,
-        lambda q, inner: _join_labeling(_labeling(inner), q), _join_witness),
+        lambda q, inner: _join_labeling(_labeling(inner), q)),
 }
 
 KINDS = tuple(_FAMILIES)
@@ -533,13 +505,12 @@ class EtaCertificate:
     spec: FamilySpec
     eta: int
     labeling: Labeling
-    lower_bound_witness: str
     graph: Graph = field(compare=False, repr=False)
 
 
 def certify(spec: FamilySpec) -> EtaCertificate:
-    """Formula value plus a verified certificate labeling and witness, with
-    the graph they certify. A labeling that does not prove the formula
+    """Formula value plus a verified certificate labeling, with the graph
+    they certify. A labeling that does not prove the formula
     (`graph.proves_eta`) is a fault of this module: AssertionError."""
     g = generate(spec)
     eta = eta_formula(spec)
@@ -548,8 +519,4 @@ def certify(spec: FamilySpec) -> EtaCertificate:
         raise AssertionError(
             f"{spec.text()}: the construction's labeling does not verify with eta={eta} labels"
         )
-    if eta == 1:
-        witness = "every edge joins vertices of different degree (eta = 1)"
-    else:
-        witness = _FAMILIES[spec.kind].witness(*_args(spec))
-    return EtaCertificate(spec, eta, labeling, witness, g)
+    return EtaCertificate(spec, eta, labeling, g)

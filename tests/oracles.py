@@ -133,6 +133,30 @@ def clique_bound_naive(g: Graph) -> int:
     return best
 
 
+def lower_witness_shows(g: Graph, kind: str, members: tuple[int, ...], bound: int) -> bool:
+    """Whether a lower-bound witness, as `acp family` prints it (0-based
+    here), shows eta(g) >= bound, from the edges alone: an edge whose ends
+    have equal degree shows 2; distinct vertices with one closed
+    neighborhood show their number; distinct pairwise adjacent vertices show
+    ceil((d1+1)/(d2-|Q|+2)), with d1/d2 their smallest/largest degree."""
+    closed = [set(g.neighbors[v]) | {v} for v in range(g.n)]
+    degree = [len(c) - 1 for c in closed]
+    if kind == "equal_degree_edge":
+        return not members and bound <= 2 and any(degree[u] == degree[v] for u, v in g.edges())
+    if not (members and len(set(members)) == len(members)
+            and all(0 <= v < g.n for v in members)):
+        return False
+    if kind == "true_twins":
+        return len(members) >= bound and all(closed[v] == closed[members[0]] for v in members)
+    if kind == "clique":
+        if not all(v in closed[u] for u, v in itertools.combinations(members, 2)):
+            return False
+        d1 = min(degree[v] for v in members)
+        d2 = max(degree[v] for v in members)
+        return math.ceil((d1 + 1) / (d2 - len(members) + 2)) >= bound
+    return False
+
+
 def greedy_cliques_naive(g: Graph):
     """One clique per start vertex, grown step by step: each step takes the
     candidate keeping the most candidates, ties going to the smallest id."""

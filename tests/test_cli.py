@@ -409,8 +409,8 @@ def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labe
 
 
 def test_solve_reports_no_eta_up_to_the_degree_bound_as_a_fault(capsys, monkeypatch):
-    # a sound search always finds eta by the degree bound, so running past it
-    # is an internal fault (exit 4, as in the sweep), not a usage error
+    # a sound search always finds eta by the bounds' upper bound, so running
+    # past it is an internal fault (exit 4, as in the sweep), not a usage error
     import addcolor.cli as cli
 
     monkeypatch.setattr(cli._solver, "eta_exact", lambda g, *args, **kwargs: cli._solver.SolveResult(
@@ -419,6 +419,28 @@ def test_solve_reports_no_eta_up_to_the_degree_bound_as_a_fault(capsys, monkeypa
     assert code == cli.EXIT_AUDIT == 4
     assert "labeling:" not in out and "eta =" not in out
     assert err.startswith("error: ") and err.count("\n") == 1 and "(internal fault)" in err
+
+
+@pytest.mark.parametrize("shift, message", [
+    # C_5 (eta 3) searched up to 2: every k is refuted
+    (1, "the search found no eta up to the bounds' upper bound"),
+    # an upper bound below the witnessed lower bound 2, which eta_exact
+    # would refuse with a ValueError
+    (2, "the bounds cross, 2 > 1"),
+])
+def test_solve_reports_a_wrong_upper_bound_as_a_fault(capsys, monkeypatch, shift, message):
+    import addcolor.cli as cli
+    from addcolor.bounds import BoundsReport, combined_bounds
+
+    def upper_too_low(g):
+        report = combined_bounds(g)
+        return BoundsReport(report.eta_lower, report.eta_upper - shift, report.witnesses)
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", upper_too_low)
+    code, out, err = run(capsys, "solve", "Dhc")
+    assert code == cli.EXIT_AUDIT == 4
+    assert "labeling:" not in out and "eta =" not in out
+    assert err == f"error: component 1: {message} (internal fault)\n"
 
 
 def test_solve_refuses_a_lower_bound_no_witness_shows(capsys, monkeypatch):

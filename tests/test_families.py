@@ -25,11 +25,17 @@ from addcolor.families import (
     generate,
     parse_spec,
 )
-from addcolor.graph import EDGE_LIMIT, Graph, neighborhood_sum, verify_additive_coloring
+from addcolor.graph import (
+    EDGE_LIMIT,
+    Graph,
+    neighborhood_sum,
+    proves_lower,
+    verify_additive_coloring,
+)
 from addcolor.graph6 import write_graph6
 from addcolor.solver import chromatic_exact, eta_exact
 
-from oracles import eta_naive, partitions
+from oracles import eta_naive, lower_witness_shows, partitions
 
 
 def sums(spec_text):
@@ -255,7 +261,7 @@ def test_formula_certificate_solver_coherence(text):
         assert eta_exact(g).value == cert.eta
     report = combined_bounds(g)
     assert cert.eta >= report.eta_lower
-    assert cert.lower_bound_witness
+    assert proves_lower(g, report.witnesses, report.eta_lower)
 
 
 @pytest.mark.parametrize("text", small_specs())
@@ -333,21 +339,38 @@ DIGEST_REJECTED = (
 # of path:1-9, fan:3-9, the 12 multipartite specs, join-complete:1:path:5
 # and join-complete:2:multipartite:3,3 changed (for path:1 and path:3 only
 # its word "solver" became "construction"); the other 143 outputs are
-# byte-identical to those the previous digest pinned.
-GOLDEN_FAMILY = "905bee20d47ea877af847da70478e9c1b359cbc6e7fffee6cacb9d972fba6354"
+# byte-identical to those the previous digest pinned. Re-pinned again when
+# the `lower-bound witness:` line became the bounds' re-checked witness in
+# place of a prose column: only those lines changed, as GOLDEN_FAMILY_BODY,
+# pinned before that change and unedited by it, shows.
+GOLDEN_FAMILY = "64483962ee7091a8fa22092e0f16fceaab2b125acfd439a1ab10b21c3eee994a"
+# GOLDEN_FAMILY's digest with every `lower-bound witness:` line left out of
+# stdout: it pins all the rest of each output, whatever the witness line says.
+GOLDEN_FAMILY_BODY = "d1cbbaf67104976168a4b200ed83b036791c471bfb112234530486b8019bceac"
 
 
-def test_family_outputs_match_golden_digest(capsys):
+def family_digest(capsys, keep=lambda line: True):
+    """GOLDEN_FAMILY's sha256, over the stdout lines `keep` accepts."""
     digest = hashlib.sha256()
     for text in (*DIGEST_ACCEPTED, *DIGEST_REJECTED):
         code = main(["family", text])
         captured = capsys.readouterr()
         assert (code == 0) == (text in DIGEST_ACCEPTED), text
-        digest.update(f"{text}\n{code}\n{captured.out}{captured.err}".encode())
+        out = "".join(line for line in captured.out.splitlines(True) if keep(line))
+        digest.update(f"{text}\n{code}\n{out}{captured.err}".encode())
         if code == 0:
             spec = parse_spec(text)
             digest.update(f"{write_graph6(generate(spec))}\n{eta_formula(spec)}\n".encode())
-    assert digest.hexdigest() == GOLDEN_FAMILY
+    return digest.hexdigest()
+
+
+def test_family_outputs_match_golden_digest(capsys):
+    assert family_digest(capsys) == GOLDEN_FAMILY
+
+
+def test_family_outputs_bar_the_witness_line_match_golden_digest(capsys):
+    body = family_digest(capsys, lambda line: not line.startswith("lower-bound witness: "))
+    assert body == GOLDEN_FAMILY_BODY
 
 
 @pytest.mark.parametrize(
@@ -494,3 +517,78 @@ def test_oversized_spec_exits_1_under_an_address_space_limit(text):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {text} has ") and proc.stderr.count("\n") == 1
     assert proc.stderr.endswith(f" edges; family specs allow m <= {EDGE_LIMIT}\n")
+
+
+# the specs whose closed form sits above the witnessed lower bound, so that
+# `acp family` says its eta rests on the closed form: the odd cycles and odd
+# wheels (parity), the thick spiders from order 4 (pigeonhole on the clique
+# sums), K_{2,2,2,2} and three joins over such inner graphs
+NOT_CHECKED = {
+    "cycle:5", "CYCLE:5", "cycle:7", "cycle:9", "cycle:11", "cycle:13", "cycle:15",
+    "cycle:201", "wheel:5", "wheel:7", "wheel:9", "wheel:11", "thick-spider:4",
+    "thick-spider:5", "thick-spider:6", "thick-spider:7", "thick-spider:40",
+    "multipartite:2,2,2,2", "join-complete:1:cycle:5", "join-complete:1:thin-spider:4",
+    "join-complete:1:thick-spider:5",
+}
+WITNESS_LINE = re.compile(
+    r"^lower-bound witness: (?:none needed \(eta = 1\)"
+    r"|(\w+)(?: ([0-9,]+))? \(eta >= (\d+), re-checked\))"
+    r"(?:; eta >= (\d+) rests on the closed form, not checked)?$",
+    re.M,
+)
+
+
+@pytest.mark.parametrize("text", DIGEST_ACCEPTED + list(EXPORT_SIZES))
+def test_printed_lower_bound_witness_is_rechecked(capsys, text):
+    # the printed witness shows the printed lower bound by the oracle, which
+    # reads the edges alone; eta is that bound, unless the line says not
+    code = main(["family", text])
+    out = capsys.readouterr().out
+    assert code == 0
+    eta = int(re.search(r"^eta = (\d+)$", out, re.M).group(1))
+    lower = int(re.search(r"^bounds: (\d+) <= eta <= \d+$", out, re.M).group(1))
+    kind, members, bound, rest = WITNESS_LINE.search(out).groups()
+    if kind is None:
+        assert eta == lower == 1
+    else:
+        members = tuple(int(v) - 1 for v in members.split(",")) if members else ()
+        assert int(bound) == lower
+        assert lower_witness_shows(generate(parse_spec(text)), kind, members, lower)
+    assert (rest is not None) == (text in NOT_CHECKED)
+    assert eta == (lower if rest is None else int(rest))
+
+
+def test_unwitnessed_lower_bound_is_a_fault(capsys, monkeypatch):
+    # bounds that start one above their witnessed lower bound on every graph
+    # they do not pinch: no witness shows that bound, so `acp family` prints
+    # nothing and exits 4, where it printed the closed form before
+    from test_cli import lower_bound_one_too_high  # test_cli imports this module
+
+    texts = DIGEST_ACCEPTED + list(EXPORT_SIZES)
+    reports = {text: combined_bounds(generate(parse_spec(text))) for text in texts}
+    lower_bound_one_too_high(monkeypatch)
+    for text in texts:
+        report = reports[text]
+        code = main(["family", text])
+        out, err = capsys.readouterr()
+        if report.eta_lower == report.eta_upper:
+            assert code == 0 and err == "", text
+            continue
+        assert code == 4 and out == "", text
+        assert err == (f"error: {parse_spec(text).text()}: no bounds witness shows "
+                       f"eta >= {report.eta_lower + 1} (internal fault)\n")
+
+
+def test_formula_below_its_witnessed_lower_bound_is_a_fault(capsys, monkeypatch):
+    # K_5 claimed at 4 against its true-twin class of 5; the construction
+    # check is made to pass, so only the lower side can catch it
+    import addcolor.families as families
+
+    monkeypatch.setattr(families, "proves_eta", lambda *args: True)
+    monkeypatch.setitem(
+        families._FAMILIES, "complete", families._FAMILIES["complete"]._replace(eta=lambda n: n - 1)
+    )
+    code = main(["family", "complete:5"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "error: complete:5: eta=4 is below the witnessed lower bound 5 (internal fault)\n"
