@@ -89,7 +89,9 @@ def split_recognize(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]
     Degree-sequence recognition (Hammer and Simeone, 1981): with degrees
     sorted non-increasing and h = max{i : d_i >= i-1}, the graph is split iff
     sum_{i<=h} d_i = h(h-1) + sum_{i>h} d_i, and then the top-h vertices
-    form Q. Deterministic: degree ties break by vertex id.
+    form Q. Deterministic: Q is the top h of the graph's search order, so
+    degree ties break as there, by the least vertex of the closed
+    neighborhood, then by vertex id.
     """
     n = g.n
     if n == 0:

@@ -3,8 +3,9 @@
 `eta_exact` computes the additive chromatic number by iterative deepening on
 the number of labels k: for each k it runs a depth-first assignment of labels
 1..k over the vertices in the graph's cached search order (descending
-degree, then id), renumbered to positions 0..n-1, as an explicit index that
-moves forward and back. Common neighbors of u and v add the same label
+degree, then the least vertex of the closed neighborhood, then id),
+renumbered to positions 0..n-1, as an explicit index that moves forward
+and back. Common neighbors of u and v add the same label
 to both neighborhood sums, so only N(u) ^ N(v) decides edge (u, v): the edge
 is checked as soon as the last vertex of that symmetric difference is
 labeled, while the common neighbors may still be unlabeled. That last
@@ -84,11 +85,12 @@ terms and the root check at the node that arms them, tables included, cost
 about 55 search nodes on connected 8-vertex graphs (36 us at a median
 0.64 us per node) and about 125 on G(16, 1/2) (94 us at 0.76 us); the
 nogood tables add 12 and 30 us. These are medians over the 347 8-vertex
-and 24 of 32 seeded G(16, 1/2) searches that arm, lb and ub from the
-bounds, best of 5 each. Yet the check cuts only 3 % of the nodes of the
-8-vertex searches that reach k = 3, so arming there rarely pays back: of
-the 10 493 searched 8-vertex graphs, 926 reach 64 nodes, 347 reach 128
-and 108 reach 256; 9 380 end at k = 2 after about 21 nodes. HALL_AFTER
+and 24 of 32 seeded G(16, 1/2) searches that armed under the earlier
+search order (descending degree, then id), lb and ub from the bounds, best
+of 5 each. Yet the check cuts only 3 % of the nodes of the 8-vertex
+searches that reach k = 3, so arming there rarely pays back: of the 10 493
+searched 8-vertex graphs, 919 pass 64 nodes, 333 pass 128 and 109 pass
+256; 9 380 end at k = 2 after about 20 nodes. HALL_AFTER
 against the eager check it replaced (from k = 3, at the root and inside),
 each instance timed under every setting in turn, the sum of per-instance
 minima over 7 (panel) or 5 (n = 8) passes. Panel: the 11 solve-panel
@@ -107,16 +109,20 @@ The panel does not tell 32 to 256 apart. At 64 the 8-vertex searches cost
 what the eager check cost them; 128 takes back most of that (a search
 that never arms ran 0.457 s against the eager 0.494 s in a separate run
 of the same kind) while keeping the rise in any call's node count near
-HALL_AFTER.
+HALL_AFTER. The table was measured under the earlier search order and
+before the nogood cache. Under the present order, the cache never armed,
+the n = 8 searches take 292 709, 293 791, 294 649 and 295 028 nodes at
+HALL_AFTER = 32, 64, 128 and 256: the same ranking.
 
 The tables make a check in the search a third cheaper than working out
-every member's interval at each node: over the 4 045 checks of one
-solve-panel pass (seed 1), 2.5 us against 3.8 us each (best of 9 passes,
-the two versions in alternate rounds of one process). Building them costs
-about one check per table, so a search that re-checks each table about
-once pays more: thick-spider:7-10 take 20-28 % longer (0.1-0.4 ms each),
-while complete-sun:10-12 take 23-26 % less (1.4-1.9 ms each), from the
-bounds, best of 9 in the same way.
+every member's interval at each node, measured under the earlier search
+order: over the 4 045 checks of one solve-panel pass (seed 1), 2.5 us
+against 3.8 us each (best of 9 passes, the two versions in alternate
+rounds of one process). Building them costs about one check per table, so
+a search that re-checks each table about once pays more: thick-spider:7-10
+take 20-28 % longer (0.1-0.4 ms each), while complete-sun:10-12 take
+23-26 % less (1.4-1.9 ms each), from the bounds, best of 9 in the same
+way.
 
 The search also records failed states (nogood recording; Dechter,
 *Enhancement schemes for constraint processing*, Artificial Intelligence
@@ -153,7 +159,9 @@ cache gives up once it has stored more than n + NOGOOD_MISSES * (hits + 1)
 keys. Nodes and time (best of 9, of 3 above
 100 000 nodes) from the default bounds under a 300 000-node budget, the
 cache never armed against the cache as armed here and against a cache that
-never gives up:
+never gives up, measured under the earlier search order (descending
+degree, then id; under the present one complete-sun:10 takes 2 070 nodes,
+and the other named rows are unchanged):
 
     instance                  never armed      armed           never gives up
     cycle:25                  47 803  25.3 ms   1 401   3.0 ms   1 401   2.6 ms
@@ -168,7 +176,7 @@ never gives up:
 Of the 10 493 searched 8-vertex graphs (as in the HALL_AFTER table), 347
 arm the clique-sum check. The width gate decides how many of them arm the
 cache too, and what the sweep pays for it, as the sum of per-graph minima
-over 5 passes, two runs:
+over 5 passes, two runs, under the earlier search order:
 
     NOGOOD_WIDTH   cache armed   n = 8 nodes   n = 8 eta s
     never                    0       300 049   0.751  0.780
@@ -176,11 +184,14 @@ over 5 passes, two runs:
     2                      127       299 684   0.767  0.804
     any width              347       299 142   0.809  0.847
 
-The panel admits cycle:25 (6 terms) and wheel:15 (21) at both 1.5 and 2
-and rejects G(16, 1/2) (57-68), complete-sun:10-12 (65-90) and the
-spiders (36 and up) at both; a wheel on n vertices has n + 5 terms, within
-1.5n from n = 10 on. So 1.5 keeps the wheels and costs the 8-vertex
-searches nothing measurable.
+Under the present order 333 of them arm the check, and at 1.5, 2 and any
+width 9, 121 and 333 arm the cache, for 294 639, 294 152 and 293 007 nodes
+(294 649 never armed). The panel admits cycle:25 (6 terms) and wheel:15
+(21) at both 1.5 and 2 and rejects the G(16, 1/2) draws of seeds 1-4
+(46-72), complete-sun:10-12 (65-90) and the spiders (36 and up) at both,
+under either order; a wheel on n vertices has n + 5 terms, within 1.5n
+from n = 10 on. So 1.5 keeps the wheels and costs the 8-vertex searches
+nothing measurable.
 
 `chromatic_exact` computes the chromatic number with a greedy clique lower
 bound (the largest of the graph's cached greedy cliques), a greedy coloring
@@ -192,7 +203,7 @@ order (Welsh and Powell, 1967), which gives each vertex the least color its
 colored neighbors leave free. Only when that count is above the clique
 bound does DSATUR (Brelaz, 1979) run, and its coloring replaces the greedy
 one only if it uses fewer colors. Of the 11 117 connected graphs on 8
-vertices, the greedy pass meets the clique bound on 10 255 and DSATUR on
+vertices, the greedy pass meets the clique bound on 10 286 and DSATUR on
 10 603; the greedy pass costs about a third of a DSATUR run. DSATUR
 keeps each vertex's neighbor colors as a bitmask: the saturation is its
 popcount and the least free color its lowest zero bit, which the greedy
@@ -416,8 +427,9 @@ def _positions(g: Graph) -> tuple:
                 i = (masks[u] ^ masks[v]).bit_length() - 1
                 checks[i].append((u, v) if masks[u] >> i & 1 else (v, u))
     # symmetry breaking: chain each twin class in id order; twins share a
-    # degree, so the id order is the position order and the predecessor is
-    # always labeled first
+    # degree, true twins share their closed neighborhood and of false twins
+    # u < v, u's has the least vertex no larger, so the id order is the
+    # position order and the predecessor is always labeled first
     pred: list[int | None] = [None] * n
     step = [0] * n
     for gap, cls in twin_refined_partition(g):

@@ -434,12 +434,16 @@ class TestCachedData:
 
     @pytest.mark.parametrize("n", range(31))
     def test_search_order_is_descending_degree_then_id(self, n):
+        # descending degree, then the ascending least vertex of the closed
+        # neighborhood N[v], then ascending id: a sort on that triple, built
+        # from sets rather than the order's one int key
         rng = random.Random(n)
         for p in (0.1, 0.5, 0.9):
             pairs = itertools.combinations(range(n), 2)
             g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
-            deg = g.degrees()
-            assert g.search_order == tuple(sorted(range(n), key=lambda v: (-deg[v], v)))
+            closed = [{v, *g.neighbors[v]} for v in range(n)]
+            rule = sorted(range(n), key=lambda v: (-len(closed[v]), min(closed[v]), v))
+            assert g.search_order == tuple(rule)
 
     def test_equal_graphs_stay_equal_when_one_cache_is_filled(self):
         warm = generate(parse_spec("thick-spider:4"))

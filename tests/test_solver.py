@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addcolor.bounds import degree_upper_bound
-from addcolor.graph import Graph, verify_additive_coloring
+from addcolor.graph import Graph, proves_eta, verify_additive_coloring
 from addcolor.families import eta_formula, generate, parse_spec
 from addcolor.graph6 import parse_graph6
 from addcolor import solver
@@ -46,24 +46,36 @@ def g_of(text):
 # eta_exact(g, 1, degree bound) on every graph of graphs_all_n1-6.g6, then
 # graphs_conn_n1-7.g6, then the small_specs() family instances; computed
 # before the search pruned on clique sums, which must not change the
-# labelling it finds first.
-GOLDEN_ETA = "bae4f5bd262d97cf16fb708d76ec69c64dcd0dbfa94c6e371381f6b17830fe76"
+# labelling it finds first. Re-pinned when the search order broke degree
+# ties by the closed neighborhood, which moves the labelling found first
+# (GOLDEN_ETA_VALUES unchanged); the plain search, never armed, and the
+# search armed from its first node both give the new digest.
+GOLDEN_ETA = "7db07a130285189a909022067aa121ff0943668c7f866f2adb292c3e082aaf79"
 
 # the same digest over searches that run past the node count at which the
 # clique-sum check is armed: every graph of graphs_conn_n8.g6 (366 of them
 # took more than 128 nodes, from one lb or the other, with the check started
 # eagerly at k = 3), ARMING_SPECS and 40 seeded G(14, 1/2); computed with
 # that eager check, so arming it mid-search must not change the labelling
-# found first.
-GOLDEN_ARMING = "96e2030e8d029f73d462ecfd3a21b3440eea4ec521f73934a899e6dc296f9e79"
+# found first. Re-pinned when the search order broke degree ties by the
+# closed neighborhood (GOLDEN_ETA_VALUES unchanged); the search armed from
+# its first node gives the new digest.
+GOLDEN_ARMING = "ef6f5bfb6810d9a60e70ab69fd689a2728c6c3f853ed5169a37482a201f92403"
+
+# sha256 over (status, value) alone of the searches behind GOLDEN_ETA, then
+# those behind GOLDEN_ARMING; computed before the search order broke degree
+# ties by the closed neighborhood, so no change of order may move an eta.
+GOLDEN_ETA_VALUES = "d55f888944410f5c5ed0e130c42e2e62d41653bfaf943beb9e5ac5270e0c2f18"
 # sha256 over (value, certificate) of chromatic_exact on every graph of
 # graphs_conn_n1-7.g6, then graphs_conn_n8.g6. The coloring pinned is the
 # greedy one over the search order where it meets the clique bound,
 # otherwise DSATUR's if that uses fewer colors, and the k-colorability
 # search's where the search finds fewer still; re-pinned when the greedy
-# coloring replaced DSATUR as the first upper bound, with GOLDEN_CHI_VALUES
-# unchanged.
-GOLDEN_CHI = "dea54a531ea9bf71cb98bbde88db42aae28101dd8cec4c604c8ef93c74200b2a"
+# coloring replaced DSATUR as the first upper bound, and again when the
+# search order, which the greedy coloring and the k-colorability search
+# follow, broke degree ties by the closed neighborhood; GOLDEN_CHI_VALUES
+# unchanged both times.
+GOLDEN_CHI = "51aa60c64d5481d01e32f8b3d51b891ef7bf0a327dcf9a33f514c5cf61b34ce1"
 
 # sha256 over chromatic_exact(g).value alone on the same graphs; computed
 # while DSATUR gave every upper bound, so no change to the upper bound may
@@ -82,6 +94,14 @@ def planted_coloring(n, k, seed):
         if cls[u] != cls[v] and (v < k or rng.random() < 0.5)
     ]
     return Graph.from_edges(n, edges)
+
+
+def odd_prism(n):
+    """The prism C_n x K_2: rims 0..n-1 and n..2n-1, rung (i, n + i)."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return Graph.from_edges(2 * n, edges)
 
 
 # (id, graph builder, chi) on more than 16 vertices, chi known by
@@ -113,12 +133,16 @@ PANEL_SPECS = (
 # eta_exact(g, 1, degree bound) on ARMING_SPECS, PANEL_SPECS and 8 seeded
 # G(16, 1/2); computed before the clique-sum check read its members from
 # per-position tables, which must prune exactly as the per-call check did.
-GOLDEN_NODES = "f828e1c91cbbd91a7b97cbdd34b88ae3b0cd0b1c8d26a1233076b0872cfdf570"
+# Re-pinned when the search order broke degree ties by the closed
+# neighborhood, which moves the node counts.
+GOLDEN_NODES = "8adcff791606417b82f47d5522dd54024ac03e5adc2b4ab7e47bdb63d0c78553"
 
 # the same digest on every graph of graphs_conn_n1-7.g6, then
 # graphs_conn_n8.g6; computed before the search tested a label on its edges
 # before moving any neighbor sum, which must try and reject the same labels.
-GOLDEN_CORPUS_NODES = "8d4bb38a89a589b7d20ea698fbb2a1a26bc1e324f7d726114400f05e1f7392c4"
+# Re-pinned when the search order broke degree ties by the closed
+# neighborhood, which moves the node counts.
+GOLDEN_CORPUS_NODES = "332ce46aab60d14490d7e3b4c1af701e03f9483da86462c97778c1522239cb61"
 
 
 class TestEtaExact:
@@ -190,9 +214,11 @@ class TestEtaExact:
         # wide calls arm the clique-sum check but build no cache tables, and
         # search exactly the nodes they searched before the cache existed
         rng = random.Random(16)
-        wide = [(g_of("complete-sun:10"), 4, 4082)]
+        # (node counts re-pinned when the search order broke degree ties by
+        # the closed neighborhood: they were 4 082 and 18 867)
+        wide = [(g_of("complete-sun:10"), 4, 2070)]
         edges = [(u, v) for v in range(16) for u in range(v) if rng.random() < 0.5]
-        wide.append((Graph.from_edges(16, edges), 3, 18867))
+        wide.append((Graph.from_edges(16, edges), 3, 18834))
         for g, eta, nodes in wide:
             result = eta_exact(g)
             assert (result.value, result.stats.nodes) == (eta, nodes)
@@ -203,8 +229,10 @@ class TestEtaExact:
     def test_nogood_cache_gives_up_when_keys_do_not_repeat(self, monkeypatch):
         # a Hamiltonian cycle plus a perfect matching on 26 vertices is
         # narrow enough to arm the cache, but its keys rarely repeat: storing
-        # must stop once it exceeds n + NOGOOD_MISSES * (hits + 1) keys
-        rng = random.Random(77)
+        # must stop once it exceeds n + NOGOOD_MISSES * (hits + 1) keys (seed
+        # 71 since the search order broke degree ties by the closed
+        # neighborhood: seed 77's graph now solves before the cache arms)
+        rng = random.Random(71)
         order = rng.sample(range(26), 26)
         cycle = {tuple(sorted((order[i], order[i - 1]))) for i in range(26)}
         while True:
@@ -236,7 +264,7 @@ class TestEtaExact:
 
         monkeypatch.setattr(solver, "_nogoods", counting_nogoods)
         result = eta_exact(g)
-        assert counts["hits"] == 3
+        assert counts["hits"] == 1
         assert counts["stored"] == g.n + solver.NOGOOD_MISSES * (counts["hits"] + 1) + 1
         assert result.ok and (result.value, result.certificate) == (2, plain.certificate)
 
@@ -322,6 +350,11 @@ class TestEtaExact:
         graphs += seeded_gnp(14, 40, seed=14)
         assert results_digest(graphs) == GOLDEN_ARMING
 
+    def test_values_match_golden_digest(self, all_n6, conn_small, conn_n8):
+        graphs = all_n6 + conn_small + [g_of(text) for text in small_specs()]
+        graphs += conn_n8 + [g_of(text) for text in ARMING_SPECS] + seeded_gnp(14, 40, seed=14)
+        assert values_digest(graphs) == GOLDEN_ETA_VALUES
+
     def test_node_counts_match_golden_digest(self):
         graphs = [g_of(text) for text in (*ARMING_SPECS, *PANEL_SPECS)]
         graphs += seeded_gnp(16, 8, seed=16)
@@ -329,6 +362,37 @@ class TestEtaExact:
 
     def test_corpus_node_counts_match_golden_digest(self, conn_small, conn_n8):
         assert nodes_digest(conn_small + conn_n8) == GOLDEN_CORPUS_NODES
+
+    def test_twin_chain_predecessors_come_first(self, all_n6, conn_small):
+        # each twin class is chained in id order, and the search order must
+        # keep that order: a predecessor at a later position would drop the
+        # symmetry breaking and point nogood link terms forward
+        graphs = all_n6 + conn_small + [g_of(text) for text in small_specs()]
+        for n in range(2, 17):
+            graphs += seeded_gnp(n, 10, seed=n)
+        for g in graphs:
+            pred = solver._positions(g)[4]
+            assert all(p is None or p < i for i, p in enumerate(pred)), g
+
+    @pytest.mark.parametrize(
+        "make,eta,most",
+        [
+            pytest.param(
+                functools.partial(g_of, text), eta_formula(parse_spec(text)), 1000, id=text
+            )
+            for text in ("complete-sun:11", "complete-sun:12", "complete-sun:13")
+        ]
+        + [pytest.param(functools.partial(odd_prism, 13), 3, 100_000, id="prism:13")],
+    )
+    def test_search_order_closes_edges_early(self, make, eta, most):
+        # the closed-neighborhood tie-break places a vertex next to the low
+        # vertices it touches: complete-sun:11-13 took 2 738 to 2 874 nodes
+        # and the odd prism C_13 x K_2 1 374 737 under descending degree,
+        # then id
+        g = make()
+        result = eta_exact(g, node_budget=most)
+        assert result.ok and result.value == eta
+        assert proves_eta(g, result.certificate, eta)
 
     def test_each_edge_checked_once_where_its_sums_part(self, all_n6, conn_small):
         # edge (a, b) is checked at the last position i of N(a) ^ N(b), as
@@ -357,24 +421,24 @@ def seeded_gnp(n, count, seed):
     return graphs
 
 
-def nodes_digest(graphs):
-    """sha256 over (status, value, node count) of eta_exact(g) and of
+def search_digest(graphs, line):
+    """sha256 over line(r) for r the results of eta_exact(g) and of
     eta_exact(g, 1, degree bound), graph by graph."""
     digest = hashlib.sha256()
     for g in graphs:
         for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
-            digest.update(f"{r.status} {r.value} {r.stats.nodes}\n".encode())
+            digest.update(f"{line(r)}\n".encode())
     return digest.hexdigest()
 
 
-def results_digest(graphs):
-    """sha256 over (status, value, certificate) of eta_exact(g) and of
-    eta_exact(g, 1, degree bound), graph by graph."""
-    digest = hashlib.sha256()
-    for g in graphs:
-        for r in (eta_exact(g), eta_exact(g, 1, degree_upper_bound(g))):
-            digest.update(f"{r.status} {r.value} {r.certificate.labels}\n".encode())
-    return digest.hexdigest()
+# what each golden digest reads of a result
+values_digest = functools.partial(search_digest, line=lambda r: f"{r.status} {r.value}")
+nodes_digest = functools.partial(
+    search_digest, line=lambda r: f"{r.status} {r.value} {r.stats.nodes}"
+)
+results_digest = functools.partial(
+    search_digest, line=lambda r: f"{r.status} {r.value} {r.certificate.labels}"
+)
 
 
 def assert_hall_passes_every_labeling(g):
@@ -630,7 +694,9 @@ class TestGreedyColoring:
             nodes += chromatic_exact(g).stats.nodes
             missed = _greedy_coloring(g)[0] > greedy_clique_lower_bound(g)
             assert len(calls) - before == missed
-        assert len(calls) == 862 and nodes == 4615
+        # 862 and 4 615 before the search order, which the greedy coloring
+        # follows, broke degree ties by the closed neighborhood
+        assert len(calls) == 831 and nodes == 3990
 
 
 class TestChromatic:
