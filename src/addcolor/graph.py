@@ -120,12 +120,13 @@ class Graph:
         of the closed neighborhood N[v], then by ascending id.
 
         The middle key places a vertex next to the low vertices it touches,
-        so the eta search closes edges early: on complete-sun:11 the rim
-        vertex hanging on clique vertex 0 no longer comes last, which cut
-        its search from 2 738 to 238 nodes. Twins keep id order: true twins
-        share N[v], and of false twins u < v, u's least is no larger. One
-        int key, degree * n - least, is sorted descending; a stable sort
-        keeps equal keys in id order, reverse=True included."""
+        so the eta search closes edges early: on complete-sun:m the rim
+        vertex on clique vertices 0 and m - 1, which most edges at vertex 0
+        wait for, comes second among the rim rather than last. Twins keep
+        id order, which `solver._positions` needs: true twins share N[v],
+        and of false twins u < v, u's least is no larger. One int key,
+        degree * n - least, is sorted descending; a stable sort keeps equal
+        keys in id order, reverse=True included."""
         n = self.n
         key = [
             len(nb) * n - (v if not nb or v < nb[0] else nb[0])
