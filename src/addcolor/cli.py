@@ -3,31 +3,9 @@ export, and streaming conjecture sweeps over graph6 corpora.
 
 Exit codes: 0 success, 1 usage or input error, or a reader that closed stdout
 early (the command then ends without a message), 2 conjecture violation found
-(sweep), 3 a node budget ran out, 4 an internal fault: an eta or chi the
-sweep cannot prove (an audit mismatch, checked before 2 and 3), a lower
-bound no witness shows, crossed bounds, a search that found no eta up to
-the bounds' upper bound or a labeling that does not prove its eta (solve),
-or a construction that does not prove its formula, a lower bound no
-witness shows or a formula below that bound (family).
-
-Every printed eta is proven from both sides. Above, it stands on a labeling
-that `graph.proves_eta` accepts: one that verifies with exactly eta labels.
-In a sweep the layer that decided eta hands it over: the bounds'
-construction for a pinch (eta_source `formula`: all ones for eta <= 1, or
-the split labeling), the search's certificate otherwise; a pinch without a
-construction takes the certificate of a search at [lb, lb]. Below, the
-bounds' lower bound lb, where the search starts, stands on a witness that
-`graph.proves_lower` re-checks from the graph alone; the refutations in
-[lb, eta) rest on the search, and in `acp family`, which prints that
-witness, on the closed form. A provable fault, that is an unproven lb, no
-eta (the search refuted its upper bound, or the bounds crossed) or a
-labeling that fails `proves_eta`, makes the record an audit mismatch at
-once, with no chi and whatever the budget; an exact re-solve from lower
-bound 1 names the true eta. A record keeps an exact chi only when its
-coloring is proper and its largest color is chi; any other is an audit
-mismatch that shows the coloring. The searches return their labelings and
-colorings unchecked, so these checks are the only ones; they are plain
-`if`s, which `python -O` keeps.
+(sweep), 3 a node budget ran out, 4 an internal fault: an eta `proof.prove`
+cannot prove, or a chi whose coloring is not proper with largest color chi
+(in a sweep an audit mismatch, checked before 2 and 3).
 """
 
 from __future__ import annotations
@@ -44,15 +22,9 @@ from multiprocessing import Pool
 from . import bounds as _bounds
 from . import families as _families
 from . import milp as _milp
+from . import proof as _proof
 from . import solver as _solver
-from .graph import (
-    Graph,
-    Labeling,
-    connected_components,
-    induced_subgraph,
-    proves_eta,
-    proves_lower,
-)
+from .graph import Graph, connected_components, induced_subgraph
 from .graph6 import WRITER_MAX_N, Graph6FormatError, parse_graph6
 
 EXIT_OK = 0
@@ -139,51 +111,51 @@ def _components(g: Graph) -> list[tuple[list[int], Graph]]:
     return [(comp, induced_subgraph(g, comp)) for comp in comps]
 
 
-def _format_labeling(lab: Labeling) -> str:
-    return " ".join(f"{v + 1}:{x}" for v, x in enumerate(lab.labels))
+def _fault(where: str, proof: _proof.Proof) -> int:
+    """Write the one `error:` line of a fault that `proof.prove` found."""
+    lb, ub, eta = proof.report.eta_lower, proof.report.eta_upper, proof.eta
+    if proof.fault == "lower":
+        text = f"no bounds witness shows eta >= {lb}"
+    elif proof.fault == "crossed":
+        text = f"the bounds cross, {lb} > {ub}"
+    elif proof.fault == "upper":
+        text = ("the search found no eta up to the bounds' upper bound" if eta is None
+                else f"eta={eta} is below the witnessed lower bound {lb}" if eta < lb
+                else f"eta={eta} is above the bounds' upper bound {ub}")
+    else:
+        source = {"construction": "construction", "formula": "pinch"}.get(proof.layer, "search")
+        text = f"the {source}'s labeling does not verify with eta={eta} labels"
+    print(f"error: {where}: {text} (internal fault)", file=sys.stderr)
+    return EXIT_AUDIT
 
 
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         spec = _families.parse_spec(args.spec)
-        cert = _families.certify(spec)
+        g, eta, labeling = _families.construction(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:  # certify's construction does not prove eta
-        print(f"error: {exc} (internal fault)", file=sys.stderr)
-        return EXIT_AUDIT
-    g = cert.graph
-    report = _bounds.combined_bounds(g)
-    lb = report.eta_lower
-    # eta's lower side: the first bounds witness that shows lb, re-checked
-    # from g alone; the closed form alone carries the rest up to eta
-    if lb <= min(g.n, 1):
-        witness = f"none needed (eta = {lb})"
-    else:
-        shown = next((w for w in report.witnesses if proves_lower(g, (w,), lb)), None)
-        if shown is None:
-            print(f"error: {spec.text()}: no bounds witness shows eta >= {lb} (internal fault)",
-                  file=sys.stderr)
-            return EXIT_AUDIT
-        kind, members = shown
+    proof = _proof.prove(g, 0, (eta, labeling))  # the construction replaces the search
+    if proof.fault:
+        return _fault(spec.text(), proof)
+    lb = proof.report.eta_lower
+    witness = f"none needed (eta = {lb})"
+    if proof.witness is not None:
+        kind, members = proof.witness
         if members is not None:
             kind += " " + ",".join(str(v + 1) for v in members)
         witness = f"{kind} (eta >= {lb}, re-checked)"
-    if cert.eta < lb:
-        print(f"error: {spec.text()}: eta={cert.eta} is below the witnessed lower bound {lb} "
-              f"(internal fault)", file=sys.stderr)
-        return EXIT_AUDIT
-    if cert.eta > lb:
-        witness += f"; eta >= {cert.eta} rests on the closed form, not checked"
+    if eta > lb:
+        witness += f"; eta >= {eta} rests on the closed form, not checked"
     print(f"family: {spec.text()}")
     print(f"n={g.n} m={g.edge_count}")
-    print(f"eta = {cert.eta}")
-    print(f"labeling (construction; vertex:label, 1-based): {_format_labeling(cert.labeling)}")
-    # certify raises unless the labeling verifies
-    print(f"verified: additive coloring with k={cert.labeling.k}: OK")
+    print(f"eta = {eta}")
+    mapped = " ".join(f"{v + 1}:{x}" for v, x in enumerate(labeling.labels))
+    print(f"labeling (construction; vertex:label, 1-based): {mapped}")
+    print(f"verified: additive coloring with k={labeling.k}: OK")
     print(f"lower-bound witness: {witness}")
-    print(f"bounds: {report.eta_lower} <= eta <= {report.eta_upper}")
+    print(f"bounds: {lb} <= eta <= {proof.report.eta_upper}")
     return EXIT_OK
 
 
@@ -197,32 +169,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"graph: n={g.n} m={g.edge_count} components={len(comps)}")
     best = 0
     for idx, (comp, sub) in enumerate(comps, 1):
-        report = _bounds.combined_bounds(sub)
-        lb, ub = report.eta_lower, report.eta_upper
-        if not proves_lower(sub, report.witnesses, lb):
-            print(f"error: component {idx}: no bounds witness shows eta >= {lb} "
-                  f"(internal fault)", file=sys.stderr)
-            return EXIT_AUDIT
-        if lb > ub:
-            print(f"error: component {idx}: the bounds cross, {lb} > {ub} (internal fault)",
-                  file=sys.stderr)
-            return EXIT_AUDIT
-        result = _solver.eta_exact(sub, lb, ub, node_budget=args.budget)
-        if result.status == _solver.BUDGET_EXCEEDED:
-            print(f"component {idx}: budget exceeded after {result.stats.nodes} nodes")
+        proof = _proof.prove(sub, args.budget)
+        if proof.fault == "budget":
+            print(f"component {idx}: budget exceeded after {proof.nodes} nodes")
             return EXIT_BUDGET
-        if result.status == _solver.UB_EXCEEDED:
-            print(f"error: component {idx}: the search found no eta up to the bounds' upper bound "
-                  f"(internal fault)", file=sys.stderr)
-            return EXIT_AUDIT
-        cert = result.certificate
-        if not proves_eta(sub, cert, result.value):
-            print(f"error: component {idx}: the search's labeling does not verify with "
-                  f"eta={result.value} labels (internal fault)", file=sys.stderr)
-            return EXIT_AUDIT
-        mapped = " ".join(f"{comp[i] + 1}:{x}" for i, x in enumerate(cert.labels))
-        print(f"component {idx}: n={sub.n} eta={result.value} labeling: {mapped}")
-        best = max(best, result.value)
+        if proof.fault:
+            return _fault(f"component {idx}", proof)
+        mapped = " ".join(f"{comp[i] + 1}:{x}" for i, x in enumerate(proof.labeling.labels))
+        print(f"component {idx}: n={sub.n} eta={proof.eta} labeling: {mapped}")
+        best = max(best, proof.eta)
     print(f"eta = {best}")
     return EXIT_OK
 
@@ -296,38 +251,23 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         g = parse_graph6(line)
     except Graph6FormatError as exc:
         return f"{line}\tparse-error\t{exc}", "parse-error", None, None, None
-    eta = chi = None
-    eta_source, chi_source = "solver", ""
+    proof = _proof.prove(g, budget)
+    eta, chi, chi_source = proof.eta, None, ""
 
     def record(status: str, *extra: str) -> tuple:
         # formats the fields as they stand when a branch below settles
         text = "\t".join((line, str(g.n), str(g.edge_count), "" if eta is None else str(eta),
-                          "" if chi is None else str(chi), eta_source, chi_source, status, *extra))
+                          "" if chi is None else str(chi), proof.layer, chi_source, status, *extra))
         if status in ("holds", "VIOLATION"):
             return text, status, g.n, eta, chi
         return text, status, g.n, None, None
 
-    report = _bounds.combined_bounds(g)
-    lb, ub = report.eta_lower, report.eta_upper
-    # eta's lower side: a witness of the bounds, re-checked from g alone
-    proven = proves_lower(g, report.witnesses, lb)
-    labeling = None  # the deciding layer's proof of eta(g) <= eta
-    if lb == ub:
-        eta, eta_source, labeling = lb, "formula", report.labeling
-    # a search, or a pinch without a construction, which the search at
-    # [lb, lb] labels; an unproven lb is a fault, and no search can clear it
-    if proven and lb <= ub and labeling is None:
-        result = _solver.eta_exact(g, lb, ub, node_budget=budget)
-        if result.status == _solver.BUDGET_EXCEEDED:
-            return record("budget-exceeded")
-        eta, labeling = result.value, result.certificate
-    # a provable fault, which no budget or chi can clear: an unproven lb, no
-    # eta (the search refuted its upper bound, or the bounds crossed), or a
-    # deciding labeling that does not prove it (`proves_eta` is false for a
-    # missing eta). The re-solve from lb = 1 only shows the true eta
-    if not (proven and proves_eta(g, labeling, eta)):
-        recheck = _solver.eta_exact(g, 1, node_budget=budget)
-        return record("audit-mismatch", f"eta_solver={recheck.value if recheck.ok else ''}")
+    if proof.fault == "budget":
+        return record("budget-exceeded")
+    # a provable fault, which no budget or chi can clear; the re-solve names the true eta
+    if proof.fault:
+        true_eta = _proof.resolve(g, budget)
+        return record("audit-mismatch", f"eta_solver={'' if true_eta is None else true_eta}")
     chi_result = _solver.chromatic_exact(g, node_budget=budget)
     if not chi_result.ok:
         chi, chi_source = _solver.dsatur(g)[0], "dsatur-only"
@@ -342,7 +282,7 @@ def _solve_record(item: tuple[int, str], budget: int) -> tuple:
         return record("holds")
     return record(
         "VIOLATION",
-        "eta_cert=" + ",".join(map(str, labeling.labels)),
+        "eta_cert=" + ",".join(map(str, proof.labeling.labels)),
         "chi_cert=" + ",".join(map(str, chi_cert)),
     )
 

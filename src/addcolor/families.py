@@ -25,20 +25,21 @@ Vertex ordering is fixed per family so the constructions map positionally:
 * biregular bipartite: left side 0..n_u-1, right side n_u..n_u+n_v-1.
 
 Every row labels its instance in closed form, so a certificate runs no
-search and each command builds one graph, the one `certify` verifies.
+search and `acp family` builds one graph, the one `construction` returns.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds as _bounds
-from .graph import EDGE_LIMIT, Graph, Labeling, proves_eta
+from .graph import EDGE_LIMIT, Graph, Labeling
 from .graph6 import WRITER_MAX_N
+from .proof import proves_eta
 
 
 @dataclass(frozen=True)
@@ -505,18 +506,20 @@ class EtaCertificate:
     spec: FamilySpec
     eta: int
     labeling: Labeling
-    graph: Graph = field(compare=False, repr=False)
+
+
+def construction(spec: FamilySpec) -> tuple[Graph, int, Labeling]:
+    """The instance, its closed-form eta and its labeling, unchecked (`certify` checks them)."""
+    return generate(spec), eta_formula(spec), _labeling(spec)
 
 
 def certify(spec: FamilySpec) -> EtaCertificate:
-    """Formula value plus a verified certificate labeling, with the graph
-    they certify. A labeling that does not prove the formula
-    (`graph.proves_eta`) is a fault of this module: AssertionError."""
-    g = generate(spec)
-    eta = eta_formula(spec)
-    labeling = _labeling(spec)
+    """Formula value plus a verified certificate labeling. A labeling that
+    does not prove the formula (`proof.proves_eta`) is a fault of this
+    module: AssertionError."""
+    g, eta, labeling = construction(spec)
     if not proves_eta(g, labeling, eta):
         raise AssertionError(
             f"{spec.text()}: the construction's labeling does not verify with eta={eta} labels"
         )
-    return EtaCertificate(spec, eta, labeling, g)
+    return EtaCertificate(spec, eta, labeling)

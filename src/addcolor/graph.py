@@ -238,69 +238,6 @@ def verify_additive_coloring(g: Graph, f: Labeling) -> bool:
     return True
 
 
-def proves_eta(g: Graph, f: Labeling | None, eta: int) -> bool:
-    """True iff `f` exists, its largest label is exactly `eta` and it is an
-    additive coloring of `g`: the one rule by which a labeling backs a
-    printed eta. No `assert`, so `python -O` keeps it."""
-    return f is not None and f.k == eta and verify_additive_coloring(g, f)
-
-
-def proves_lower(g: Graph, witnesses: Iterable[tuple[str, object]], lb: int) -> bool:
-    """True iff one of `witnesses` (as in `BoundsReport.witnesses`) shows
-    eta(g) >= lb, re-checked from `g` alone: the rule by which the lower
-    bound of a printed eta (a pinch, or where its search starts) stands.
-    lb <= min(n, 1) needs no witness. The kinds:
-
-    - `equal_degree_edge`: some edge joins two vertices of equal degree, so
-      the all-ones labeling fails and eta >= 2;
-    - `true_twins`: vertices with one closed neighborhood, whose sums differ
-      only by their own labels, so eta >= their number;
-    - `clique`: pairwise adjacent vertices Q with least and largest degree
-      d1 and d2, so eta >= ceil((d1 + 1) / (d2 - |Q| + 2)).
-
-    Other kinds (the upper side's) show nothing, and a malformed witness
-    shows nothing rather than raising. No `assert`, so `python -O` keeps it.
-    """
-    if lb <= min(g.n, 1):
-        return True
-    masks, deg = g.masks, g.degrees()
-    for witness in witnesses:
-        if not (isinstance(witness, tuple) and len(witness) == 2):
-            continue
-        kind, members = witness
-        if kind == "equal_degree_edge":
-            if lb <= 2 and any(deg[u] == deg[v] for u, nb in enumerate(g.neighbors) for v in nb):
-                return True
-            continue
-        if kind not in ("true_twins", "clique"):
-            continue
-        together = _vertex_set(g, members)
-        if not together:
-            continue
-        if kind == "true_twins":
-            closed = masks[members[0]] | 1 << members[0]
-            if len(members) >= lb and all(masks[v] | 1 << v == closed for v in members):
-                return True
-        elif all((masks[v] | 1 << v) & together == together for v in members):
-            d = [deg[v] for v in members]
-            if -(-(min(d) + 1) // (max(d) - len(d) + 2)) >= lb:
-                return True
-    return False
-
-
-def _vertex_set(g: Graph, members: object) -> int:
-    """Bitmask of `members` when it is a non-empty tuple of distinct vertices
-    of `g`, else 0."""
-    if not isinstance(members, tuple):
-        return 0
-    mask = 0
-    for v in members:
-        if type(v) is not int or not 0 <= v < g.n or mask >> v & 1:
-            return 0
-        mask |= 1 << v
-    return mask
-
-
 def _check_cover(g: Graph, f: Labeling) -> None:
     if len(f.labels) != g.n:
         raise ValueError(f"labeling covers {len(f.labels)} vertices, graph has {g.n}")

@@ -18,9 +18,8 @@ that change, and a position takes its label back once, when it runs out
 of labels. Twin symmetry breaking (non-decreasing labels inside a
 false-twin class, strictly increasing inside a true-twin class) mirrors the
 chain inequalities of the integer-programming model; both read the chains
-from `twin_refined_partition`. The search returns its labeling unchecked:
-each caller that prints it or relies on it verifies it once (`acp solve`,
-the sweep).
+from `twin_refined_partition`. The search returns its labeling unchecked;
+`proof.prove` verifies it once for every command that prints it.
 
 The search also prunes on cliques. The members of a clique Q need pairwise
 distinct neighborhood sums. Member v's sum is the labels of Q except f(v),

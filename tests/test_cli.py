@@ -156,8 +156,8 @@ def count_builds(capsys, monkeypatch, *argv):
     return code, out, len(built)
 
 
-# certify builds the graph and the report uses that one; every labeling is
-# closed-form, so nothing else builds a graph
+# `families.construction` builds the graph and the proof uses that one;
+# every labeling is closed-form, so nothing else builds a graph
 FAMILY_BUILDS = {
     "cycle:201": 1, "path:150": 1, "multipartite:5,4,3,3,2": 1, "wheel:150": 1,
     "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
@@ -172,7 +172,8 @@ def test_family_builds_its_graph_once(capsys, monkeypatch, text):
     assert builds == FAMILY_BUILDS[text]
 
 
-# certify verifies its labeling once, and nothing else verifies one
+# `proof.prove` verifies the construction's labeling once, and nothing else
+# verifies one
 FAMILY_VERIFIES = {
     "cycle:201": 1, "path:150": 1, "multipartite:5,4,3,3,2": 1, "wheel:150": 1,
     "windmill:6,20": 1, "complete-split:6,9": 1, "join-complete:5:cycle:80": 1,
@@ -227,6 +228,43 @@ def test_family_reports_a_construction_that_does_not_prove_eta_as_a_fault(capsys
     assert out == ""
     assert err == ("error: cycle:5: the construction's labeling does not verify with "
                    "eta=3 labels (internal fault)\n")
+
+
+def family_bounds_with_upper(monkeypatch, upper):
+    # combined_bounds as computed, with its upper bound replaced by upper(lb)
+    import dataclasses
+
+    import addcolor.cli as cli
+    from addcolor.bounds import combined_bounds
+
+    def patched(g):
+        report = combined_bounds(g)
+        return dataclasses.replace(report, eta_upper=upper(report.eta_lower))
+
+    monkeypatch.setattr(cli._bounds, "combined_bounds", patched)
+
+
+@pytest.mark.parametrize("text, lb", [("complete:4", 4), ("cycle:7", 2), ("thick-spider:7", 2)])
+def test_family_reports_crossed_bounds_as_a_fault(capsys, monkeypatch, text, lb):
+    # bounds that cross one below their witnessed lower bound are a fault,
+    # though the construction proves the formula from above
+    family_bounds_with_upper(monkeypatch, lambda lb: lb - 1)
+    code, out, err = run(capsys, "family", text)
+    assert code == 4 and out == ""
+    assert err == f"error: {text}: the bounds cross, {lb} > {lb - 1} (internal fault)\n"
+
+
+@pytest.mark.parametrize("text, eta, lb", [("cycle:7", 3, 2), ("thick-spider:7", 4, 2)])
+def test_family_reports_a_formula_above_the_upper_bound_as_a_fault(
+    capsys, monkeypatch, text, eta, lb
+):
+    # an upper bound at the witnessed lower bound, below the closed form:
+    # the formula lies outside the bounds, which is a fault
+    family_bounds_with_upper(monkeypatch, lambda lb: lb)
+    code, out, err = run(capsys, "family", text)
+    assert code == 4 and out == ""
+    assert err == (f"error: {text}: eta={eta} is above the bounds' upper bound {lb} "
+                   f"(internal fault)\n")
 
 
 def test_solve_k3(capsys):
@@ -379,17 +417,64 @@ def test_solve_parse_failure(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("line, component", [
+    ("A_", "component 1: n=2 eta=2 labeling: 1:2 2:1"),
+    ("Bw", "component 1: n=3 eta=3 labeling: 1:3 2:1 3:2"),
+])
+def test_solve_takes_the_bounds_construction_on_a_pinch(capsys, monkeypatch, line, component):
+    # K_2 and K_3 pinch, and the bounds' split labeling proves them without
+    # any search, as in the sweep
+    import addcolor.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("acp solve searched a pinched component")
+
+    monkeypatch.setattr(cli._solver, "eta_exact", refuse)
+    code, out, err = run(capsys, "solve", line)
+    assert code == 0 and err == ""
+    assert component + "\n" in out
+
+
+def test_commands_reach_the_layers_through_their_modules(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer wraps a function on its own module (and on the
+    # modules that hold it by name): each command must reach bounds, search
+    # and verifier through those attributes, or its per-layer times read 0
+    import addcolor.bounds as bounds
+    import addcolor.graph as graph
+    import addcolor.solver as solver
+
+    calls = {}
+    for module, name in ((bounds, "combined_bounds"), (solver, "eta_exact"),
+                         (graph, "verify_additive_coloring")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name, **kwargs: (
+            calls.__setitem__(name, calls.get(name, 0) + 1) or fn(*args, **kwargs)))
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("A_\nBw\nDhc\n")
+    everything = {"combined_bounds", "eta_exact", "verify_additive_coloring"}
+    for argv, reached in [
+        (("sweep", str(corpus)), everything),
+        (("solve", "Dhc"), everything),
+        # the construction decides the upper side: no search
+        (("family", "cycle:7"), {"combined_bounds", "verify_additive_coloring"}),
+    ]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert set(calls) == reached, argv
+
+
 def test_solve_budget_exhausted(capsys):
     code, out, _ = run(capsys, "solve", "Dhc", "--budget", "2")
     assert code == 3
     assert "budget exceeded" in out
 
 
-@pytest.mark.parametrize("labels,value", [((3, 3, 3), 3), ((1, 2, 3), 4)])
+@pytest.mark.parametrize("labels,value", [((3, 3, 3, 3, 3), 3), ((1, 2, 3, 1, 1), 4)])
 def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labels, value):
     # the search returns its labeling unchecked, so acp solve checks it, in
-    # an `if` that python -O keeps: on K_3, (3, 3, 3) gives every vertex the
-    # sum 6, and (1, 2, 3) verifies but with 3 labels, not the claimed 4
+    # an `if` that python -O keeps: on C_5, which the search decides,
+    # (3, 3, 3, 3, 3) gives every vertex the sum 6, and (1, 2, 3, 1, 1)
+    # verifies but with 3 labels, not the claimed 4
     import dataclasses
 
     import addcolor.cli as cli
@@ -401,7 +486,7 @@ def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labe
         return dataclasses.replace(result, value=value, certificate=Labeling(labels))
 
     monkeypatch.setattr(cli._solver, "eta_exact", wrong_labeling)
-    code, out, err = run(capsys, "solve", "Bw")
+    code, out, err = run(capsys, "solve", "Dhc")
     assert code == cli.EXIT_AUDIT == 4
     assert "labeling:" not in out and "eta =" not in out
     assert err == (f"error: component 1: the search's labeling does not verify with "
@@ -410,12 +495,13 @@ def test_solve_refuses_a_labeling_that_does_not_verify(capsys, monkeypatch, labe
 
 def test_solve_reports_no_eta_up_to_the_degree_bound_as_a_fault(capsys, monkeypatch):
     # a sound search always finds eta by the bounds' upper bound, so running
-    # past it is an internal fault (exit 4, as in the sweep), not a usage error
+    # past it is an internal fault (exit 4, as in the sweep), not a usage
+    # error; C_5 is searched, where K_3 would take the bounds' construction
     import addcolor.cli as cli
 
     monkeypatch.setattr(cli._solver, "eta_exact", lambda g, *args, **kwargs: cli._solver.SolveResult(
         cli._solver.UB_EXCEEDED, None, None, cli._solver.SolveStats(0)))
-    code, out, err = run(capsys, "solve", "Bw")
+    code, out, err = run(capsys, "solve", "Dhc")
     assert code == cli.EXIT_AUDIT == 4
     assert "labeling:" not in out and "eta =" not in out
     assert err.startswith("error: ") and err.count("\n") == 1 and "(internal fault)" in err

@@ -29,10 +29,10 @@ from addcolor.graph import (
     EDGE_LIMIT,
     Graph,
     neighborhood_sum,
-    proves_lower,
     verify_additive_coloring,
 )
 from addcolor.graph6 import write_graph6
+from addcolor.proof import proves_lower
 from addcolor.solver import chromatic_exact, eta_exact
 
 from oracles import eta_naive, lower_witness_shows, partitions
@@ -580,11 +580,10 @@ def test_unwitnessed_lower_bound_is_a_fault(capsys, monkeypatch):
 
 
 def test_formula_below_its_witnessed_lower_bound_is_a_fault(capsys, monkeypatch):
-    # K_5 claimed at 4 against its true-twin class of 5; the construction
-    # check is made to pass, so only the lower side can catch it
+    # K_5 claimed at 4 against its true-twin class of 5; eta is held to
+    # [lb, ub] before its labeling is checked, so the lower side catches it
     import addcolor.families as families
 
-    monkeypatch.setattr(families, "proves_eta", lambda *args: True)
     monkeypatch.setitem(
         families._FAMILIES, "complete", families._FAMILIES["complete"]._replace(eta=lambda n: n - 1)
     )

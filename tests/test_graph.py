@@ -11,14 +11,13 @@ from addcolor.graph import (
     connected_components,
     induced_subgraph,
     neighborhood_sum,
-    proves_eta,
-    proves_lower,
     twin_refined_partition,
     verify_additive_coloring,
 )
 from addcolor.bounds import combined_bounds, is_eta_one
 from addcolor.families import generate, parse_spec
 from addcolor.graph6 import parse_graph6
+from addcolor.proof import proves_eta, proves_lower
 from addcolor.solver import chromatic_exact, eta_exact
 
 from oracles import additive_labelings, eta_naive, is_additive, twin_classes_naive

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from addcolor.bounds import degree_upper_bound
-from addcolor.graph import Graph, proves_eta, verify_additive_coloring
+from addcolor.graph import Graph, verify_additive_coloring
+from addcolor.proof import proves_eta
 from addcolor.families import eta_formula, generate, parse_spec
 from addcolor.graph6 import parse_graph6
 from addcolor import solver
